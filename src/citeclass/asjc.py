@@ -9,8 +9,8 @@ result is normalized and pruned.
 
 from __future__ import annotations
 
-from .assignments import Assignment, AssignmentSet, SYSTEM_ASJC
-from .corpus import Corpus, Document, Journal, Scheme, ValidationError
+from .assignments import AssignmentSet, SYSTEM_ASJC
+from .corpus import Corpus, Journal, Scheme, ValidationError
 from .weights import CategoryVector, PRUNE_EPS, normalize
 
 
@@ -73,13 +73,6 @@ def redistribute(vector: CategoryVector, scheme: Scheme) -> CategoryVector:
 
 def journal_vector(journal: Journal, scheme: Scheme) -> CategoryVector:
     return redistribute(journal_base_weights(journal, scheme), scheme)
-
-
-def classify_asjc_fractional(doc: Document, corpus: Corpus, scheme: Scheme) -> Assignment:
-    journal = corpus.journals.get(doc.journal_id)
-    if journal is None:
-        raise ValidationError([f"document {doc.doc_id!r} references unknown journal {doc.journal_id!r}"])
-    return Assignment(doc.doc_id, SYSTEM_ASJC, journal_vector(journal, scheme))
 
 
 def classify_asjc(corpus: Corpus, scheme: Scheme) -> AssignmentSet:

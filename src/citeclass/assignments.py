@@ -35,13 +35,6 @@ class AssignmentSet:
         self.system = system
         self.vectors: dict[str, CategoryVector] = vectors if vectors is not None else {}
 
-    def add(self, assignment: Assignment) -> None:
-        if assignment.system != self.system:
-            raise ValidationError(
-                [f"assignment system {assignment.system!r} does not match set {self.system!r}"]
-            )
-        self.vectors[assignment.doc_id] = assignment.weights
-
     def get(self, doc_id: str) -> CategoryVector:
         return self.vectors[doc_id]
 

@@ -10,11 +10,12 @@ support size, and renormalized. Documents with too few references, or with
 an empty aggregate, keep their journal-based vector unchanged (the same
 dict object, so they serialize identically).
 
-classify_u1f08 is the per-document route; classify_u1f08_all computes the
-same result for a whole corpus through sparse matrix products. For every
-reference r with windowed citer vectors summing to S_r, the profile seen by
-a citing document d is (S_r - A_d) / (n_r - 1) because d itself is always
-among the citers it must be excluded from.
+With a citer window w, only citers published at most w years after the
+reference count. classify_u1f08_all classifies a whole corpus through
+sparse matrix products: for every reference r with n_r windowed citers whose
+vectors sum to S_r, the profile seen by a citing document d is
+(S_r - A_d) / (n_r - 1) when d is one of those citers and S_r / n_r when the
+window leaves d out.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .assignments import Assignment, AssignmentSet, SYSTEM_U1
-from .corpus import CitationIndex, Corpus, Document, ValidationError
-from .weights import CategoryVector, mean_of, normalize
+from .assignments import AssignmentSet, SYSTEM_U1
+from .corpus import Corpus, ValidationError
+from .weights import CategoryVector, normalize
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,46 +48,12 @@ class ThresholdPolicy:
             raise ValidationError(errors)
 
 
-def reference_profile(
-    ref_id: str,
-    exclude_doc_id: str,
-    corpus: Corpus,
-    index: CitationIndex,
-    asjc_set: AssignmentSet,
-    citer_window: int | None = None,
-) -> CategoryVector:
-    """Profile of one reference as seen from the document being classified.
-
-    Returns {} for a reference outside the corpus. Returned vectors may be
-    shared objects; treat them as read-only.
-    """
-    if ref_id not in corpus:
-        return {}
-    ref_year = corpus.doc(ref_id).year
-    chosen: list[CategoryVector] = []
-    for c in index.citers_of(ref_id):
-        if c == exclude_doc_id:
-            continue
-        if citer_window is not None and corpus.doc(c).year - ref_year > citer_window:
-            continue
-        chosen.append(asjc_set.vectors[c])
-    if not chosen:
-        return asjc_set.vectors[ref_id]
-    return mean_of(chosen)
-
-
-def aggregate_references(profiles: list[CategoryVector]) -> CategoryVector:
-    """Mean over the non-empty reference profiles; {} if all are empty."""
-    non_empty = [p for p in profiles if p]
-    if not non_empty:
-        return {}
-    return mean_of(non_empty)
-
-
 def apply_threshold(vec: CategoryVector, policy: ThresholdPolicy) -> CategoryVector:
     """Keep categories with weight >= theta * max weight, cap the support at
-    max_categories heaviest (ties broken by category code), renormalize.
-    The rule is scale-invariant, so the input need not be normalized."""
+    max_categories heaviest, renormalize. The cap ranks by the ratio to the
+    max weight rounded to 12 decimals, then by category code, so weights
+    that differ only by float noise tie and fall to the code order. The rule
+    is scale-invariant, so the input need not be normalized."""
     if not vec:
         raise ValidationError(["cannot threshold an empty vector"])
     wmax = max(vec.values())
@@ -95,31 +62,9 @@ def apply_threshold(vec: CategoryVector, policy: ThresholdPolicy) -> CategoryVec
     cut = policy.theta * wmax
     kept = {k: w for k, w in vec.items() if w >= cut}
     if len(kept) > policy.max_categories:
-        ranked = sorted(kept.items(), key=lambda kv: (-kv[1], kv[0]))
-        kept = dict(ranked[: policy.max_categories])
+        ranked = sorted(kept, key=lambda k: (-round(kept[k] / wmax, 12), k))
+        kept = {k: kept[k] for k in ranked[: policy.max_categories]}
     return normalize(kept)
-
-
-def classify_u1f08(
-    doc: Document,
-    corpus: Corpus,
-    index: CitationIndex,
-    asjc_set: AssignmentSet,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-    citer_window: int | None = None,
-) -> Assignment:
-    """Classify one document. Results never depend on other documents'
-    U1-F-0.8 assignments, only on journal-based vectors."""
-    if len(doc.references) < policy.min_references:
-        return Assignment(doc.doc_id, SYSTEM_U1, asjc_set.vectors[doc.doc_id])
-    profiles = [
-        reference_profile(r, doc.doc_id, corpus, index, asjc_set, citer_window)
-        for r in doc.references
-    ]
-    agg = aggregate_references(profiles)
-    if not agg:
-        return Assignment(doc.doc_id, SYSTEM_U1, asjc_set.vectors[doc.doc_id])
-    return Assignment(doc.doc_id, SYSTEM_U1, apply_threshold(agg, policy))
 
 
 def _journal_rows(corpus: Corpus, asjc_set: AssignmentSet) -> tuple[np.ndarray, list[CategoryVector]]:
@@ -153,7 +98,7 @@ def classify_u1f08_all(
     citer_window: int | None = None,
     chunk_size: int = 65536,
 ) -> AssignmentSet:
-    """Batch equivalent of classify_u1f08 over all documents of a corpus."""
+    """Classify every document of a corpus."""
     docs = corpus.documents
     n = len(docs)
     out: dict[str, CategoryVector] = {}

@@ -10,7 +10,6 @@ figure/table dataset to its file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import csv
 import json
 import os
@@ -18,13 +17,12 @@ import sys
 
 from . import asjc, citer, flow, indicators as ind, netgraph, syngen
 from .assignments import (
-    SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, iter_assignments, read_assignments,
-    write_assignments,
+    SYSTEM_ASJC, SYSTEM_U1, iter_assignments, read_assignments, write_assignments,
 )
 from .config import RunConfig, build_config, coerce_value, field_types, parse_config_file
 from .corpus import (
-    CitationIndex, Corpus, ParseError, Scheme, ValidationError, build_citation_index,
-    corpus_summary, load_corpus, load_scheme, write_corpus, write_scheme,
+    Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary,
+    load_corpus, load_scheme, low_reference_share, write_corpus, write_scheme,
 )
 from .weights import SUPPORT_EPS, collapse_to_areas
 
@@ -225,7 +223,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
     acc_cat = flow.FlowAccumulator("category")
-    acc_area = flow.FlowAccumulator("area", scheme)
+    acc_area = flow.FlowAccumulator("area")
     stats_cat_a, stats_cat_b = _SupportStats(), _SupportStats()
     stats_area_a, stats_area_b = _SupportStats(), _SupportStats()
 
@@ -244,7 +242,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
             acc_cat.add(a.weights, b.weights)
             area_a = collapse_to_areas(a.weights, scheme)
             area_b = collapse_to_areas(b.weights, scheme)
-            acc_area.add(a.weights, b.weights)
+            acc_area.add(area_a, area_b)
             stats_cat_a.add(a.weights)
             stats_cat_b.add(b.weights)
             stats_area_a.add(area_a)
@@ -329,12 +327,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     with open(os.path.join(out, STATS_FILE), "r", encoding="utf-8") as fh:
         stats = json.load(fh)
-    fig1_rows = []
-    for year in sorted(stats["years"], key=int):
-        info = stats["years"][year]
-        below = sum(n for k, n in info["reference_count_hist"].items() if int(k) < cfg.min_references)
-        fig1_rows.append([year, _fmt(100.0 * below / info["documents"])])
-    _write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"], fig1_rows)
+    _write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"],
+               [[y, _fmt(pct)] for y, pct in low_reference_share(stats, cfg.min_references)])
 
     _update_manifest(out, {
         "figure_1": FIG1, "figure_2": FIG2, "figure_4": FIG4, "figure_5": FIG5,
@@ -431,11 +425,10 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [STATS_FILE])
     with open(os.path.join(cfg.out, STATS_FILE), "r", encoding="utf-8") as fh:
         stats = json.load(fh)
-    series = []
-    for year in sorted(stats["years"], key=int):
-        info = stats["years"][year]
-        below = sum(n for k, n in info["reference_count_hist"].items() if int(k) < cfg.min_references)
-        series.append({"year": int(year), "pct_below_min_refs": 100.0 * below / info["documents"]})
+    series = [
+        {"year": y, "pct_below_min_refs": pct}
+        for y, pct in low_reference_share(stats, cfg.min_references)
+    ]
     manifest_path = os.path.join(cfg.out, MANIFEST_FILE)
     manifest = {}
     if os.path.exists(manifest_path):
@@ -465,9 +458,6 @@ def cmd_syngen(args: argparse.Namespace, cfg: RunConfig, file_map: dict[str, str
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        values["seed"] = seed
     params = syngen.SynParams(**values)
     scheme, corpus = syngen.generate_corpus(params)
     os.makedirs(cfg.out, exist_ok=True)

@@ -282,69 +282,50 @@ class Corpus:
 
 @dataclass(frozen=True, slots=True)
 class CitationIndex:
-    """Reverse citation map for one corpus.
+    """Citation counts for one corpus.
 
-    citers maps doc_id to the sorted doc_ids citing it (entries exist only
-    for cited documents and ignore any window). citation_count maps doc_id
-    to in-window internal citations plus external_citations (entries exist
-    only for nonzero counts).
+    citation_count maps doc_id to in-window internal citations plus
+    external_citations (entries exist only for nonzero counts).
     """
 
-    citers: dict[str, tuple[str, ...]]
     citation_count: dict[str, int]
     window_years: int | None = None
 
     def count(self, doc_id: str) -> int:
         return self.citation_count.get(doc_id, 0)
 
-    def citers_of(self, doc_id: str) -> tuple[str, ...]:
-        return self.citers.get(doc_id, ())
-
 
 def build_citation_index(corpus: Corpus, window_years: int | None = None) -> CitationIndex:
-    """Invert the reference lists of a corpus.
+    """Count the citations of every document.
 
     A citation is in-window when year(citing) - year(cited) <= window_years;
-    with no window every internal citation counts. The citers lists are not
-    windowed.
+    with no window every internal citation counts.
     """
     if window_years is not None and window_years < 0:
         raise ValidationError([f"window_years must be >= 0, got {window_years}"])
     citing, cited = corpus.ref_edges()
-    docs = corpus.documents
-    citers: dict[str, list[str]] = {}
-    counts: dict[str, int] = {}
-    years = corpus.years_array()
-    in_window = np.ones(len(citing), dtype=bool)
     if window_years is not None and len(citing):
-        in_window = (years[citing] - years[cited]) <= window_years
-    for k in range(len(citing)):
-        d = docs[int(citing[k])]
-        r = docs[int(cited[k])]
-        citers.setdefault(r.doc_id, []).append(d.doc_id)
-        if in_window[k]:
-            counts[r.doc_id] = counts.get(r.doc_id, 0) + 1
-    for d in docs:
-        if d.external_citations:
-            counts[d.doc_id] = counts.get(d.doc_id, 0) + d.external_citations
-    frozen = {k: tuple(v) for k, v in sorted(citers.items())}
-    return CitationIndex(frozen, dict(sorted(counts.items())), window_years)
+        years = corpus.years_array()
+        cited = cited[(years[citing] - years[cited]) <= window_years]
+    internal = np.bincount(cited, minlength=len(corpus.documents)).tolist()
+    counts = {
+        d.doc_id: n + d.external_citations
+        for d, n in zip(corpus.documents, internal)
+        if n + d.external_citations
+    }
+    return CitationIndex(counts, window_years)
 
 
-def ref_stats_by_year(corpus: Corpus, threshold: int = 3) -> list[tuple[int, float]]:
-    """Per publication year, the percentage of documents with fewer than
-    `threshold` references (internal and external both count).
-
-    Returns (year, pct) pairs sorted by year; years with no documents are
-    absent.
-    """
-    totals: dict[int, int] = {}
-    below: dict[int, int] = {}
-    for d in corpus.documents:
-        totals[d.year] = totals.get(d.year, 0) + 1
-        if len(d.references) < threshold:
-            below[d.year] = below.get(d.year, 0) + 1
-    return [(y, 100.0 * below.get(y, 0) / totals[y]) for y in sorted(totals)]
+def low_reference_share(stats: dict, min_references: int) -> list[tuple[int, float]]:
+    """Per publication year of a corpus_summary dict, the percentage of
+    documents with fewer than min_references references (internal and
+    external both count). Returns (year, pct) pairs sorted by year."""
+    series = []
+    for year in sorted(stats["years"], key=int):
+        info = stats["years"][year]
+        below = sum(n for k, n in info["reference_count_hist"].items() if int(k) < min_references)
+        series.append((int(year), 100.0 * below / info["documents"]))
+    return series
 
 
 def corpus_summary(corpus: Corpus) -> dict:

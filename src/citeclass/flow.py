@@ -90,15 +90,13 @@ def document_flow(from_vec: CategoryVector, to_vec: CategoryVector) -> DocumentF
 
 
 class FlowAccumulator:
-    """Streams document vector pairs into a FlowMatrix without holding them."""
+    """Streams document vector pairs into a FlowMatrix without holding them.
+    Vectors must already be at the accumulator's level."""
 
-    def __init__(self, level: str, scheme: Scheme | None = None):
+    def __init__(self, level: str):
         if level not in LEVELS:
             raise ValidationError([f"unknown flow level {level!r}"])
-        if level == "area" and scheme is None:
-            raise ValidationError(["area-level flows require a scheme"])
         self.level = level
-        self.scheme = scheme
         self.n_docs = 0
         self.size_a: dict[str, float] = {}
         self.size_b: dict[str, float] = {}
@@ -106,10 +104,6 @@ class FlowAccumulator:
         self.flow: dict[tuple[str, str], float] = {}
 
     def add(self, from_vec: CategoryVector, to_vec: CategoryVector) -> None:
-        if self.level == "area":
-            assert self.scheme is not None
-            from_vec = collapse_to_areas(from_vec, self.scheme)
-            to_vec = collapse_to_areas(to_vec, self.scheme)
         df = document_flow(from_vec, to_vec)
         self.n_docs += 1
         for k, w in from_vec.items():
@@ -145,9 +139,14 @@ def flow_matrix(
         raise ValidationError(
             [f"assignment sets cover different documents (e.g. only in A: {only_a}, only in B: {only_b})"]
         )
-    acc = FlowAccumulator(level, scheme)
+    if level == "area" and scheme is None:
+        raise ValidationError(["area-level flows require a scheme"])
+    acc = FlowAccumulator(level)
     for doc_id in sorted(set_a.vectors):
-        acc.add(set_a.vectors[doc_id], set_b.vectors[doc_id])
+        vec_a, vec_b = set_a.vectors[doc_id], set_b.vectors[doc_id]
+        if level == "area":
+            vec_a, vec_b = collapse_to_areas(vec_a, scheme), collapse_to_areas(vec_b, scheme)
+        acc.add(vec_a, vec_b)
     return acc.finish()
 
 

@@ -224,9 +224,13 @@ def _oracle_journal_vector(journal: Journal, scheme: Scheme) -> CategoryVector:
     return {k: acc[k] / total for k in sorted(acc)}
 
 
-def oracle_classify(corpus: Corpus, scheme: Scheme, policy: ThresholdPolicy) -> AssignmentSet:
+def oracle_classify(
+    corpus: Corpus, scheme: Scheme, policy: ThresholdPolicy, citer_window: int | None = None
+) -> AssignmentSet:
     """Nested-loop reimplementation of the citer-origin pipeline, used only
-    as a test oracle. Guarded to small corpora."""
+    as a test oracle. With citer_window set, a citation counts toward a
+    reference's citers only when the citer was published at most that many
+    years after the reference. Guarded to small corpora."""
     if len(corpus) > ORACLE_MAX_DOCS:
         raise ValidationError([f"oracle_classify is limited to {ORACLE_MAX_DOCS} documents"])
     jvec = {jid: _oracle_journal_vector(j, scheme) for jid, j in corpus.journals.items()}
@@ -234,7 +238,7 @@ def oracle_classify(corpus: Corpus, scheme: Scheme, policy: ThresholdPolicy) -> 
     citers: dict[str, list[str]] = {}
     for d in corpus.documents:
         for r in d.references:
-            if r in corpus:
+            if r in corpus and (citer_window is None or d.year - corpus.doc(r).year <= citer_window):
                 citers.setdefault(r, []).append(d.doc_id)
 
     vectors: dict[str, CategoryVector] = {}
@@ -266,8 +270,11 @@ def oracle_classify(corpus: Corpus, scheme: Scheme, policy: ThresholdPolicy) -> 
         wmax = max(agg.values())
         kept = {code: w for code, w in agg.items() if w >= policy.theta * wmax}
         if len(kept) > policy.max_categories:
-            order = sorted(kept.items(), key=lambda kv: (-kv[1], kv[0]))
-            kept = dict(order[: policy.max_categories])
+            # weights level with each other to 12 decimals of the peak tie;
+            # the stable sort leaves tied codes in code order
+            level = {code: round(w / wmax, 12) for code, w in kept.items()}
+            order = sorted(sorted(kept), key=lambda code: -level[code])
+            kept = {code: kept[code] for code in order[: policy.max_categories]}
         total = sum(kept.values())
         vectors[d.doc_id] = {code: kept[code] / total for code in sorted(kept)}
     return AssignmentSet(SYSTEM_U1, vectors)

@@ -7,7 +7,7 @@ PRUNE_EPS are dropped so vectors stay sparse.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .corpus import Scheme, ValidationError
 
@@ -17,10 +17,6 @@ CategoryVector = dict[str, float]
 SUPPORT_EPS = 1e-9
 # entries below this are dropped from stored vectors
 PRUNE_EPS = 1e-12
-
-
-def vector_sum(vec: Mapping[str, float]) -> float:
-    return math.fsum(vec.values())
 
 
 def normalize(vec: Mapping[str, float]) -> CategoryVector:
@@ -35,23 +31,6 @@ def normalize(vec: Mapping[str, float]) -> CategoryVector:
     return out
 
 
-def sorted_vector(vec: Mapping[str, float]) -> CategoryVector:
-    return dict(sorted(vec.items()))
-
-
-def mean_of(vectors: Iterable[Mapping[str, float]]) -> CategoryVector:
-    """Arithmetic mean of the given vectors (absent keys count as zero)."""
-    acc: dict[str, float] = {}
-    n = 0
-    for vec in vectors:
-        n += 1
-        for k, v in vec.items():
-            acc[k] = acc.get(k, 0.0) + v
-    if n == 0:
-        return {}
-    return {k: acc[k] / n for k in sorted(acc)}
-
-
 def collapse_to_areas(vec: Mapping[str, float], scheme: Scheme) -> CategoryVector:
     """Sum category weights into their areas."""
     acc: dict[str, float] = {}
@@ -61,7 +40,3 @@ def collapse_to_areas(vec: Mapping[str, float], scheme: Scheme) -> CategoryVecto
             raise ValidationError([f"unknown category code {code!r}"])
         acc[area] = acc.get(area, 0.0) + w
     return dict(sorted(acc.items()))
-
-
-def support(vec: Mapping[str, float], eps: float = SUPPORT_EPS) -> list[str]:
-    return sorted(k for k, v in vec.items() if v > eps)

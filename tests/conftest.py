@@ -90,3 +90,15 @@ def assert_vec_close(a, b, tol=1e-12):
     assert set(a) == set(b), f"supports differ: {sorted(a)} vs {sorted(b)}"
     for k in a:
         assert abs(a[k] - b[k]) <= tol, f"{k}: {a[k]} vs {b[k]}"
+
+
+def partitions(items):
+    """All set partitions of a list, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield part + [[first]]

@@ -56,6 +56,7 @@ from citeclass import (
     oracle_flow,
 )
 from citeclass.cli import main
+from conftest import partitions
 from citeclass.netgraph import GraphEdge, GraphNode, _energy, _gradient
 from citeclass.syngen import SplitMix64, planted_journal_categories
 
@@ -101,18 +102,6 @@ def _independent_modularity(edges, community):
     return q
 
 
-def _partitions(items):
-    """All set partitions, as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield part + [[first]]
-
-
 def test_c01_mass_conservation():
     started = time.perf_counter()
     for seed in (1, 2, 3, 4, 5):
@@ -151,8 +140,11 @@ def test_c03_citer_system_contract(syn200):
     scheme, corpus = syn200
     asjc = classify_asjc(corpus, scheme)
     u1 = classify_u1f08_all(corpus, asjc)
-    index = build_citation_index(corpus)
     internal = {d.doc_id for d in corpus.documents}
+    citers = {}
+    for d in corpus.documents:
+        for ref in d.references:
+            citers.setdefault(ref, []).append(d.doc_id)
 
     thresholded = 0
     for d in corpus.documents:
@@ -164,7 +156,7 @@ def test_c03_citer_system_contract(syn200):
         for ref in d.references:
             if ref not in internal:
                 continue
-            others = [c for c in index.citers_of(ref) if c != d.doc_id]
+            others = [c for c in citers.get(ref, []) if c != d.doc_id]
             if others:
                 profiles.append(_mean_vectors([asjc.get(c) for c in others]))
             else:
@@ -310,7 +302,6 @@ def test_c07_ni_self_normalization(syn200):
 
     baselines = category_baselines(corpus, asjc, index)
     doubled = CitationIndex(
-        index.citers,
         {k: 2 * v for k, v in index.citation_count.items()},
         index.window_years,
     )
@@ -405,7 +396,7 @@ def test_c09_community_detection():
         g = _graph(nodes, edges)
         best = max(
             modularity(g, {n: i for i, block in enumerate(part) for n in block})
-            for part in _partitions(nodes)
+            for part in partitions(nodes)
         )
         det = detect_communities(g)
         assert det.q <= best + 1e-9

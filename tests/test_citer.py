@@ -2,25 +2,25 @@ import pytest
 
 from citeclass import (
     Document,
-    Journal,
     ThresholdPolicy,
     ValidationError,
-    aggregate_references,
     apply_threshold,
-    build_citation_index,
     classify_asjc,
-    classify_u1f08,
     classify_u1f08_all,
-    reference_profile,
+    oracle_classify,
 )
 from conftest import assert_vec_close, make_corpus
 
 
+# keeps every category with positive weight, so a one-reference document's
+# vector is its reference's profile
+KEEP_ALL = ThresholdPolicy(theta=1e-9, min_references=1)
+
+
 def u1_setup(scheme, docs, journals=None):
     corpus = make_corpus(scheme, docs, journals)
-    index = build_citation_index(corpus)
     asjc_set = classify_asjc(corpus, scheme)
-    return corpus, index, asjc_set
+    return corpus, asjc_set
 
 
 def test_threshold_policy_validation():
@@ -40,8 +40,8 @@ def test_reference_profile_averages_citers(scheme):
         Document("C2", "J-MIX", 2012, "article", ("R",), 0),
         Document("D", "J-CH", 2013, "article", ("R",), 0),
     ]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    prof = reference_profile("R", "D", corpus, index, asjc_set)
+    corpus, asjc_set = u1_setup(scheme, docs)
+    prof = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
     assert_vec_close(prof, {"PH01": 0.75, "CH01": 0.25})
 
 
@@ -50,26 +50,49 @@ def test_reference_profile_excludes_classified_doc(scheme):
         Document("R", "J-PH2", 2010, "article", (), 0),
         Document("D", "J-CH", 2013, "article", ("R",), 0),
     ]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
+    corpus, asjc_set = u1_setup(scheme, docs)
     # D is R's only citer; excluding D leaves none -> R's own journal vector
-    prof = reference_profile("R", "D", corpus, index, asjc_set)
+    prof = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
     assert_vec_close(prof, {"PH02": 1.0})
 
 
 def test_reference_profile_external_is_empty(scheme):
+    # the only reference is external: its profile is empty, so D keeps its
+    # journal vector
     docs = [Document("D", "J-CH", 2013, "article", ("X9",), 0)]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    assert reference_profile("X9", "D", corpus, index, asjc_set) == {}
+    corpus, asjc_set = u1_setup(scheme, docs)
+    assert classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D") is asjc_set.get("D")
 
 
-def test_aggregate_skips_empty_profiles():
-    agg = aggregate_references([{"X": 1.0}, {}, {"X": 0.5, "Y": 0.5}, {"Y": 1.0}])
-    assert_vec_close(agg, {"X": 0.5, "Y": 0.5})
+def test_aggregate_skips_empty_profiles(scheme):
+    # an external reference adds nothing: D's vector is the mean of the
+    # profiles {PH01:1}, {PH01:.5, CH01:.5}, {CH01:1} with or without X9
+    for refs in (("R1", "R2", "R3", "X9"), ("R1", "R2", "R3")):
+        docs = [
+            Document("R1", "J-CH", 2010, "article", (), 0),
+            Document("R2", "J-CH", 2010, "article", (), 0),
+            Document("R3", "J-PH", 2010, "article", (), 0),
+            Document("C1", "J-PH", 2012, "article", ("R1",), 0),
+            Document("C2", "J-MIX", 2012, "article", ("R2",), 0),
+            Document("C3", "J-CH", 2012, "article", ("R3",), 0),
+            Document("D", "J-PH2", 2013, "article", refs, 0),
+        ]
+        corpus, asjc_set = u1_setup(scheme, docs)
+        agg = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
+        assert_vec_close(agg, {"PH01": 0.5, "CH01": 0.5})
 
 
-def test_aggregate_all_empty():
-    assert aggregate_references([{}, {}]) == {}
-    assert aggregate_references([]) == {}
+def test_aggregate_all_empty(scheme):
+    # only external references, or none at all: the document falls back
+    docs = [
+        Document("D1", "J-CH", 2013, "article", ("X1", "X2"), 0),
+        Document("D2", "J-PH", 2013, "article", (), 0),
+    ]
+    corpus, asjc_set = u1_setup(scheme, docs)
+    u1 = classify_u1f08_all(corpus, asjc_set, KEEP_ALL)
+    assert u1.get("D1") is asjc_set.get("D1")
+    no_min = ThresholdPolicy(theta=1e-9, min_references=0)
+    assert classify_u1f08_all(corpus, asjc_set, no_min).get("D2") is asjc_set.get("D2")
 
 
 def test_apply_threshold_keeps_relative_08():
@@ -91,10 +114,12 @@ def test_apply_threshold_boundary_kept():
 def test_apply_threshold_caps_at_five_by_weight_then_code():
     policy = ThresholdPolicy()
     vec = {c: 1.0 for c in ["F", "E", "D", "C", "B", "A"]}
-    out = apply_threshold(vec, policy)
-    # all tied: lexicographically smallest five survive
-    assert sorted(out) == ["A", "B", "C", "D", "E"]
-    assert_vec_close(out, {c: 0.2 for c in "ABCDE"})
+    # A one ulp short of the others still ties: float noise does not rank
+    for a_weight in (1.0, 1.0 - 2.0 ** -52):
+        out = apply_threshold({**vec, "A": a_weight}, policy)
+        # all tied: lexicographically smallest five survive
+        assert sorted(out) == ["A", "B", "C", "D", "E"]
+        assert_vec_close(out, {c: 0.2 for c in "ABCDE"})
 
 
 def test_apply_threshold_empty_errors():
@@ -108,16 +133,16 @@ def test_classify_few_references_falls_back(scheme):
         Document("R2", "J-PH", 2010, "article", (), 0),
         Document("D", "J-CH", 2013, "article", ("R1", "R2"), 0),
     ]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08(corpus.doc("D"), corpus, index, asjc_set)
-    assert a.weights is asjc_set.get("D")
+    corpus, asjc_set = u1_setup(scheme, docs)
+    a = classify_u1f08_all(corpus, asjc_set)
+    assert a.get("D") is asjc_set.get("D")
 
 
 def test_classify_all_external_falls_back(scheme):
     docs = [Document("D", "J-CH", 2013, "article", ("X1", "X2", "X3"), 0)]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08(corpus.doc("D"), corpus, index, asjc_set)
-    assert a.weights is asjc_set.get("D")
+    corpus, asjc_set = u1_setup(scheme, docs)
+    a = classify_u1f08_all(corpus, asjc_set)
+    assert a.get("D") is asjc_set.get("D")
 
 
 def test_classify_uses_citer_origin_not_own_journal(scheme):
@@ -131,9 +156,9 @@ def test_classify_uses_citer_origin_not_own_journal(scheme):
         Document("C2", "J-PH", 2012, "article", ("R1", "R2", "R3"), 0),
         Document("D", "J-CH", 2013, "article", ("R1", "R2", "R3"), 0),
     ]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08(corpus.doc("D"), corpus, index, asjc_set)
-    assert_vec_close(a.weights, {"PH01": 1.0})
+    corpus, asjc_set = u1_setup(scheme, docs)
+    a = classify_u1f08_all(corpus, asjc_set)
+    assert_vec_close(a.get("D"), {"PH01": 1.0})
 
 
 def test_classify_excludes_self_from_citer_pools(scheme):
@@ -145,54 +170,39 @@ def test_classify_excludes_self_from_citer_pools(scheme):
         Document("R3", "J-PH", 2010, "article", (), 0),
         Document("D", "J-CH", 2013, "article", ("R1", "R2", "R3"), 0),
     ]
-    corpus, index, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08(corpus.doc("D"), corpus, index, asjc_set)
+    corpus, asjc_set = u1_setup(scheme, docs)
+    a = classify_u1f08_all(corpus, asjc_set)
     # mean of {PH01:1}, {PH02:1}, {PH01:1} = {PH01:2/3, PH02:1/3};
     # 1/3 < 0.8 * 2/3 -> only PH01 kept
-    assert_vec_close(a.weights, {"PH01": 1.0})
+    assert_vec_close(a.get("D"), {"PH01": 1.0})
 
 
 def test_citer_window_masks_old_citers(scheme):
-    # R cited by C0 (2011, chemistry) and C1 (2015, physics). With a
-    # 2-year citer window relative to D (2013)... the window applies to the
-    # reference's citers by the cited document's year.
+    # R0 (2010) is cited by C0 (2011, chemistry), C1 (2015, physics) and D
+    # (2013). The window is measured from the cited document's year.
     docs = [
         Document("R0", "J-PH2", 2010, "article", (), 0),
         Document("C0", "J-CH", 2011, "article", ("R0",), 0),
         Document("C1", "J-PH", 2015, "article", ("R0",), 0),
         Document("D", "J-CH", 2013, "article", ("R0", "X1", "X2"), 0),
     ]
-    corpus = make_corpus(scheme, docs)
-    asjc_set = classify_asjc(corpus, scheme)
-    unwindowed = build_citation_index(corpus)
-    windowed = build_citation_index(corpus, window_years=1)
-    full = reference_profile("R0", "D", corpus, unwindowed, asjc_set)
+    corpus, asjc_set = u1_setup(scheme, docs)
+    full = classify_u1f08_all(corpus, asjc_set).get("D")
     assert_vec_close(full, {"CH01": 0.5, "PH01": 0.5})
-    cut = reference_profile("R0", "D", corpus, unwindowed, asjc_set, citer_window=1)
+    cut = classify_u1f08_all(corpus, asjc_set, citer_window=1).get("D")
     # only C0 (2011 - 2010 <= 1) remains a citer of R0
     assert_vec_close(cut, {"CH01": 1.0})
 
 
-def test_batch_matches_per_document(syn2000):
+@pytest.mark.parametrize("citer_window", [None, 2])
+def test_batch_matches_oracle(syn2000, citer_window):
     scheme, corpus = syn2000
-    index = build_citation_index(corpus)
     asjc_set = classify_asjc(corpus, scheme)
     policy = ThresholdPolicy()
-    batch = classify_u1f08_all(corpus, asjc_set, policy)
-    for d in corpus.documents[::17]:
-        single = classify_u1f08(d, corpus, index, asjc_set, policy)
-        assert_vec_close(single.weights, batch.get(d.doc_id), tol=1e-9)
-
-
-def test_batch_matches_per_document_with_window(syn2000):
-    scheme, corpus = syn2000
-    index = build_citation_index(corpus)
-    asjc_set = classify_asjc(corpus, scheme)
-    policy = ThresholdPolicy()
-    batch = classify_u1f08_all(corpus, asjc_set, policy, citer_window=2)
-    for d in corpus.documents[::29]:
-        single = classify_u1f08(d, corpus, index, asjc_set, policy, citer_window=2)
-        assert_vec_close(single.weights, batch.get(d.doc_id), tol=1e-9)
+    batch = classify_u1f08_all(corpus, asjc_set, policy, citer_window)
+    oracle = oracle_classify(corpus, scheme, policy, citer_window)
+    for d in corpus.documents:
+        assert_vec_close(oracle.get(d.doc_id), batch.get(d.doc_id), tol=1e-9)
 
 
 def test_support_bounds_and_threshold(syn2000):

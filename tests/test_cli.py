@@ -185,6 +185,26 @@ def test_report_summarizes(pipeline_dir):
     assert rep["low_reference_share"]
 
 
+def test_fig1_matches_report(pipeline_dir, tmp_path):
+    # references run 3..10, so a cut at 6 gives shares strictly inside (0, 100)
+    out = pipeline_dir
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("min_references = 6\n")
+    assert run(["compare", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert run(["report", "--config", str(cfgp), "--out", str(out)]) == 0
+    fig1 = read_csv(out / "fig1_low_reference_share.csv")
+    series = json.loads((out / "report.json").read_text())["low_reference_share"]
+    assert fig1[0] == ["year", "pct_below_min_refs"]
+    assert fig1[1:] == [[str(r["year"]), "%.6f" % r["pct_below_min_refs"]] for r in series]
+    assert all(0.0 < r["pct_below_min_refs"] < 100.0 for r in series)
+
+
+def test_package_exports_resolve():
+    import citeclass
+
+    assert [n for n in citeclass.__all__ if not hasattr(citeclass, n)] == []
+
+
 def test_manifest_covers_all_artifacts(pipeline_dir):
     out = pipeline_dir
     run(["compare", "--out", str(out)])

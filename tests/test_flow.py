@@ -9,6 +9,7 @@ from citeclass import (
     SYSTEM_U1,
     ValidationError,
     class_flow_stats,
+    collapse_to_areas,
     document_flow,
     flow_matrix,
     summary_stats,
@@ -117,15 +118,20 @@ def test_accumulator_matches_flow_matrix(syn200):
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
     set_b = classify_u1f08_all(corpus, set_a)
-    direct = flow_matrix(set_a, set_b, "category")
-    acc = FlowAccumulator("category")
-    for doc_id in sorted(set_a.vectors):
-        acc.add(set_a.vectors[doc_id], set_b.vectors[doc_id])
-    streamed = acc.finish()
-    assert streamed.n_docs == direct.n_docs
-    assert_vec_close(streamed.size_a, direct.size_a, tol=1e-9)
-    assert_vec_close(streamed.common, direct.common, tol=1e-9)
-    assert set(streamed.flow) == set(direct.flow)
+    for level, to_level in (
+        ("category", lambda vec: vec),
+        ("area", lambda vec: collapse_to_areas(vec, scheme)),
+    ):
+        direct = flow_matrix(set_a, set_b, level, scheme)
+        acc = FlowAccumulator(level)
+        for doc_id in sorted(set_a.vectors):
+            acc.add(to_level(set_a.vectors[doc_id]), to_level(set_b.vectors[doc_id]))
+        streamed = acc.finish()
+        assert streamed.n_docs == direct.n_docs == len(corpus)
+        assert streamed.size_a == direct.size_a
+        assert streamed.size_b == direct.size_b
+        assert streamed.common == direct.common
+        assert streamed.flow == direct.flow
 
 
 def test_class_flow_stats_balance(syn200):

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -16,6 +15,7 @@ from citeclass import (
     modularity,
 )
 from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _energy, _gradient
+from conftest import partitions
 
 
 def graph_from_edges(edges, nodes=None):
@@ -113,10 +113,9 @@ def test_detect_deterministic_across_runs():
 
 
 def brute_force_best_q(graph):
-    nodes = graph.node_codes()
     best = -1.0
-    for labels in itertools.product(range(len(nodes)), repeat=len(nodes)):
-        q = modularity(graph, dict(zip(nodes, labels)))
+    for part in partitions(graph.node_codes()):
+        q = modularity(graph, {n: i for i, block in enumerate(part) for n in block})
         best = max(best, q)
     return best
 
