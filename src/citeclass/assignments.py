@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .corpus import ParseError, ValidationError
-from .weights import CategoryVector
+from .corpus import ParseError, Scheme, ValidationError
+from .weights import CategoryVector, collapse_to_areas
 
 SYSTEM_ASJC = "ASJC-FRAC"
 SYSTEM_U1 = "U1-F-0.8"
@@ -46,6 +46,14 @@ class AssignmentSet:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.vectors)
+
+    def to_areas(self, scheme: Scheme) -> AssignmentSet:
+        """The same documents with every vector collapsed to areas. Documents
+        that share one vector object share one collapsed dict, so the result
+        costs memory per distinct vector, not per document."""
+        distinct = {id(vec): vec for vec in self.vectors.values()}
+        areas = {key: collapse_to_areas(vec, scheme) for key, vec in distinct.items()}
+        return AssignmentSet(self.system, {doc_id: areas[id(vec)] for doc_id, vec in self.vectors.items()})
 
 
 def format_weights(weights: CategoryVector) -> str:

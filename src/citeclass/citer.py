@@ -50,21 +50,24 @@ class ThresholdPolicy:
 
 def apply_threshold(vec: CategoryVector, policy: ThresholdPolicy) -> CategoryVector:
     """Keep categories with weight >= theta * max weight, cap the support at
-    max_categories heaviest, renormalize. The cap ranks by the ratio to the
-    max weight rounded to 12 decimals, then by category code, so weights
-    that differ only by float noise tie and fall to the code order. The rule
-    is scale-invariant, so the input need not be normalized."""
+    max_categories heaviest, renormalize. Both the cut and the cap compare
+    each weight's ratio to the max weight rounded to 12 decimals, so weights
+    that differ only by float noise fall on the same side of the cut and tie
+    under the cap, where the category code decides. The rule is
+    scale-invariant, so the input need not be normalized."""
     if not vec:
         raise ValidationError(["cannot threshold an empty vector"])
     wmax = max(vec.values())
     if wmax <= 0.0:
         raise ValidationError(["cannot threshold a vector with no positive weight"])
-    cut = policy.theta * wmax
-    kept = {k: w for k, w in vec.items() if w >= cut}
+    theta = round(policy.theta, 12)
+    # weights below this raw bound cannot round up to theta; skip rounding them
+    floor = (theta - 1e-9) * wmax
+    level = {k: r for k, w in vec.items() if w >= floor and (r := round(w / wmax, 12)) >= theta}
+    kept = list(level)
     if len(kept) > policy.max_categories:
-        ranked = sorted(kept, key=lambda k: (-round(kept[k] / wmax, 12), k))
-        kept = {k: kept[k] for k in ranked[: policy.max_categories]}
-    return normalize(kept)
+        kept = sorted(kept, key=lambda k: (-level[k], k))[: policy.max_categories]
+    return normalize({k: vec[k] for k in kept})
 
 
 def _journal_rows(corpus: Corpus, asjc_set: AssignmentSet) -> tuple[np.ndarray, list[CategoryVector]]:

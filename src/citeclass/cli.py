@@ -10,7 +10,6 @@ figure/table dataset to its file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,12 +18,13 @@ from . import asjc, citer, flow, indicators as ind, netgraph, syngen
 from .assignments import (
     SYSTEM_ASJC, SYSTEM_U1, iter_assignments, read_assignments, write_assignments,
 )
-from .config import RunConfig, build_config, coerce_value, field_types, parse_config_file
+from .config import RunConfig, build_config, field_types, parse_config_file
 from .corpus import (
-    Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary,
-    load_corpus, load_scheme, low_reference_share, write_corpus, write_scheme,
+    Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary, fmt,
+    load_corpus, load_scheme, low_reference_share, write_corpus, write_csv, write_json,
+    write_scheme,
 )
-from .weights import SUPPORT_EPS, collapse_to_areas
+from .weights import collapse_to_areas
 
 SCHEME_FILE = os.path.join("corpus", "scheme.csv")
 JOURNALS_FILE = os.path.join("corpus", "journals.jsonl")
@@ -53,38 +53,29 @@ TABLE2 = "table2_flow_summary_category.csv"
 TABLE3 = "table3_top_links_category.csv"
 TABLE4 = "table4_weight_summary_category.csv"
 
-
-def _fmt(v: float) -> str:
-    if -1e-9 < v < 0.0:
-        v = 0.0
-    return "%.6f" % v
-
-
-def _na(v: float | None) -> str:
-    return "NA" if v is None else _fmt(v)
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+# compare's per-level datasets: the file at category level, then at area level
+LEVEL_FILES = {
+    "flows": ("flows_category.csv", "flows_area.csv"),
+    "class_stats": ("class_stats_category.csv", "class_stats_area.csv"),
+    "common_unique": ("common_unique_category.csv", FIG2),
+    "single_assignment": ("single_assignment_category.csv", FIG5),
+    "size_histogram": (FIG6, "size_histogram_area.csv"),
+    "top_links": (TABLE3, TABLE1),
+    "flow_summary": (TABLE2, "flow_summary_area.csv"),
+    "weight_summary": (TABLE4, "weight_summary_area.csv"),
+}
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _update_manifest(out_dir: str, entries: dict[str, str]) -> None:
     path = os.path.join(out_dir, MANIFEST_FILE)
-    data: dict[str, str] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _read_json(path) if os.path.exists(path) else {}
     data.update(entries)
-    _write_json(path, data)
+    write_json(path, data)
 
 
 def _require_artifacts(out_dir: str, names: list[str]) -> None:
@@ -115,14 +106,14 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
         scheme = load_scheme(cfg.scheme)
         corpus = load_corpus(cfg.journals, cfg.documents, scheme, cfg.year_min, cfg.year_max)
     except ValidationError as e:
-        _write_json(os.path.join(cfg.out, VALIDATION_FILE),
-                    {"status": "invalid", "errors": e.errors})
+        write_json(os.path.join(cfg.out, VALIDATION_FILE),
+                   {"status": "invalid", "errors": e.errors})
         print(f"validation failed: {e}", file=sys.stderr)
         return 1
     write_scheme(scheme, os.path.join(cfg.out, SCHEME_FILE))
     write_corpus(corpus, os.path.join(cfg.out, JOURNALS_FILE), os.path.join(cfg.out, DOCUMENTS_FILE))
-    _write_json(os.path.join(cfg.out, STATS_FILE), corpus_summary(corpus))
-    _write_json(os.path.join(cfg.out, VALIDATION_FILE), {
+    write_json(os.path.join(cfg.out, STATS_FILE), corpus_summary(corpus))
+    write_json(os.path.join(cfg.out, VALIDATION_FILE), {
         "status": "ok",
         "errors": [],
         "n_documents": len(corpus),
@@ -149,84 +140,14 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _summary_rows(metrics: list[tuple[str, list[float]]]) -> list[list]:
-    rows = []
-    for name, values in metrics:
-        if not values:
-            rows.append([name, 0, "NA", "NA", "NA"])
-            continue
-        s = flow.summary_stats(values)
-        rows.append([name, s.n, _fmt(s.mean), _fmt(s.std), _na(s.cv_pct)])
-    return rows
-
-
-def _histogram_rows(matrix: flow.FlowMatrix, bin_width: float) -> list[list]:
-    classes = matrix.classes()
-    n = len(classes)
-    sizes_a = [matrix.size_a.get(c, 0.0) for c in classes]
-    sizes_b = [matrix.size_b.get(c, 0.0) for c in classes]
-    max_bin = 0
-    for s in sizes_a + sizes_b:
-        max_bin = max(max_bin, int(s // bin_width))
-    counts_a = [0] * (max_bin + 1)
-    counts_b = [0] * (max_bin + 1)
-    for s in sizes_a:
-        counts_a[int(s // bin_width)] += 1
-    for s in sizes_b:
-        counts_b[int(s // bin_width)] += 1
-    rows = []
-    for k in range(max_bin + 1):
-        rows.append([
-            _fmt(k * bin_width), _fmt((k + 1) * bin_width),
-            counts_a[k], _fmt(100.0 * counts_a[k] / n),
-            counts_b[k], _fmt(100.0 * counts_b[k] / n),
-        ])
-    return rows
-
-
-class _SupportStats:
-    """Per-class single-assignment counters for one system and level."""
-
-    def __init__(self):
-        self.n_pos: dict[str, int] = {}
-        self.n_single: dict[str, int] = {}
-        self.sum_w: dict[str, float] = {}
-
-    def add(self, vec: dict[str, float]) -> None:
-        pos = [(c, w) for c, w in vec.items() if w > SUPPORT_EPS]
-        for c, w in pos:
-            self.n_pos[c] = self.n_pos.get(c, 0) + 1
-            self.sum_w[c] = self.sum_w.get(c, 0.0) + w
-        if len(pos) == 1:
-            c = pos[0][0]
-            self.n_single[c] = self.n_single.get(c, 0) + 1
-
-    def pct_single(self, c: str) -> float | None:
-        n = self.n_pos.get(c, 0)
-        return 100.0 * self.n_single.get(c, 0) / n if n else None
-
-    def mean_weight(self, c: str) -> float | None:
-        n = self.n_pos.get(c, 0)
-        return self.sum_w.get(c, 0.0) / n if n else None
-
-
-def _single_assignment_rows(classes: list[str], st_a: _SupportStats, st_b: _SupportStats) -> list[list]:
-    return [
-        [c, _na(st_a.pct_single(c)), _na(st_a.mean_weight(c)),
-         _na(st_b.pct_single(c)), _na(st_b.mean_weight(c))]
-        for c in classes
-    ]
-
-
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, STATS_FILE, ASJC_FILE, U1_FILE])
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
-    acc_cat = flow.FlowAccumulator("category")
-    acc_area = flow.FlowAccumulator("area")
-    stats_cat_a, stats_cat_b = _SupportStats(), _SupportStats()
-    stats_area_a, stats_area_b = _SupportStats(), _SupportStats()
-
+    # per level: the flow accumulator and each system's support counters
+    sinks = {level: (flow.FlowAccumulator(level), flow.SupportStats(), flow.SupportStats())
+             for level in flow.LEVELS}
+    category, area = sinks["category"], sinks["area"]
     it_a = iter_assignments(os.path.join(cfg.out, ASJC_FILE))
     it_b = iter_assignments(os.path.join(cfg.out, U1_FILE))
     try:
@@ -239,103 +160,45 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
                 raise ValidationError(
                     [f"expected systems {SYSTEM_ASJC}/{SYSTEM_U1}, got {a.system}/{b.system}"]
                 )
-            acc_cat.add(a.weights, b.weights)
-            area_a = collapse_to_areas(a.weights, scheme)
-            area_b = collapse_to_areas(b.weights, scheme)
-            acc_area.add(area_a, area_b)
-            stats_cat_a.add(a.weights)
-            stats_cat_b.add(b.weights)
-            stats_area_a.add(area_a)
-            stats_area_b.add(area_b)
+            for (acc, st_a, st_b), vec_a, vec_b in (
+                (category, a.weights, b.weights),
+                (area, collapse_to_areas(a.weights, scheme), collapse_to_areas(b.weights, scheme)),
+            ):
+                acc.add(vec_a, vec_b)
+                st_a.add(vec_a)
+                st_b.add(vec_b)
     except ValueError:
         raise ValidationError(["assignment files cover different numbers of documents"]) from None
-
-    matrix_cat = acc_cat.finish()
-    matrix_area = acc_area.finish()
-    if matrix_cat.n_docs == 0:
+    if category[0].n_docs == 0:
         raise ValidationError(["assignment files are empty"])
 
     out = cfg.out
-    flow.write_flow_csv(matrix_cat, os.path.join(out, "flows_category.csv"))
-    flow.write_flow_csv(matrix_area, os.path.join(out, "flows_area.csv"))
-    rows_cat = flow.class_flow_stats(matrix_cat)
-    rows_area = flow.class_flow_stats(matrix_area)
-    flow.write_class_stats_csv(rows_cat, os.path.join(out, "class_stats_category.csv"))
-    flow.write_class_stats_csv(rows_area, os.path.join(out, "class_stats_area.csv"))
+    for side, level in enumerate(flow.LEVELS):
+        acc, st_a, st_b = sinks[level]
+        matrix = acc.finish()
+        rows = flow.class_flow_stats(matrix)
+        path = {key: os.path.join(out, names[side]) for key, names in LEVEL_FILES.items()}
+        flow.write_flow_csv(matrix, path["flows"])
+        flow.write_class_stats_csv(rows, path["class_stats"])
+        for key, (header, table) in flow.level_tables(rows, st_a, st_b, cfg.bin_width).items():
+            write_csv(path[key], header, table)
+        min_link = cfg.min_link_category if level == "category" else cfg.min_link_area
+        write_csv(path["top_links"], ["from_class", "to_class", "weight"],
+                  [[i, j, fmt(w)] for i, j, w in flow.top_links(matrix, min_link)])
+        if level == "area":
+            write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"],
+                      [[r.class_code, fmt(r.pct_incoming), fmt(r.pct_outgoing)] for r in rows])
 
-    common_header = ["class", "common_weight", "only_asjc_frac", "only_u1_f08"]
-    for matrix, name in ((matrix_cat, "common_unique_category.csv"), (matrix_area, FIG2)):
-        rows = [
-            [c, _fmt(matrix.common.get(c, 0.0)),
-             _fmt(matrix.size_a.get(c, 0.0) - matrix.common.get(c, 0.0)),
-             _fmt(matrix.size_b.get(c, 0.0) - matrix.common.get(c, 0.0))]
-            for c in matrix.classes()
-        ]
-        _write_csv(os.path.join(out, name), common_header, rows)
-
-    _write_csv(
-        os.path.join(out, FIG4),
-        ["area", "pct_incoming", "pct_outgoing"],
-        [[r.class_code, _na(r.pct_incoming), _na(r.pct_outgoing)] for r in rows_area],
-    )
-
-    single_header = [
-        "class", "pct_single_asjc_frac", "mean_weight_asjc_frac",
-        "pct_single_u1_f08", "mean_weight_u1_f08",
-    ]
-    _write_csv(os.path.join(out, "single_assignment_category.csv"), single_header,
-               _single_assignment_rows(matrix_cat.classes(), stats_cat_a, stats_cat_b))
-    _write_csv(os.path.join(out, FIG5), single_header,
-               _single_assignment_rows(matrix_area.classes(), stats_area_a, stats_area_b))
-
-    hist_header = [
-        "bin_low", "bin_high", "count_asjc_frac", "pct_asjc_frac",
-        "count_u1_f08", "pct_u1_f08",
-    ]
-    _write_csv(os.path.join(out, FIG6), hist_header, _histogram_rows(matrix_cat, cfg.bin_width))
-    _write_csv(os.path.join(out, "size_histogram_area.csv"), hist_header,
-               _histogram_rows(matrix_area, cfg.bin_width))
-
-    link_header = ["from_class", "to_class", "weight"]
-    _write_csv(os.path.join(out, TABLE1), link_header,
-               [[i, j, _fmt(w)] for i, j, w in flow.top_links(matrix_area, cfg.min_link_area)])
-    _write_csv(os.path.join(out, TABLE3), link_header,
-               [[i, j, _fmt(w)] for i, j, w in flow.top_links(matrix_cat, cfg.min_link_category)])
-
-    summary_header = ["metric", "n", "mean", "std", "cv_pct"]
-    for rows, st_a, st_b, flow_name, weight_name in (
-        (rows_cat, stats_cat_a, stats_cat_b, TABLE2, TABLE4),
-        (rows_area, stats_area_a, stats_area_b, "flow_summary_area.csv", "weight_summary_area.csv"),
-    ):
-        flow_metrics = [
-            ("size_asjc_frac", [r.size_a for r in rows]),
-            ("size_u1_f08", [r.size_b for r in rows]),
-            ("incoming", [r.incoming for r in rows]),
-            ("outgoing", [r.outgoing for r in rows]),
-            ("pct_incoming", [r.pct_incoming for r in rows if r.pct_incoming is not None]),
-            ("pct_outgoing", [r.pct_outgoing for r in rows if r.pct_outgoing is not None]),
-        ]
-        _write_csv(os.path.join(out, flow_name), summary_header, _summary_rows(flow_metrics))
-        classes = [r.class_code for r in rows]
-        weight_metrics = [
-            ("pct_single_asjc_frac", [v for c in classes if (v := st_a.pct_single(c)) is not None]),
-            ("mean_weight_asjc_frac", [v for c in classes if (v := st_a.mean_weight(c)) is not None]),
-            ("pct_single_u1_f08", [v for c in classes if (v := st_b.pct_single(c)) is not None]),
-            ("mean_weight_u1_f08", [v for c in classes if (v := st_b.mean_weight(c)) is not None]),
-        ]
-        _write_csv(os.path.join(out, weight_name), summary_header, _summary_rows(weight_metrics))
-
-    with open(os.path.join(out, STATS_FILE), "r", encoding="utf-8") as fh:
-        stats = json.load(fh)
-    _write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"],
-               [[y, _fmt(pct)] for y, pct in low_reference_share(stats, cfg.min_references)])
+    stats = _read_json(os.path.join(out, STATS_FILE))
+    write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"],
+              [[y, fmt(pct)] for y, pct in low_reference_share(stats, cfg.min_references)])
 
     _update_manifest(out, {
         "figure_1": FIG1, "figure_2": FIG2, "figure_4": FIG4, "figure_5": FIG5,
         "figure_6": FIG6, "table_1": TABLE1, "table_2": TABLE2, "table_3": TABLE3,
         "table_4": TABLE4,
     })
-    print(f"compared {matrix_cat.n_docs} documents across both systems")
+    print(f"compared {category[0].n_docs} documents across both systems")
     return 0
 
 
@@ -350,13 +213,16 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     diag_report = {}
     results = {}
     for aset in (set_a, set_b):
+        areas = aset.to_areas(scheme)
         baselines = ind.category_baselines(corpus, aset, index)
         ni, diag = ind.ni_table(corpus, aset, baselines, index)
-        exc = {}
-        for p in (cfg.p10, cfg.p1):
-            thresholds = ind.excellence_thresholds(corpus, aset, index, p, scheme)
-            exc[p] = ind.excellence_flags(corpus, aset, thresholds, index, scheme)
-        results[aset.system] = (aset, baselines, ni, exc)
+        exc = {
+            p: ind.excellence_flags(
+                corpus, areas, ind.excellence_thresholds(corpus, areas, index, p), index)
+            for p in (cfg.p10, cfg.p1)
+        }
+        std = dict(ind.ni_std_by_area(ni, areas))
+        results[aset.system] = (areas, baselines, ni, exc, std)
         diag_report[aset.system] = {
             "zero_mean_cells": [
                 {"doc_type": t, "year": y, "class": c, "documents_hit": n}
@@ -365,8 +231,8 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
             "total_documents_hit": diag.total(),
         }
 
-    set_a, base_a, ni_a, exc_a = results[SYSTEM_ASJC]
-    set_b, base_b, ni_b, exc_b = results[SYSTEM_U1]
+    _, base_a, ni_a, exc_a, std_a = results[SYSTEM_ASJC]
+    areas_b, base_b, ni_b, exc_b, std_b = results[SYSTEM_U1]
 
     ind.write_indicators_csv(os.path.join(out, "indicators.csv"), corpus, [
         (SYSTEM_ASJC, ni_a, exc_a[cfg.p10], exc_a[cfg.p1]),
@@ -374,22 +240,16 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     ])
     ind.write_baselines_csv(os.path.join(out, "baselines_asjc-frac.csv"), base_a)
     ind.write_baselines_csv(os.path.join(out, "baselines_u1-f-0.8.csv"), base_b)
-    _write_json(os.path.join(out, "ni_diagnostics.json"), diag_report)
+    write_json(os.path.join(out, "ni_diagnostics.json"), diag_report)
 
     series = ind.ni_abs_diff_series(ni_a, ni_b, corpus, cfg.drop_last_year)
-    _write_csv(os.path.join(out, FIG7), ["year", "mean_abs_ni_diff"],
-               [[y, _fmt(v)] for y, v in series])
-
-    std_a = dict(ind.ni_std_by_area(ni_a, set_a, scheme))
-    std_b = dict(ind.ni_std_by_area(ni_b, set_b, scheme))
-    _write_csv(os.path.join(out, FIG8), ["area", "ni_std_asjc_frac", "ni_std_u1_f08"],
-               [[a, _na(std_a.get(a)), _na(std_b.get(a))]
-                for a in sorted(set(std_a) | set(std_b))])
-
-    ind.write_overlap_csv(os.path.join(out, FIG9),
-                          ind.excellence_overlap(exc_a[cfg.p10], exc_b[cfg.p10], set_b, scheme))
-    ind.write_overlap_csv(os.path.join(out, FIG10),
-                          ind.excellence_overlap(exc_a[cfg.p1], exc_b[cfg.p1], set_b, scheme))
+    write_csv(os.path.join(out, FIG7), ["year", "mean_abs_ni_diff"],
+              [[y, fmt(v)] for y, v in series])
+    write_csv(os.path.join(out, FIG8), ["area", "ni_std_asjc_frac", "ni_std_u1_f08"],
+              [[a, fmt(std_a.get(a)), fmt(std_b.get(a))] for a in sorted(set(std_a) | set(std_b))])
+    for p, name in ((cfg.p10, FIG9), (cfg.p1, FIG10)):
+        ind.write_overlap_csv(os.path.join(out, name),
+                              ind.excellence_overlap(exc_a[p], exc_b[p], areas_b))
 
     _update_manifest(out, {
         "figure_7": FIG7, "figure_8": FIG8, "figure_9": FIG9, "figure_10": FIG10,
@@ -403,10 +263,9 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
     stats_name = f"class_stats_{cfg.level}.csv"
     _require_artifacts(cfg.out, [flows_name, stats_name])
     matrix = flow.read_flow_csv(os.path.join(cfg.out, flows_name), cfg.level)
+    # node sizes are the U1-F-0.8 class sizes; the graph reads nothing else
     for r in flow.read_class_stats_csv(os.path.join(cfg.out, stats_name)):
-        matrix.size_a[r.class_code] = r.size_a
         matrix.size_b[r.class_code] = r.size_b
-        matrix.common[r.class_code] = r.common
 
     graph = netgraph.build_flow_graph(matrix, cfg.edge_epsilon)
     partition = netgraph.detect_communities(graph)
@@ -423,44 +282,27 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [STATS_FILE])
-    with open(os.path.join(cfg.out, STATS_FILE), "r", encoding="utf-8") as fh:
-        stats = json.load(fh)
-    series = [
-        {"year": y, "pct_below_min_refs": pct}
-        for y, pct in low_reference_share(stats, cfg.min_references)
-    ]
+    stats = _read_json(os.path.join(cfg.out, STATS_FILE))
     manifest_path = os.path.join(cfg.out, MANIFEST_FILE)
-    manifest = {}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    _write_json(os.path.join(cfg.out, REPORT_FILE), {
+    write_json(os.path.join(cfg.out, REPORT_FILE), {
         "n_documents": stats["n_documents"],
         "n_journals": stats["n_journals"],
         "year_min": stats["year_min"],
         "year_max": stats["year_max"],
         "doc_types": stats["doc_types"],
         "min_references": cfg.min_references,
-        "low_reference_share": series,
-        "artifacts": manifest,
+        "low_reference_share": [
+            {"year": y, "pct_below_min_refs": pct}
+            for y, pct in low_reference_share(stats, cfg.min_references)
+        ],
+        "artifacts": _read_json(manifest_path) if os.path.exists(manifest_path) else {},
     })
     print(f"report written for {stats['n_documents']} documents")
     return 0
 
 
-def cmd_syngen(args: argparse.Namespace, cfg: RunConfig, file_map: dict[str, str]) -> int:
-    types = field_types(syngen.SynParams)
-    values: dict[str, object] = {}
-    for key, raw in file_map.items():
-        if key in types:
-            values[key] = coerce_value(raw, types[key], key)
-    for key in types:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    params = syngen.SynParams(**values)
+def cmd_syngen(params: syngen.SynParams, cfg: RunConfig) -> int:
     scheme, corpus = syngen.generate_corpus(params)
-    os.makedirs(cfg.out, exist_ok=True)
     write_scheme(scheme, os.path.join(cfg.out, "scheme.csv"))
     write_corpus(corpus, os.path.join(cfg.out, "journals.jsonl"), os.path.join(cfg.out, "documents.jsonl"))
     print(f"generated {len(corpus)} documents, {len(corpus.journals)} journals (seed {params.seed})")
@@ -523,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=netgraph.VARIANTS)
     p.add_argument("--edge-epsilon", type=float, dest="edge_epsilon")
 
-    add_parser("report", help="corpus summary JSON")
+    p = add_parser("report", help="corpus summary JSON")
+    p.add_argument("--min-references", type=int, dest="min_references")
 
     p = add_parser("syngen", help="generate a seeded synthetic corpus")
     p.add_argument("--n-docs", type=int, dest="n_docs")
@@ -569,24 +412,17 @@ def main(argv: list[str] | None = None) -> int:
         unknown = sorted(set(file_map) - known)
         if unknown:
             raise ParseError(f"unknown config keys: {', '.join(unknown)}")
-        overrides = {
-            k: v for k, v in vars(args).items()
-            if k in field_types(RunConfig) and v is not None
-        }
-        cfg = build_config(file_map, overrides)
+        cfg = build_config(RunConfig, file_map, vars(args))
         os.makedirs(cfg.out, exist_ok=True)
         if args.command == "syngen":
-            return cmd_syngen(args, cfg, file_map)
+            return cmd_syngen(build_config(syngen.SynParams, file_map, vars(args)), cfg)
         return COMMANDS[args.command](args, cfg)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from .citer import ThresholdPolicy
 from .corpus import ParseError, ValidationError
+from .flow import LEVELS
+from .netgraph import FORMATS, LayoutParams
 
 
 @dataclass(slots=True)
@@ -39,12 +42,31 @@ class RunConfig:
     variant: str = "node"
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Check every knob before any stage starts work."""
         errors = []
         if self.year_min is not None and self.year_max is not None and self.year_min > self.year_max:
             errors.append(f"year_min {self.year_min} exceeds year_max {self.year_max}")
         if not (self.bin_width > 0):
             errors.append(f"bin_width must be > 0, got {self.bin_width}")
+        for key in ("citer_window", "citation_window"):
+            if (v := getattr(self, key)) is not None and v < 0:
+                errors.append(f"{key} must be >= 0, got {v}")
+        for key in ("p10", "p1"):
+            if not (0.0 < (v := getattr(self, key)) <= 1.0):
+                errors.append(f"{key} must be in (0, 1], got {v}")
+        if self.level not in LEVELS:
+            errors.append(f"unknown level {self.level!r}")
+        if self.format not in FORMATS:
+            errors.append(f"unknown format {self.format!r}")
+        for make, fields in (
+            (ThresholdPolicy, (self.theta, self.max_categories, self.min_references)),
+            (LayoutParams, (self.iterations, self.step, self.seed, self.variant)),
+        ):
+            try:
+                make(*fields)
+            except ValidationError as e:
+                errors.extend(e.errors)
         if errors:
             raise ValidationError(errors)
 
@@ -64,25 +86,20 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def coerce_value(raw: str, annotation: Any, key: str) -> Any:
-    """Convert a config-file string to the target field type."""
-    text = str(annotation)
-    if raw.lower() in ("none", "") and "None" in text:
+_BOOL_WORDS = {"true": True, "1": True, "false": False, "0": False}
+# Config fields are annotated with one of these types, alone or as "T | None".
+FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda raw: _BOOL_WORDS[raw.lower()]}
+
+
+def coerce_value(raw: str, annotation: str, key: str) -> Any:
+    """Convert a config-file string to the type a field is annotated with."""
+    kind, _, optional = annotation.partition(" | ")
+    parse = FIELD_PARSERS[kind]
+    if optional == "None" and raw.lower() in ("none", ""):
         return None
     try:
-        if annotation is bool or text in ("bool", "<class 'bool'>"):
-            low = raw.lower()
-            if low in ("true", "1"):
-                return True
-            if low in ("false", "0"):
-                return False
-            raise ValueError(raw)
-        if annotation is int or "int" in text:
-            return int(raw)
-        if annotation is float or "float" in text:
-            return float(raw)
-        return raw
-    except ValueError:
+        return parse(raw)
+    except (KeyError, ValueError):
         raise ParseError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
@@ -90,17 +107,11 @@ def field_types(cls: type) -> dict[str, Any]:
     return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
-def build_config(file_map: dict[str, str], overrides: dict[str, Any]) -> RunConfig:
-    """Layer a config file and CLI overrides over the defaults. Keys the
-    RunConfig does not know are ignored here (other commands own them)."""
-    cfg = RunConfig()
-    types = field_types(RunConfig)
-    for key, raw in file_map.items():
-        if key not in types:
-            continue
-        setattr(cfg, key, coerce_value(raw, types[key], key))
-    for key, value in overrides.items():
-        if value is not None and key in types:
-            setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+def build_config(cls: type, file_map: dict[str, str], overrides: dict[str, Any]):
+    """Layer a config file and command-line overrides over the defaults of a
+    config dataclass (RunConfig or SynParams), which checks the result.
+    Keys the class does not know, and None overrides, are ignored."""
+    types = field_types(cls)
+    values = {key: coerce_value(raw, types[key], key) for key, raw in file_map.items() if key in types}
+    values.update((key, v) for key, v in overrides.items() if key in types and v is not None)
+    return cls(**values)

@@ -51,6 +51,31 @@ class ValidationError(Exception):
         super().__init__("; ".join(shown))
 
 
+def fmt(v: float | None) -> str:
+    """The artifact number format: six decimals, with float noise just
+    below zero printed as zero and a missing value as NA."""
+    if v is None:
+        return "NA"
+    if -1e-9 < v < 0.0:
+        v = 0.0
+    return "%.6f" % v
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """Write an artifact CSV: one header row, then the rows, with \n line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, obj) -> None:
+    """Write an artifact JSON: indented, keys sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass(frozen=True, slots=True)
 class Area:
     code: str
@@ -427,18 +452,14 @@ def load_scheme(path: str) -> Scheme:
 def write_scheme(scheme: Scheme, path: str) -> None:
     """Canonical form: header, category rows sorted by code, then the
     multidisciplinary area row (if any) last."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCHEME_HEADER)
-        for c in scheme.categories:
-            area = scheme.area_by_code[c.area_code]
-            writer.writerow([
-                c.code, c.name, area.code, area.name,
-                "true" if c.is_misc else "false", "false",
-            ])
-        if scheme.multi_area is not None:
-            a = scheme.multi_area
-            writer.writerow(["", "", a.code, a.name, "false", "true"])
+    rows = [
+        [c.code, c.name, c.area_code, scheme.area_by_code[c.area_code].name,
+         "true" if c.is_misc else "false", "false"]
+        for c in scheme.categories
+    ]
+    if scheme.multi_area is not None:
+        rows.append(["", "", scheme.multi_area.code, scheme.multi_area.name, "false", "true"])
+    write_csv(path, SCHEME_HEADER, rows)
 
 
 def _load_jsonl(path: str) -> Iterator[tuple[int, dict]]:

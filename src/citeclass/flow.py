@@ -6,23 +6,24 @@ origin class with a deficit d_i = max(wA_i - wB_i, 0) sends weight to each
 class with a surplus s_j = max(wB_j - wA_j, 0) proportionally:
 move[i -> j] = d_i * s_j / T where T is the total deficit. Summed over
 documents this yields a class-by-class flow matrix, at category level or
-with vectors collapsed to areas first.
+with vectors collapsed to areas first, and the per-class comparison tables
+of that level.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .assignments import AssignmentSet
-from .corpus import ParseError, Scheme, ValidationError
-from .weights import CategoryVector, collapse_to_areas
+from .corpus import ParseError, Scheme, ValidationError, fmt, write_csv
+from .weights import SUPPORT_EPS, CategoryVector, collapse_to_areas
 
 LEVELS = ("category", "area")
 
 NORMALIZATION_TOL = 1e-6
-WEIGHT_FORMAT = "%.6f"
 
 
 @dataclass(slots=True)
@@ -190,12 +191,97 @@ def summary_stats(values: list[float]) -> SummaryStats:
     return SummaryStats(n, mean, std, cv)
 
 
+class SupportStats:
+    """Per-class single-assignment counters for one system and level."""
+
+    def __init__(self):
+        self.n_pos: dict[str, int] = {}
+        self.n_single: dict[str, int] = {}
+        self.sum_w: dict[str, float] = {}
+
+    def add(self, vec: CategoryVector) -> None:
+        pos = [(c, w) for c, w in vec.items() if w > SUPPORT_EPS]
+        for c, w in pos:
+            self.n_pos[c] = self.n_pos.get(c, 0) + 1
+            self.sum_w[c] = self.sum_w.get(c, 0.0) + w
+        if len(pos) == 1:
+            c = pos[0][0]
+            self.n_single[c] = self.n_single.get(c, 0) + 1
+
+    def pct_single(self) -> dict[str, float]:
+        """Per class with positive weight somewhere: the percentage of those
+        documents that carry it alone."""
+        return {c: 100.0 * self.n_single.get(c, 0) / n for c, n in self.n_pos.items()}
+
+    def mean_weight(self) -> dict[str, float]:
+        """Per class with positive weight somewhere: its mean positive weight."""
+        return {c: self.sum_w[c] / n for c, n in self.n_pos.items()}
+
+
+def size_histogram_rows(stats: list[ClassFlowStats], bin_width: float) -> list[list]:
+    """Class sizes of each system binned by bin_width, from zero up to the
+    largest size's bin."""
+    n = len(stats)
+    counts_a = Counter(int(r.size_a // bin_width) for r in stats)
+    counts_b = Counter(int(r.size_b // bin_width) for r in stats)
+    return [
+        [fmt(k * bin_width), fmt((k + 1) * bin_width),
+         counts_a[k], fmt(100.0 * counts_a[k] / n), counts_b[k], fmt(100.0 * counts_b[k] / n)]
+        for k in range(max(counts_a | counts_b, default=0) + 1)
+    ]
+
+
+def summary_rows(metrics: list[tuple[str, list[float]]]) -> list[list]:
+    """One row per metric: n, mean, std and CV% over its values, or NA
+    when it has none."""
+    rows = []
+    for name, values in metrics:
+        if not values:
+            rows.append([name, 0, "NA", "NA", "NA"])
+            continue
+        s = summary_stats(values)
+        rows.append([name, s.n, fmt(s.mean), fmt(s.std), fmt(s.cv_pct)])
+    return rows
+
+
+def level_tables(
+    stats: list[ClassFlowStats], st_a: SupportStats, st_b: SupportStats, bin_width: float
+) -> dict[str, tuple[list[str], list[list]]]:
+    """The comparison datasets of one level that derive from its class stats
+    and support counters, keyed by dataset: (CSV header, rows)."""
+    single = {
+        "pct_single_asjc_frac": st_a.pct_single(), "mean_weight_asjc_frac": st_a.mean_weight(),
+        "pct_single_u1_f08": st_b.pct_single(), "mean_weight_u1_f08": st_b.mean_weight(),
+    }
+    summary_header = ["metric", "n", "mean", "std", "cv_pct"]
+    return {
+        "common_unique": (["class", "common_weight", "only_asjc_frac", "only_u1_f08"], [
+            [r.class_code, fmt(r.common), fmt(r.size_a - r.common), fmt(r.size_b - r.common)]
+            for r in stats
+        ]),
+        "single_assignment": (["class", *single], [
+            [r.class_code, *(fmt(col.get(r.class_code)) for col in single.values())] for r in stats
+        ]),
+        "size_histogram": ([
+            "bin_low", "bin_high", "count_asjc_frac", "pct_asjc_frac", "count_u1_f08", "pct_u1_f08",
+        ], size_histogram_rows(stats, bin_width)),
+        "flow_summary": (summary_header, summary_rows([
+            ("size_asjc_frac", [r.size_a for r in stats]),
+            ("size_u1_f08", [r.size_b for r in stats]),
+            ("incoming", [r.incoming for r in stats]),
+            ("outgoing", [r.outgoing for r in stats]),
+            ("pct_incoming", [r.pct_incoming for r in stats if r.pct_incoming is not None]),
+            ("pct_outgoing", [r.pct_outgoing for r in stats if r.pct_outgoing is not None]),
+        ])),
+        "weight_summary": (summary_header, summary_rows(
+            [(name, list(col.values())) for name, col in single.items()]
+        )),
+    }
+
+
 def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["from_class", "to_class", "weight"])
-        for (i, j), w in sorted(matrix.flow.items()):
-            writer.writerow([i, j, WEIGHT_FORMAT % w])
+    write_csv(path, ["from_class", "to_class", "weight"],
+              ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
 
 
 def read_flow_csv(path: str, level: str) -> FlowMatrix:
@@ -217,22 +303,14 @@ def read_flow_csv(path: str, level: str) -> FlowMatrix:
 
 
 def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
-    def fmt(v: float | None) -> str:
-        return "NA" if v is None else WEIGHT_FORMAT % v
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            "class", "size_a", "size_b", "common",
-            "incoming", "outgoing", "pct_incoming", "pct_outgoing",
-        ])
-        for r in sorted(rows, key=lambda r: r.class_code):
-            writer.writerow([
-                r.class_code,
-                WEIGHT_FORMAT % r.size_a, WEIGHT_FORMAT % r.size_b, WEIGHT_FORMAT % r.common,
-                WEIGHT_FORMAT % r.incoming, WEIGHT_FORMAT % r.outgoing,
-                fmt(r.pct_incoming), fmt(r.pct_outgoing),
-            ])
+    write_csv(path, [
+        "class", "size_a", "size_b", "common",
+        "incoming", "outgoing", "pct_incoming", "pct_outgoing",
+    ], [
+        [r.class_code, fmt(r.size_a), fmt(r.size_b), fmt(r.common),
+         fmt(r.incoming), fmt(r.outgoing), fmt(r.pct_incoming), fmt(r.pct_outgoing)]
+        for r in sorted(rows, key=lambda r: r.class_code)
+    ])
 
 
 def read_class_stats_csv(path: str) -> list[ClassFlowStats]:

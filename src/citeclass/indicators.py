@@ -6,18 +6,19 @@ w_dc * cit(d) / mean(cell); cells with mean 0 contribute 0 and are counted
 in a diagnostics report. Excellence works at area level: per (doc_type,
 year, area) cell the cut is the smallest integer t such that the weighted
 share of documents with cit >= t is at most p; a document is excellent when
-it reaches the cut in any area it has positive weight in.
+it reaches the cut in any area it has positive weight in. The area-level
+functions take vectors the caller has collapsed (AssignmentSet.to_areas).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .assignments import AssignmentSet
-from .corpus import CitationIndex, Corpus, Document, Scheme, ValidationError
-from .weights import CategoryVector, collapse_to_areas
+from .corpus import CitationIndex, Corpus, Document, ValidationError, fmt, write_csv
+from .weights import CategoryVector
 
 Cell = tuple[str, int, str]
 
@@ -55,16 +56,22 @@ class OverlapRow:
     pct_only_a: float
 
 
+def _assigned(corpus: Corpus, aset: AssignmentSet) -> Iterator[tuple[Document, CategoryVector]]:
+    """Each document of the corpus, in corpus order, with its vector."""
+    for d in corpus.documents:
+        vec = aset.vectors.get(d.doc_id)
+        if vec is None:
+            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
+        yield d, vec
+
+
 def category_baselines(
     corpus: Corpus, aset: AssignmentSet, index: CitationIndex
 ) -> BaselineTable:
     """Weighted mean citations per (doc_type, year, category) cell."""
     sums: dict[Cell, float] = {}
     weights: dict[Cell, float] = {}
-    for d in corpus.documents:
-        vec = aset.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
+    for d, vec in _assigned(corpus, aset):
         cit = index.count(d.doc_id)
         for c, w in vec.items():
             cell = (d.doc_type, d.year, c)
@@ -104,13 +111,9 @@ def ni_table(
 ) -> tuple[dict[str, float], NIDiagnostics]:
     """NI for every document of the corpus under one system."""
     diagnostics = NIDiagnostics()
-    out: dict[str, float] = {}
-    for d in corpus.documents:
-        vec = aset.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
-        out[d.doc_id] = normalized_impact(d, vec, baselines, index, diagnostics)
-    return out, diagnostics
+    ni = {d.doc_id: normalized_impact(d, vec, baselines, index, diagnostics)
+          for d, vec in _assigned(corpus, aset)}
+    return ni, diagnostics
 
 
 def ni_abs_diff_series(
@@ -135,21 +138,18 @@ def ni_abs_diff_series(
     return [(y, sums[y] / counts[y]) for y in years]
 
 
-def ni_std_by_area(
-    ni: dict[str, float],
-    aset: AssignmentSet,
-    scheme: Scheme,
-) -> list[tuple[str, float]]:
+def ni_std_by_area(ni: dict[str, float], areas: AssignmentSet) -> list[tuple[str, float]]:
     """Per area, population standard deviation of document NI weighted by
-    the document's area weight. Areas with zero weight are omitted."""
+    the document's area weight (areas: area-level vectors, as from
+    AssignmentSet.to_areas). Areas with zero weight are omitted."""
     w_tot: dict[str, float] = {}
     s1: dict[str, float] = {}
     s2: dict[str, float] = {}
-    for doc_id, vec in aset.vectors.items():
+    for doc_id, vec in areas.vectors.items():
         value = ni.get(doc_id)
         if value is None:
             raise ValidationError([f"no NI value for document {doc_id!r}"])
-        for a, w in collapse_to_areas(vec, scheme).items():
+        for a, w in vec.items():
             w_tot[a] = w_tot.get(a, 0.0) + w
             s1[a] = s1.get(a, 0.0) + w * value
             s2[a] = s2.get(a, 0.0) + w * value * value
@@ -184,20 +184,17 @@ def _cell_cut(value_weights: dict[int, float], p: float) -> int:
 
 def excellence_thresholds(
     corpus: Corpus,
-    aset: AssignmentSet,
+    areas: AssignmentSet,
     index: CitationIndex,
     p: float,
-    scheme: Scheme,
 ) -> ExcellenceThresholds:
+    """Cuts per (doc_type, year, area) cell; areas holds area-level vectors."""
     if not (0.0 < p <= 1.0):
         raise ValidationError([f"p must be in (0, 1], got {p}"])
     cells: dict[Cell, dict[int, float]] = {}
-    for d in corpus.documents:
-        vec = aset.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
+    for d, vec in _assigned(corpus, areas):
         cit = index.count(d.doc_id)
-        for a, w in collapse_to_areas(vec, scheme).items():
+        for a, w in vec.items():
             vw = cells.setdefault((d.doc_type, d.year, a), {})
             vw[cit] = vw.get(cit, 0.0) + w
     cut = {cell: _cell_cut(cells[cell], p) for cell in sorted(cells)}
@@ -206,21 +203,17 @@ def excellence_thresholds(
 
 def excellence_flags(
     corpus: Corpus,
-    aset: AssignmentSet,
+    areas: AssignmentSet,
     thresholds: ExcellenceThresholds,
     index: CitationIndex,
-    scheme: Scheme,
 ) -> dict[str, bool]:
     """Document-level flags: excellent in at least one area it has positive
-    weight in."""
+    weight in (areas: area-level vectors)."""
     out: dict[str, bool] = {}
-    for d in corpus.documents:
-        vec = aset.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
+    for d, vec in _assigned(corpus, areas):
         cit = index.count(d.doc_id)
         flag = False
-        for a, w in collapse_to_areas(vec, scheme).items():
+        for a, w in vec.items():
             if w <= 0.0:
                 continue
             cell_cut = thresholds.cut.get((d.doc_type, d.year, a))
@@ -238,21 +231,21 @@ def excellence_flags(
 def excellence_overlap(
     flags_a: dict[str, bool],
     flags_b: dict[str, bool],
-    aset_b: AssignmentSet,
-    scheme: Scheme,
+    areas_b: AssignmentSet,
 ) -> list[OverlapRow]:
-    """Per area: weight under system B of documents excellent in both
-    systems / only B / only A, as percentages of the area's B-size."""
+    """Per area: weight under system B (areas_b: its area-level vectors) of
+    documents excellent in both systems / only B / only A, as percentages of
+    the area's B-size."""
     denom: dict[str, float] = {}
     both: dict[str, float] = {}
     only_b: dict[str, float] = {}
     only_a: dict[str, float] = {}
-    for doc_id, vec in aset_b.vectors.items():
+    for doc_id, vec in areas_b.vectors.items():
         fa = flags_a.get(doc_id)
         fb = flags_b.get(doc_id)
         if fa is None or fb is None:
             raise ValidationError([f"excellence flags do not cover document {doc_id!r}"])
-        for a, w in collapse_to_areas(vec, scheme).items():
+        for a, w in vec.items():
             denom[a] = denom.get(a, 0.0) + w
             if fa and fb:
                 both[a] = both.get(a, 0.0) + w
@@ -280,34 +273,22 @@ def write_indicators_csv(
 ) -> None:
     """Rows grouped by document, one row per system:
     doc_id,system,ni,exc10,exc1."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_id", "system", "ni", "exc10", "exc1"])
-        for d in corpus.documents:
-            for system, ni, exc10, exc1 in per_system:
-                writer.writerow([
-                    d.doc_id, system, "%.6f" % ni[d.doc_id],
-                    int(exc10[d.doc_id]), int(exc1[d.doc_id]),
-                ])
+    write_csv(path, ["doc_id", "system", "ni", "exc10", "exc1"], (
+        [d.doc_id, system, fmt(ni[d.doc_id]), int(exc10[d.doc_id]), int(exc1[d.doc_id])]
+        for d in corpus.documents
+        for system, ni, exc10, exc1 in per_system
+    ))
 
 
 def write_baselines_csv(path: str, baselines: BaselineTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_type", "year", "class", "mean_citations", "cell_weight"])
-        for (doc_type, year, code) in sorted(baselines.mean_citations):
-            writer.writerow([
-                doc_type, year, code,
-                "%.6f" % baselines.mean_citations[(doc_type, year, code)],
-                "%.6f" % baselines.cell_weight[(doc_type, year, code)],
-            ])
+    write_csv(path, ["doc_type", "year", "class", "mean_citations", "cell_weight"], [
+        [*cell, fmt(baselines.mean_citations[cell]), fmt(baselines.cell_weight[cell])]
+        for cell in sorted(baselines.mean_citations)
+    ])
 
 
 def write_overlap_csv(path: str, rows: list[OverlapRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["area", "pct_common", "pct_only_u1", "pct_only_asjc"])
-        for r in sorted(rows, key=lambda r: r.area):
-            writer.writerow([
-                r.area, "%.6f" % r.pct_common, "%.6f" % r.pct_only_b, "%.6f" % r.pct_only_a,
-            ])
+    write_csv(path, ["area", "pct_common", "pct_only_u1", "pct_only_asjc"], [
+        [r.area, fmt(r.pct_common), fmt(r.pct_only_b), fmt(r.pct_only_a)]
+        for r in sorted(rows, key=lambda r: r.area)
+    ])

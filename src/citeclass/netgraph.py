@@ -25,7 +25,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import ParseError, ValidationError
+from .corpus import ParseError, ValidationError, write_json
 from .flow import FlowMatrix
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -326,9 +326,7 @@ def export_graph(
                 for e in sorted(graph.edges, key=lambda e: (e.source, e.target))
             ],
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, obj)
     elif fmt == "graphml":
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',

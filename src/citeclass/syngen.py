@@ -268,11 +268,11 @@ def oracle_classify(
                 agg[code] = agg.get(code, 0.0) + w
         agg = {code: w / len(profiles) for code, w in agg.items()}
         wmax = max(agg.values())
-        kept = {code: w for code, w in agg.items() if w >= policy.theta * wmax}
+        # ratios to the peak count to 12 decimals, at the cut and in the cap
+        level = {code: round(w / wmax, 12) for code, w in agg.items()}
+        kept = {code: w for code, w in agg.items() if level[code] >= round(policy.theta, 12)}
         if len(kept) > policy.max_categories:
-            # weights level with each other to 12 decimals of the peak tie;
             # the stable sort leaves tied codes in code order
-            level = {code: round(w / wmax, 12) for code, w in kept.items()}
             order = sorted(sorted(kept), key=lambda code: -level[code])
             kept = {code: kept[code] for code in order[: policy.max_categories]}
         total = sum(kept.values())

@@ -331,7 +331,7 @@ def test_c08_excellence_cap(syn200):
 
     for aset in (asjc, u1):
         for p in (0.10, 0.01):
-            thresholds = excellence_thresholds(corpus, aset, index, p, scheme)
+            thresholds = excellence_thresholds(corpus, aset.to_areas(scheme), index, p)
             excellent = {}
             total = {}
             for d in corpus.documents:
@@ -346,19 +346,19 @@ def test_c08_excellence_cap(syn200):
 
     scheme1, corpus1 = _unit_weight_corpus(list(range(1000)))
     index1 = build_citation_index(corpus1)
-    aset1 = classify_asjc(corpus1, scheme1)
+    areas1 = classify_asjc(corpus1, scheme1).to_areas(scheme1)
     for p in (0.10, 0.01):
-        thresholds = excellence_thresholds(corpus1, aset1, index1, p, scheme1)
-        flags = excellence_flags(corpus1, aset1, thresholds, index1, scheme1)
+        thresholds = excellence_thresholds(corpus1, areas1, index1, p)
+        flags = excellence_flags(corpus1, areas1, thresholds, index1)
         share = sum(flags.values()) / len(flags)
         assert abs(share - p) <= 0.001, (p, share)
 
     scheme2, corpus2 = _unit_weight_corpus([5] * 100)
     index2 = build_citation_index(corpus2)
-    aset2 = classify_asjc(corpus2, scheme2)
+    areas2 = classify_asjc(corpus2, scheme2).to_areas(scheme2)
     for p in (0.10, 0.01):
-        thresholds = excellence_thresholds(corpus2, aset2, index2, p, scheme2)
-        flags = excellence_flags(corpus2, aset2, thresholds, index2, scheme2)
+        thresholds = excellence_thresholds(corpus2, areas2, index2, p)
+        flags = excellence_flags(corpus2, areas2, thresholds, index2)
         assert sum(flags.values()) == 0
     _report(8, "excellence cap")
 

@@ -190,13 +190,33 @@ def test_fig1_matches_report(pipeline_dir, tmp_path):
     out = pipeline_dir
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text("min_references = 6\n")
-    assert run(["compare", "--config", str(cfgp), "--out", str(out)]) == 0
-    assert run(["report", "--config", str(cfgp), "--out", str(out)]) == 0
-    fig1 = read_csv(out / "fig1_low_reference_share.csv")
-    series = json.loads((out / "report.json").read_text())["low_reference_share"]
-    assert fig1[0] == ["year", "pct_below_min_refs"]
-    assert fig1[1:] == [[str(r["year"]), "%.6f" % r["pct_below_min_refs"]] for r in series]
-    assert all(0.0 < r["pct_below_min_refs"] < 100.0 for r in series)
+    for knob in (["--config", str(cfgp)], ["--min-references", "6"]):
+        assert run(["compare", *knob, "--out", str(out)]) == 0
+        assert run(["report", *knob, "--out", str(out)]) == 0
+        fig1 = read_csv(out / "fig1_low_reference_share.csv")
+        series = json.loads((out / "report.json").read_text())["low_reference_share"]
+        assert fig1[0] == ["year", "pct_below_min_refs"]
+        assert fig1[1:] == [[str(r["year"]), "%.6f" % r["pct_below_min_refs"]] for r in series]
+        assert all(0.0 < r["pct_below_min_refs"] < 100.0 for r in series)
+
+
+def test_negative_citer_window_exits_1(pipeline_dir):
+    assert run(["classify", "--system", "u1f08", "--citer-window", "-1",
+                "--out", str(pipeline_dir)]) == 1
+
+
+def test_bad_config_format_fails_before_layout(pipeline_dir, tmp_path, monkeypatch):
+    from citeclass import netgraph
+
+    def no_layout(*args, **kwargs):
+        raise AssertionError("layout ran before the config was checked")
+
+    monkeypatch.setattr(netgraph, "linlog_layout", no_layout)
+    out = pipeline_dir
+    assert run(["compare", "--out", str(out)]) == 0
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("format = bogus\n")
+    assert run(["network", "--config", str(cfgp), "--out", str(out)]) == 1
 
 
 def test_package_exports_resolve():

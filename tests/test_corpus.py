@@ -17,6 +17,7 @@ from citeclass import (
     write_corpus,
     write_scheme,
 )
+from citeclass.corpus import fmt
 from conftest import make_corpus, make_scheme
 
 
@@ -243,3 +244,9 @@ def test_ref_edges_arrays(small_corpus):
                 pairs.add((i, small_corpus.position(r)))
     assert set(zip(citing.tolist(), cited.tolist())) == pairs
     assert all(0 <= i < n for i in citing)
+
+
+def test_fmt_is_the_artifact_number_format():
+    assert fmt(0.5) == "0.500000"
+    assert fmt(-1e-12) == "0.000000"
+    assert fmt(None) == "NA"

@@ -21,6 +21,7 @@ from citeclass import (
     normalized_impact,
 )
 from citeclass.indicators import NIDiagnostics, _cell_cut
+from citeclass.weights import collapse_to_areas
 from conftest import make_corpus
 
 
@@ -141,7 +142,7 @@ def test_ni_std_by_area_weighted(scheme):
     }
     aset = AssignmentSet(SYSTEM_ASJC, vectors)
     ni = {"D1": 2.0, "D2": 0.0}
-    out = dict(ni_std_by_area(ni, aset, scheme))
+    out = dict(ni_std_by_area(ni, aset.to_areas(scheme)))
     # PH: weights 1.0 and 0.5 on values 2 and 0 -> mean 4/3, var 8/9
     assert out["PH"] == pytest.approx(math.sqrt(8.0 / 9.0))
     # CH: single value 0 with weight .5 -> std 0
@@ -175,12 +176,11 @@ def test_excellence_share_capped(syn200):
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
     for p in (0.10, 0.01):
-        th = excellence_thresholds(corpus, aset, index, p, scheme)
+        th = excellence_thresholds(corpus, aset.to_areas(scheme), index, p)
         # recompute weighted share per cell, must be <= p
         shares = {}
         for d in corpus.documents:
             cit = index.count(d.doc_id)
-            from citeclass.weights import collapse_to_areas
             for a, w in collapse_to_areas(aset.get(d.doc_id), scheme).items():
                 cell = (d.doc_type, d.year, a)
                 tot, exc = shares.get(cell, (0.0, 0.0))
@@ -192,8 +192,9 @@ def test_excellence_share_capped(syn200):
 def test_excellence_exact_share_with_distinct_citations(scheme):
     corpus, aset = single_cat_corpus(scheme, list(range(1000)))
     index = build_citation_index(corpus)
-    th = excellence_thresholds(corpus, aset, index, 0.10, scheme)
-    flags = excellence_flags(corpus, aset, th, index, scheme)
+    areas = aset.to_areas(scheme)
+    th = excellence_thresholds(corpus, areas, index, 0.10)
+    flags = excellence_flags(corpus, areas, th, index)
     share = sum(flags.values()) / len(flags)
     assert abs(share - 0.10) <= 0.001
 
@@ -201,21 +202,18 @@ def test_excellence_exact_share_with_distinct_citations(scheme):
 def test_excellence_all_tied_cell_has_no_excellent_docs(scheme):
     corpus, aset = single_cat_corpus(scheme, [5] * 100)
     index = build_citation_index(corpus)
-    th = excellence_thresholds(corpus, aset, index, 0.10, scheme)
-    flags = excellence_flags(corpus, aset, th, index, scheme)
+    areas = aset.to_areas(scheme)
+    th = excellence_thresholds(corpus, areas, index, 0.10)
+    flags = excellence_flags(corpus, areas, th, index)
     assert not any(flags.values())
 
 
 def test_excellence_p1_subset_of_p10(syn200):
     scheme, corpus = syn200
-    aset = classify_asjc(corpus, scheme)
+    areas = classify_asjc(corpus, scheme).to_areas(scheme)
     index = build_citation_index(corpus)
-    f10 = excellence_flags(
-        corpus, aset, excellence_thresholds(corpus, aset, index, 0.10, scheme),
-        index, scheme)
-    f1 = excellence_flags(
-        corpus, aset, excellence_thresholds(corpus, aset, index, 0.01, scheme),
-        index, scheme)
+    f10 = excellence_flags(corpus, areas, excellence_thresholds(corpus, areas, index, 0.10), index)
+    f1 = excellence_flags(corpus, areas, excellence_thresholds(corpus, areas, index, 0.01), index)
     for doc_id, flag in f1.items():
         if flag:
             assert f10[doc_id]
@@ -224,10 +222,11 @@ def test_excellence_p1_subset_of_p10(syn200):
 def test_excellence_rejects_bad_p(scheme):
     corpus, aset = single_cat_corpus(scheme, [1, 2])
     index = build_citation_index(corpus)
+    areas = aset.to_areas(scheme)
     with pytest.raises(ValidationError):
-        excellence_thresholds(corpus, aset, index, 0.0, scheme)
+        excellence_thresholds(corpus, areas, index, 0.0)
     with pytest.raises(ValidationError):
-        excellence_thresholds(corpus, aset, index, 1.5, scheme)
+        excellence_thresholds(corpus, areas, index, 1.5)
 
 
 def test_excellence_overlap_percentages(scheme):
@@ -240,7 +239,7 @@ def test_excellence_overlap_percentages(scheme):
     aset_b = AssignmentSet(SYSTEM_U1, vectors_b)
     flags_a = {"D1": True, "D2": False, "D3": True, "D4": False}
     flags_b = {"D1": True, "D2": True, "D3": False, "D4": False}
-    rows = {r.area: r for r in excellence_overlap(flags_a, flags_b, aset_b, scheme)}
+    rows = {r.area: r for r in excellence_overlap(flags_a, flags_b, aset_b.to_areas(scheme))}
     # PH size under B = 2.5; both: D1 (1.0) -> 40%; only B: D2 (1.0) -> 40%;
     # only A: D3 (0.5) -> 20%
     assert rows["PH"].pct_common == pytest.approx(40.0)
@@ -249,3 +248,20 @@ def test_excellence_overlap_percentages(scheme):
     # CH size = 1.5; only A: D3 (0.5) -> 33.33%
     assert rows["CH"].pct_only_a == pytest.approx(100.0 / 3.0)
     assert rows["CH"].pct_common == pytest.approx(0.0)
+
+
+def test_to_areas_collapses_once_per_shared_vector(syn200):
+    scheme, corpus = syn200
+    aset = classify_asjc(corpus, scheme)
+    areas = aset.to_areas(scheme)
+    assert areas.system == aset.system
+    assert list(areas.vectors) == list(aset.vectors)
+    for doc_id, vec in aset.vectors.items():
+        assert areas.get(doc_id) == collapse_to_areas(vec, scheme)
+    # classify_asjc gives every document of a journal one vector object
+    by_journal = {}
+    for d in corpus.documents:
+        by_journal.setdefault(d.journal_id, []).append(d.doc_id)
+    first, second = next(ids for ids in by_journal.values() if len(ids) >= 2)[:2]
+    assert aset.get(first) is aset.get(second)
+    assert areas.get(first) is areas.get(second)
