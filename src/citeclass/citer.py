@@ -29,6 +29,7 @@ from .assignments import AssignmentSet, SYSTEM_U1
 from .corpus import Corpus, ValidationError
 from .weights import CategoryVector, normalize
 
+CHUNK_SIZE = 65536  # documents per dense aggregate block in classify_u1f08_all
 
 @dataclass(frozen=True, slots=True)
 class ThresholdPolicy:
@@ -99,7 +100,6 @@ def classify_u1f08_all(
     asjc_set: AssignmentSet,
     policy: ThresholdPolicy = ThresholdPolicy(),
     citer_window: int | None = None,
-    chunk_size: int = 65536,
 ) -> AssignmentSet:
     """Classify every document of a corpus."""
     docs = corpus.documents
@@ -154,8 +154,8 @@ def classify_u1f08_all(
     alpha[outside] = 1.0 / ncr[outside]
     fallback_edge = (in_window & (ncr == 1)) | (~in_window & (ncr == 0))
 
-    for i0 in range(0, n, chunk_size):
-        i1 = min(i0 + chunk_size, n)
+    for i0 in range(0, n, CHUNK_SIZE):
+        i1 = min(i0 + CHUNK_SIZE, n)
         cn = i1 - i0
         lo, hi = np.searchsorted(citing, (i0, i1))
         ld = citing[lo:hi] - i0

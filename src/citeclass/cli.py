@@ -18,7 +18,9 @@ from . import asjc, citer, flow, indicators as ind, netgraph, syngen
 from .assignments import (
     SYSTEM_ASJC, SYSTEM_U1, iter_assignments, read_assignments, write_assignments,
 )
-from .config import RunConfig, build_config, field_types, parse_config_file
+from .config import (
+    FIELD_CHOICES, FIELD_PARSERS, RunConfig, build_config, field_types, parse_config_file,
+)
 from .corpus import (
     Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary, fmt,
     load_corpus, load_scheme, low_reference_share, write_corpus, write_csv, write_json,
@@ -132,8 +134,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         _require_artifacts(cfg.out, [ASJC_FILE])
         asjc_set = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
-        policy = citer.ThresholdPolicy(cfg.theta, cfg.max_categories, cfg.min_references)
-        aset = citer.classify_u1f08_all(corpus, asjc_set, policy, cfg.citer_window)
+        aset = citer.classify_u1f08_all(corpus, asjc_set, cfg.threshold_policy(), cfg.citer_window)
         out_path = os.path.join(cfg.out, U1_FILE)
     write_assignments(out_path, aset)
     print(f"classified {len(aset)} documents under {system}")
@@ -269,8 +270,7 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     graph = netgraph.build_flow_graph(matrix, cfg.edge_epsilon)
     partition = netgraph.detect_communities(graph)
-    params = netgraph.LayoutParams(cfg.iterations, cfg.step, cfg.seed, cfg.variant)
-    layout = netgraph.linlog_layout(graph, params)
+    layout = netgraph.linlog_layout(graph, cfg.layout_params())
     name = f"{FIG3_BASE}.{cfg.format}"
     netgraph.export_graph(graph, partition, layout, cfg.format, os.path.join(cfg.out, name))
     _update_manifest(cfg.out, {"figure_3": name})
@@ -303,89 +303,75 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_syngen(params: syngen.SynParams, cfg: RunConfig) -> int:
     scheme, corpus = syngen.generate_corpus(params)
+    os.makedirs(cfg.out, exist_ok=True)
     write_scheme(scheme, os.path.join(cfg.out, "scheme.csv"))
     write_corpus(corpus, os.path.join(cfg.out, "journals.jsonl"), os.path.join(cfg.out, "documents.jsonl"))
     print(f"generated {len(corpus)} documents, {len(corpus.journals)} journals (seed {params.seed})")
     return 0
 
 
+# Global flags, accepted both before and after the subcommand: name -> help
+GLOBAL_FLAGS = {
+    "config": "flat key = value config file",
+    "out": "output directory (default: out)",
+    "seed": "seed for generation and layout",
+}
+# subcommand -> (help, the config fields it takes as flags); syngen's are SynParams'
+SUBCOMMANDS = {
+    "ingest": ("load, validate, and canonicalize a corpus",
+               ("scheme", "journals", "documents", "year_min", "year_max")),
+    "classify": ("write assignments for one system",
+                 ("theta", "max_categories", "min_references", "citer_window")),
+    "compare": ("flow matrices, class stats, figure/table datasets",
+                ("bin_width", "min_link_area", "min_link_category", "min_references")),
+    "indicators": ("normalized impact and excellence datasets",
+                   ("citation_window", "p10", "p1", "drop_last_year")),
+    "network": ("communities and layout of the flow graph",
+                ("level", "format", "iterations", "step", "variant", "edge_epsilon")),
+    "report": ("corpus summary JSON", ("min_references",)),
+    "syngen": ("generate a seeded synthetic corpus",
+               tuple(f for f in field_types(syngen.SynParams) if f not in GLOBAL_FLAGS)),
+}
+# every config key with its type: RunConfig's fields, and SynParams' for syngen
+CONFIG_FIELDS = field_types(RunConfig) | field_types(syngen.SynParams)
+# the documented flags that are not the field name with dashes
+SHORT_FLAGS = {
+    "multi_journal_share": "--multi-share",
+    "misc_journal_share": "--misc-share",
+    "intra_category_citation_prob": "--intra-prob",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted both before and after the subcommand. The
-    # shared parent uses SUPPRESS so a subparser never overwrites a value
+    """Every flag but --config and --system sets the config field named by
+    its dest; its type, action and choices come from that field."""
+
+    def add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+        kind = CONFIG_FIELDS.get(name, "str").partition(" | ")[0]
+        if kind == "bool":
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif kind != "str":
+            kwargs["type"] = FIELD_PARSERS[kind]
+        flag = SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, choices=FIELD_CHOICES.get(name), **kwargs)
+
+    # The shared parent uses SUPPRESS so a subparser never overwrites a value
     # that was already parsed at the root.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="flat key = value config file")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for generation and layout")
+    for name, text in GLOBAL_FLAGS.items():
+        add_flag(common, name, default=argparse.SUPPRESS, help=text)
     parser = argparse.ArgumentParser(
         prog="citeclass",
         description="Compare journal-based and citer-origin fractional classifications.",
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[common])
-
-    p = add_parser("ingest", help="load, validate, and canonicalize a corpus")
-    p.add_argument("--scheme")
-    p.add_argument("--journals")
-    p.add_argument("--documents")
-    p.add_argument("--year-min", type=int, dest="year_min")
-    p.add_argument("--year-max", type=int, dest="year_max")
-
-    p = add_parser("classify", help="write assignments for one system")
-    p.add_argument("--system", required=True, choices=sorted(SYSTEM_TOKENS))
-    p.add_argument("--theta", type=float)
-    p.add_argument("--max-categories", type=int, dest="max_categories")
-    p.add_argument("--min-references", type=int, dest="min_references")
-    p.add_argument("--citer-window", type=int, dest="citer_window")
-
-    p = add_parser("compare", help="flow matrices, class stats, figure/table datasets")
-    p.add_argument("--bin-width", type=float, dest="bin_width")
-    p.add_argument("--min-link-area", type=float, dest="min_link_area")
-    p.add_argument("--min-link-category", type=float, dest="min_link_category")
-    p.add_argument("--min-references", type=int, dest="min_references")
-
-    p = add_parser("indicators", help="normalized impact and excellence datasets")
-    p.add_argument("--citation-window", type=int, dest="citation_window")
-    p.add_argument("--p10", type=float)
-    p.add_argument("--p1", type=float)
-    p.add_argument("--drop-last-year", action=argparse.BooleanOptionalAction,
-                   default=None, dest="drop_last_year")
-
-    p = add_parser("network", help="communities and layout of the flow graph")
-    p.add_argument("--level", choices=flow.LEVELS)
-    p.add_argument("--format", choices=netgraph.FORMATS)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--variant", choices=netgraph.VARIANTS)
-    p.add_argument("--edge-epsilon", type=float, dest="edge_epsilon")
-
-    p = add_parser("report", help="corpus summary JSON")
-    p.add_argument("--min-references", type=int, dest="min_references")
-
-    p = add_parser("syngen", help="generate a seeded synthetic corpus")
-    p.add_argument("--n-docs", type=int, dest="n_docs")
-    p.add_argument("--n-journals", type=int, dest="n_journals")
-    p.add_argument("--n-areas", type=int, dest="n_areas")
-    p.add_argument("--cats-per-area", type=int, dest="cats_per_area")
-    p.add_argument("--include-misc", action=argparse.BooleanOptionalAction,
-                   default=None, dest="include_misc")
-    p.add_argument("--multi-share", type=float, dest="multi_journal_share")
-    p.add_argument("--misc-share", type=float, dest="misc_journal_share")
-    p.add_argument("--journal-codes-max", type=int, dest="journal_codes_max")
-    p.add_argument("--year-min", type=int, dest="year_min")
-    p.add_argument("--year-max", type=int, dest="year_max")
-    p.add_argument("--refs-min", type=int, dest="refs_min")
-    p.add_argument("--refs-max", type=int, dest="refs_max")
-    p.add_argument("--intra-prob", type=float, dest="intra_category_citation_prob")
-    p.add_argument("--external-ref-prob", type=float, dest="external_ref_prob")
-    p.add_argument("--external-citation-max", type=int, dest="external_citation_max")
-    p.add_argument("--review-share", type=float, dest="review_share")
+    for command, (text, names) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text, parents=[common])
+        if command == "classify":
+            p.add_argument("--system", required=True, choices=sorted(SYSTEM_TOKENS))
+        for name in names:
+            add_flag(p, name)
     return parser
 
 
@@ -408,12 +394,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config_path = getattr(args, "config", None)
         file_map = parse_config_file(config_path) if config_path else {}
-        known = set(field_types(RunConfig)) | set(field_types(syngen.SynParams))
-        unknown = sorted(set(file_map) - known)
+        unknown = sorted(set(file_map) - CONFIG_FIELDS.keys())
         if unknown:
             raise ParseError(f"unknown config keys: {', '.join(unknown)}")
         cfg = build_config(RunConfig, file_map, vars(args))
-        os.makedirs(cfg.out, exist_ok=True)
         if args.command == "syngen":
             return cmd_syngen(build_config(syngen.SynParams, file_map, vars(args)), cfg)
         return COMMANDS[args.command](args, cfg)

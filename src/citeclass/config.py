@@ -12,7 +12,12 @@ from typing import Any
 from .citer import ThresholdPolicy
 from .corpus import ParseError, ValidationError
 from .flow import LEVELS
-from .netgraph import FORMATS, LayoutParams
+from .netgraph import FORMATS, VARIANTS, LayoutParams
+
+# the fields a flag or config key may only set to one of these values
+FIELD_CHOICES = {"level": LEVELS, "format": FORMATS, "variant": VARIANTS}
+# the knobs RunConfig passes on take their defaults from these
+_POLICY, _LAYOUT = ThresholdPolicy(), LayoutParams()
 
 
 @dataclass(slots=True)
@@ -23,9 +28,9 @@ class RunConfig:
     out: str = "out"
     year_min: int | None = None
     year_max: int | None = None
-    theta: float = 0.8
-    max_categories: int = 5
-    min_references: int = 3
+    theta: float = _POLICY.theta
+    max_categories: int = _POLICY.max_categories
+    min_references: int = _POLICY.min_references
     citation_window: int | None = None
     citer_window: int | None = None
     bin_width: float = 100000.0
@@ -37,10 +42,10 @@ class RunConfig:
     p1: float = 0.01
     level: str = "area"
     format: str = "json"
-    iterations: int = 500
-    step: float = 0.1
-    variant: str = "node"
-    seed: int = 0
+    iterations: int = _LAYOUT.iterations
+    step: float = _LAYOUT.step
+    variant: str = _LAYOUT.variant
+    seed: int = _LAYOUT.seed
 
     def __post_init__(self):
         """Check every knob before any stage starts work."""
@@ -55,20 +60,22 @@ class RunConfig:
         for key in ("p10", "p1"):
             if not (0.0 < (v := getattr(self, key)) <= 1.0):
                 errors.append(f"{key} must be in (0, 1], got {v}")
-        if self.level not in LEVELS:
-            errors.append(f"unknown level {self.level!r}")
-        if self.format not in FORMATS:
-            errors.append(f"unknown format {self.format!r}")
-        for make, fields in (
-            (ThresholdPolicy, (self.theta, self.max_categories, self.min_references)),
-            (LayoutParams, (self.iterations, self.step, self.seed, self.variant)),
-        ):
+        for key in ("level", "format"):  # LayoutParams checks variant
+            if (v := getattr(self, key)) not in FIELD_CHOICES[key]:
+                errors.append(f"unknown {key} {v!r}")
+        for make in (self.threshold_policy, self.layout_params):
             try:
-                make(*fields)
+                make()
             except ValidationError as e:
                 errors.extend(e.errors)
         if errors:
             raise ValidationError(errors)
+
+    def threshold_policy(self) -> ThresholdPolicy:
+        return ThresholdPolicy(self.theta, self.max_categories, self.min_references)
+
+    def layout_params(self) -> LayoutParams:
+        return LayoutParams(self.iterations, self.step, self.seed, self.variant)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

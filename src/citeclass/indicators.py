@@ -164,14 +164,17 @@ def ni_std_by_area(ni: dict[str, float], areas: AssignmentSet) -> list[tuple[str
 
 
 def _cell_cut(value_weights: dict[int, float], p: float) -> int:
-    """Smallest integer t with weighted share(cit >= t) <= p."""
+    """Smallest integer t with weighted share(cit >= t) <= p. The share and
+    p are compared rounded to 12 decimals, so a share equal to p up to float
+    noise counts as within it."""
     values = sorted(value_weights, reverse=True)
     total = math.fsum(value_weights.values())
+    p = round(p, 12)
     cum = 0.0
     best = None  # index into values of the largest satisfying prefix
     for i, v in enumerate(values):
         cum += value_weights[v]
-        if cum / total <= p:
+        if round(cum / total, 12) <= p:
             best = i
         else:
             break

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
 import os
 
 import pytest
 
-from citeclass.cli import main
+from citeclass.cli import build_parser, main
+from citeclass.config import RunConfig, field_types
+from citeclass.syngen import SynParams
 
 
 def run(args):
@@ -82,6 +85,109 @@ def test_ingest_invalid_corpus_exits_1(tmp_path):
 def test_classify_requires_ingest(tmp_path):
     rc = run(["classify", "--system", "asjc-frac", "--out", str(tmp_path / "fresh")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--system", "asjc-frac"], ["compare"], ["indicators"], ["network"], ["report"],
+], ids=lambda argv: argv[0])
+def test_missing_out_is_not_created(tmp_path, argv):
+    # only syngen and ingest create --out; the other stages read from it
+    out = tmp_path / "typo_dir"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+STORE, BOOL = argparse._StoreAction, argparse.BooleanOptionalAction
+# (option strings, dest, type, choices, required, action) of every documented
+# flag; the global flags come first in the root parser and in every subcommand
+GLOBAL_FLAGS = [
+    (("--config",), "config", None, None, False, STORE),
+    (("--out",), "out", None, None, False, STORE),
+    (("--seed",), "seed", int, None, False, STORE),
+]
+COMMAND_FLAGS = {
+    "ingest": [
+        (("--scheme",), "scheme", None, None, False, STORE),
+        (("--journals",), "journals", None, None, False, STORE),
+        (("--documents",), "documents", None, None, False, STORE),
+        (("--year-min",), "year_min", int, None, False, STORE),
+        (("--year-max",), "year_max", int, None, False, STORE),
+    ],
+    "classify": [
+        (("--system",), "system", None, ["asjc-frac", "u1f08"], True, STORE),
+        (("--theta",), "theta", float, None, False, STORE),
+        (("--max-categories",), "max_categories", int, None, False, STORE),
+        (("--min-references",), "min_references", int, None, False, STORE),
+        (("--citer-window",), "citer_window", int, None, False, STORE),
+    ],
+    "compare": [
+        (("--bin-width",), "bin_width", float, None, False, STORE),
+        (("--min-link-area",), "min_link_area", float, None, False, STORE),
+        (("--min-link-category",), "min_link_category", float, None, False, STORE),
+        (("--min-references",), "min_references", int, None, False, STORE),
+    ],
+    "indicators": [
+        (("--citation-window",), "citation_window", int, None, False, STORE),
+        (("--p10",), "p10", float, None, False, STORE),
+        (("--p1",), "p1", float, None, False, STORE),
+        (("--drop-last-year", "--no-drop-last-year"), "drop_last_year", None, None, False, BOOL),
+    ],
+    "network": [
+        (("--level",), "level", None, ("category", "area"), False, STORE),
+        (("--format",), "format", None, ("json", "graphml"), False, STORE),
+        (("--iterations",), "iterations", int, None, False, STORE),
+        (("--step",), "step", float, None, False, STORE),
+        (("--variant",), "variant", None, ("node", "edge"), False, STORE),
+        (("--edge-epsilon",), "edge_epsilon", float, None, False, STORE),
+    ],
+    "report": [
+        (("--min-references",), "min_references", int, None, False, STORE),
+    ],
+    "syngen": [
+        (("--n-docs",), "n_docs", int, None, False, STORE),
+        (("--n-journals",), "n_journals", int, None, False, STORE),
+        (("--n-areas",), "n_areas", int, None, False, STORE),
+        (("--cats-per-area",), "cats_per_area", int, None, False, STORE),
+        (("--include-misc", "--no-include-misc"), "include_misc", None, None, False, BOOL),
+        (("--multi-share",), "multi_journal_share", float, None, False, STORE),
+        (("--misc-share",), "misc_journal_share", float, None, False, STORE),
+        (("--journal-codes-max",), "journal_codes_max", int, None, False, STORE),
+        (("--year-min",), "year_min", int, None, False, STORE),
+        (("--year-max",), "year_max", int, None, False, STORE),
+        (("--refs-min",), "refs_min", int, None, False, STORE),
+        (("--refs-max",), "refs_max", int, None, False, STORE),
+        (("--intra-prob",), "intra_category_citation_prob", float, None, False, STORE),
+        (("--external-ref-prob",), "external_ref_prob", float, None, False, STORE),
+        (("--external-citation-max",), "external_citation_max", int, None, False, STORE),
+        (("--review-share",), "review_share", float, None, False, STORE),
+    ],
+}
+
+
+def _flags(parser):
+    """The parser's flags in order, with the default each one sets."""
+    return [
+        ((tuple(a.option_strings), a.dest, a.type, a.choices, a.required, type(a)), a.default)
+        for a in parser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMAND_FLAGS)
+    suppressed = [(f, argparse.SUPPRESS) for f in GLOBAL_FLAGS]
+    assert _flags(parser) == suppressed
+    for command, flags in COMMAND_FLAGS.items():
+        assert _flags(sub.choices[command]) == suppressed + [(f, None) for f in flags], command
+    assert [a.help for a in parser._actions if a.dest in ("config", "out", "seed")] == [
+        "flat key = value config file", "output directory (default: out)",
+        "seed for generation and layout",
+    ]
+    # every config field, RunConfig's and SynParams', is set by some flag
+    dests = {f[1] for flags in COMMAND_FLAGS.values() for f in flags} | {f[1] for f in GLOBAL_FLAGS}
+    assert set(field_types(RunConfig)) | set(field_types(SynParams)) <= dests
 
 
 def test_u1_requires_asjc_first(pipeline_dir, tmp_path):

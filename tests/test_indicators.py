@@ -169,6 +169,9 @@ def test_cell_cut_partial_tie():
     # values 3 (w1) and 1 (w1): share(>=2) = .5 <= .5 and 2 is the smallest
     # such threshold
     assert _cell_cut({3: 1.0, 1: 1.0}, 0.5) == 2
+    # share(>=17) = 0.8 / 3.2 = 0.25 exactly, though the float sum lands above
+    vw = {28: 0.6, 21: 0.2, 16: 1.4, 14: 0.5, 6: 1 / 3, 4: 1 / 6}
+    assert _cell_cut(vw, 0.25) == 17
 
 
 def test_excellence_share_capped(syn200):
