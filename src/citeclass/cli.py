@@ -310,9 +310,9 @@ def cmd_syngen(params: syngen.SynParams, cfg: RunConfig) -> int:
     return 0
 
 
-# Global flags, accepted both before and after the subcommand: name -> help
+# Global config flags, accepted both before and after the subcommand (as is
+# --config): name -> help
 GLOBAL_FLAGS = {
-    "config": "flat key = value config file",
     "out": "output directory (default: out)",
     "seed": "seed for generation and layout",
 }
@@ -347,17 +347,20 @@ def build_parser() -> argparse.ArgumentParser:
     its dest; its type, action and choices come from that field."""
 
     def add_flag(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
-        kind = CONFIG_FIELDS.get(name, "str").partition(" | ")[0]
+        kind = CONFIG_FIELDS[name].partition(" | ")[0]
         if kind == "bool":
             kwargs["action"] = argparse.BooleanOptionalAction
         elif kind != "str":
             kwargs["type"] = FIELD_PARSERS[kind]
+        if name in FIELD_CHOICES:
+            kwargs["choices"] = FIELD_CHOICES[name]
         flag = SHORT_FLAGS.get(name, "--" + name.replace("_", "-"))
-        parser.add_argument(flag, dest=name, choices=FIELD_CHOICES.get(name), **kwargs)
+        parser.add_argument(flag, dest=name, **kwargs)
 
     # The shared parent uses SUPPRESS so a subparser never overwrites a value
     # that was already parsed at the root.
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=argparse.SUPPRESS, help="flat key = value config file")
     for name, text in GLOBAL_FLAGS.items():
         add_flag(common, name, default=argparse.SUPPRESS, help=text)
     parser = argparse.ArgumentParser(

@@ -190,6 +190,18 @@ def test_cli_surface_is_pinned():
     assert set(field_types(RunConfig)) | set(field_types(SynParams)) <= dests
 
 
+def test_bool_flags_pass_no_type_or_choices(monkeypatch):
+    # BooleanOptionalAction deprecates type, choices and metavar in Python
+    # 3.12 and drops them later, so the parser must not pass them at all
+    class StrictBool(argparse.BooleanOptionalAction):
+        def __init__(self, *args, **kwargs):
+            assert not {"type", "choices", "metavar"} & kwargs.keys(), kwargs
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "BooleanOptionalAction", StrictBool)
+    build_parser()
+
+
 def test_u1_requires_asjc_first(pipeline_dir, tmp_path):
     # removing the journal-based assignments breaks the citer-origin run
     out = pipeline_dir
