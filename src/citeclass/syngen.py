@@ -9,13 +9,15 @@ intra_category_citation_prob. When a target pool is empty (or a duplicate
 cannot be avoided) the slot falls back to a unique external reference, so
 reference-count minimums always hold.
 
-oracle_classify and oracle_flow reimplement the classification and coupling
-rules as plain nested loops with no shared code; they exist to cross-check
-the production implementations and are guarded to desk scale.
+oracle_classify, oracle_flow, oracle_baselines and oracle_excellence
+reimplement the classification, coupling, baseline and excellence rules as
+plain nested loops with no shared code; they exist to cross-check the
+production implementations and are guarded to desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .assignments import AssignmentSet, SYSTEM_U1
@@ -304,3 +306,76 @@ def oracle_flow(w_a: CategoryVector, w_b: CategoryVector) -> DocumentFlow:
             for j, s in surpluses.items():
                 moves[(i, j)] = d * s / total
     return DocumentFlow(common, moves)
+
+
+def _oracle_citations(corpus: Corpus, citation_window: int | None) -> dict[str, int]:
+    """Citations per document, counted from the reference lists: a citation
+    counts when the citer appeared at most citation_window years after the
+    cited document; external citations always count."""
+    counts = {d.doc_id: d.external_citations for d in corpus.documents}
+    for d in corpus.documents:
+        for r in d.references:
+            if r in corpus and (citation_window is None
+                                or d.year - corpus.doc(r).year <= citation_window):
+                counts[r] += 1
+    return counts
+
+
+def oracle_baselines(
+    corpus: Corpus, aset: AssignmentSet, citation_window: int | None = None
+) -> dict[tuple[str, int, str], tuple[float, float]]:
+    """(weighted mean citations, total weight) per (doc_type, year, category)
+    cell, by plain loops. Used only as a test oracle."""
+    if len(corpus) > ORACLE_MAX_DOCS:
+        raise ValidationError([f"oracle_baselines is limited to {ORACLE_MAX_DOCS} documents"])
+    cit = _oracle_citations(corpus, citation_window)
+    terms: dict[tuple[str, int, str], list[tuple[float, float]]] = {}
+    for d in corpus.documents:
+        for code, w in aset.vectors[d.doc_id].items():
+            terms.setdefault((d.doc_type, d.year, code), []).append((w * cit[d.doc_id], w))
+    out = {}
+    for cell in sorted(terms):
+        weight = math.fsum(w for _, w in terms[cell])
+        out[cell] = (math.fsum(wc for wc, _ in terms[cell]) / weight, weight)
+    return out
+
+
+def oracle_excellence(
+    corpus: Corpus,
+    scheme: Scheme,
+    aset: AssignmentSet,
+    p: float,
+    citation_window: int | None = None,
+) -> tuple[dict[tuple[str, int, str], int], dict[str, bool]]:
+    """Excellence cut per (doc_type, year, area) cell and the flag of every
+    document, by plain loops. The cut is the smallest integer t whose share
+    of the cell's weight at citations >= t is at most p, both rounded to 12
+    decimals; a document is excellent when it reaches the cut of any area it
+    has positive weight in. Used only as a test oracle."""
+    if len(corpus) > ORACLE_MAX_DOCS:
+        raise ValidationError([f"oracle_excellence is limited to {ORACLE_MAX_DOCS} documents"])
+    cit = _oracle_citations(corpus, citation_window)
+    area_weights: dict[str, dict[str, float]] = {}
+    members: dict[tuple[str, int, str], list[tuple[int, float]]] = {}
+    for d in corpus.documents:
+        acc: dict[str, float] = {}
+        for code, w in aset.vectors[d.doc_id].items():
+            area = scheme.category_by_code[code].area_code
+            acc[area] = acc.get(area, 0.0) + w
+        area_weights[d.doc_id] = acc
+        for area, w in acc.items():
+            members.setdefault((d.doc_type, d.year, area), []).append((cit[d.doc_id], w))
+    cuts = {}
+    for cell in sorted(members):
+        total = math.fsum(w for _, w in members[cell])
+        for t in range(max(c for c, _ in members[cell]) + 2):
+            share = math.fsum(w for c, w in members[cell] if c >= t) / total
+            if round(share, 12) <= round(p, 12):
+                cuts[cell] = t
+                break
+    flags = {
+        d.doc_id: any(w > 0.0 and cit[d.doc_id] >= cuts[(d.doc_type, d.year, area)]
+                      for area, w in area_weights[d.doc_id].items())
+        for d in corpus.documents
+    }
+    return cuts, flags

@@ -12,6 +12,7 @@ from citeclass import (
     build_citation_index,
     category_baselines,
     classify_asjc,
+    classify_u1f08_all,
     excellence_flags,
     excellence_overlap,
     excellence_thresholds,
@@ -21,6 +22,7 @@ from citeclass import (
     normalized_impact,
 )
 from citeclass.indicators import NIDiagnostics, _cell_cut
+from citeclass.syngen import oracle_baselines, oracle_excellence
 from citeclass.weights import collapse_to_areas
 from conftest import make_corpus
 
@@ -268,3 +270,38 @@ def test_to_areas_collapses_once_per_shared_vector(syn200):
     first, second = next(ids for ids in by_journal.values() if len(ids) >= 2)[:2]
     assert aset.get(first) is aset.get(second)
     assert areas.get(first) is areas.get(second)
+
+
+@pytest.fixture(scope="module")
+def syn2000_sets(syn2000):
+    scheme, corpus = syn2000
+    asjc = classify_asjc(corpus, scheme)
+    return {SYSTEM_ASJC: asjc, SYSTEM_U1: classify_u1f08_all(corpus, asjc)}
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
+def test_baselines_match_oracle(syn2000, syn2000_sets, system, window):
+    scheme, corpus = syn2000
+    aset = syn2000_sets[system]
+    b = category_baselines(corpus, aset, build_citation_index(corpus, window))
+    oracle = oracle_baselines(corpus, aset, window)
+    assert list(b.mean_citations) == list(oracle)
+    for cell, (mean, weight) in oracle.items():
+        assert abs(b.mean_citations[cell] - mean) <= 1e-9, cell
+        assert abs(b.cell_weight[cell] - weight) <= 1e-9, cell
+
+
+@pytest.mark.parametrize("p", [0.10, 0.01, 0.25])
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
+def test_excellence_matches_oracle(syn2000, syn2000_sets, system, window, p):
+    scheme, corpus = syn2000
+    aset = syn2000_sets[system]
+    index = build_citation_index(corpus, window)
+    areas = aset.to_areas(scheme)
+    th = excellence_thresholds(corpus, areas, index, p)
+    flags = excellence_flags(corpus, areas, th, index)
+    cuts, oracle_flags = oracle_excellence(corpus, scheme, aset, p, window)
+    assert th.cut == cuts
+    assert flags == oracle_flags
