@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .corpus import ParseError, Scheme, ValidationError
-from .weights import CategoryVector, collapse_to_areas
+from .corpus import ParseError, ValidationError, _load_jsonl
+from .weights import CategoryVector
 
 SYSTEM_ASJC = "ASJC-FRAC"
 SYSTEM_U1 = "U1-F-0.8"
@@ -47,14 +47,6 @@ class AssignmentSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.vectors)
 
-    def to_areas(self, scheme: Scheme) -> AssignmentSet:
-        """The same documents with every vector collapsed to areas. Documents
-        that share one vector object share one collapsed dict, so the result
-        costs memory per distinct vector, not per document."""
-        distinct = {id(vec): vec for vec in self.vectors.values()}
-        areas = {key: collapse_to_areas(vec, scheme) for key, vec in distinct.items()}
-        return AssignmentSet(self.system, {doc_id: areas[id(vec)] for doc_id, vec in self.vectors.items()})
-
 
 def format_weights(weights: CategoryVector) -> str:
     parts = ",".join(
@@ -80,23 +72,16 @@ def write_assignments(path: str, aset: AssignmentSet) -> None:
 
 def iter_assignments(path: str) -> Iterator[Assignment]:
     """Stream assignments from a JSONL file without holding them all."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: record {line_no}: invalid JSON: {e.msg}") from None
-            doc_id = obj.get("doc_id")
-            system = obj.get("system")
-            weights = obj.get("weights")
-            if not isinstance(doc_id, str) or not isinstance(system, str) or not isinstance(weights, dict):
-                raise ParseError(f"{path}: record {line_no}: malformed assignment")
-            for k, v in weights.items():
-                if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(f"{path}: record {line_no}: malformed weights")
-            yield Assignment(doc_id, system, {k: float(v) for k, v in weights.items()})
+    for line_no, obj in _load_jsonl(path):
+        doc_id = obj.get("doc_id")
+        system = obj.get("system")
+        weights = obj.get("weights")
+        if not isinstance(doc_id, str) or not isinstance(system, str) or not isinstance(weights, dict):
+            raise ParseError(f"{path}: record {line_no}: malformed assignment")
+        for k, v in weights.items():
+            if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ParseError(f"{path}: record {line_no}: malformed weights")
+        yield Assignment(doc_id, system, {k: float(v) for k, v in weights.items()})
 
 
 def read_assignments(path: str, expect_system: str | None = None) -> AssignmentSet:

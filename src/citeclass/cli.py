@@ -70,7 +70,10 @@ LEVEL_FILES = {
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: invalid JSON: {e.msg} (line {e.lineno})") from None
 
 
 def _update_manifest(out_dir: str, entries: dict[str, str]) -> None:
@@ -103,15 +106,16 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not (cfg.scheme and cfg.journals and cfg.documents):
         print("error: ingest needs --scheme, --journals, and --documents", file=sys.stderr)
         return 2
-    os.makedirs(os.path.join(cfg.out, "corpus"), exist_ok=True)
     try:
         scheme = load_scheme(cfg.scheme)
         corpus = load_corpus(cfg.journals, cfg.documents, scheme, cfg.year_min, cfg.year_max)
     except ValidationError as e:
+        os.makedirs(cfg.out, exist_ok=True)
         write_json(os.path.join(cfg.out, VALIDATION_FILE),
                    {"status": "invalid", "errors": e.errors})
         print(f"validation failed: {e}", file=sys.stderr)
         return 1
+    os.makedirs(os.path.join(cfg.out, "corpus"), exist_ok=True)
     write_scheme(scheme, os.path.join(cfg.out, SCHEME_FILE))
     write_corpus(corpus, os.path.join(cfg.out, JOURNALS_FILE), os.path.join(cfg.out, DOCUMENTS_FILE))
     write_json(os.path.join(cfg.out, STATS_FILE), corpus_summary(corpus))
@@ -206,30 +210,26 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, ASJC_FILE, U1_FILE])
     scheme, corpus = _load_pipeline_corpus(cfg.out)
-    set_a = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
-    set_b = read_assignments(os.path.join(cfg.out, U1_FILE), SYSTEM_U1)
-    index = build_citation_index(corpus, cfg.citation_window)
+    cit = build_citation_index(corpus, cfg.citation_window)
 
     out = cfg.out
     diag_report = {}
     results = {}
-    for aset in (set_a, set_b):
-        areas = aset.to_areas(scheme)
-        baselines = ind.category_baselines(corpus, aset, index)
-        ni, diag = ind.ni_table(corpus, aset, baselines, index)
-        exc = {
-            p: ind.excellence_flags(
-                corpus, areas, ind.excellence_thresholds(corpus, areas, index, p), index)
-            for p in (cfg.p10, cfg.p1)
-        }
+    for name, system in ((ASJC_FILE, SYSTEM_ASJC), (U1_FILE, SYSTEM_U1)):
+        cats = ind.WeightColumns.of(corpus, read_assignments(os.path.join(out, name), system), scheme)
+        areas = cats.to_areas(scheme)
+        baselines = ind.category_baselines(cats, cit)
+        ni, zero_mean_hits = ind.ni_table(cats, baselines, cit)
+        exc = {p: ind.excellence_flags(areas, ind.excellence_thresholds(areas, cit, p), cit)
+               for p in (cfg.p10, cfg.p1)}
         std = dict(ind.ni_std_by_area(ni, areas))
-        results[aset.system] = (areas, baselines, ni, exc, std)
-        diag_report[aset.system] = {
+        results[system] = (areas, baselines, ni, exc, std)
+        diag_report[system] = {
             "zero_mean_cells": [
                 {"doc_type": t, "year": y, "class": c, "documents_hit": n}
-                for (t, y, c), n in sorted(diag.zero_mean_hits.items())
+                for (t, y, c), n in sorted(zero_mean_hits.items())
             ],
-            "total_documents_hit": diag.total(),
+            "total_documents_hit": sum(zero_mean_hits.values()),
         }
 
     _, base_a, ni_a, exc_a, std_a = results[SYSTEM_ASJC]

@@ -14,7 +14,7 @@ File formats:
   documents JSONL one object per line:
                   ``{"doc_id": str, "journal_id": str, "year": int,
                   "doc_type": str, "references": [str, ...],
-                  "external_citations": int (optional, default 0)}``
+                  "external_citations": int in [0, 2**53] (optional, default 0)}``
 
 Loading is strict: structurally malformed input raises ParseError (with line
 or record position), semantic problems raise ValidationError (all collected).
@@ -305,23 +305,9 @@ class Corpus:
         return np.asarray([d.year for d in self.documents], dtype=np.int32)
 
 
-@dataclass(frozen=True, slots=True)
-class CitationIndex:
-    """Citation counts for one corpus.
-
-    citation_count maps doc_id to in-window internal citations plus
-    external_citations (entries exist only for nonzero counts).
-    """
-
-    citation_count: dict[str, int]
-    window_years: int | None = None
-
-    def count(self, doc_id: str) -> int:
-        return self.citation_count.get(doc_id, 0)
-
-
-def build_citation_index(corpus: Corpus, window_years: int | None = None) -> CitationIndex:
-    """Count the citations of every document.
+def build_citation_index(corpus: Corpus, window_years: int | None = None) -> np.ndarray:
+    """Citations of every document, as an int64 array aligned with
+    corpus.documents: in-window internal citations plus external_citations.
 
     A citation is in-window when year(citing) - year(cited) <= window_years;
     with no window every internal citation counts.
@@ -332,13 +318,8 @@ def build_citation_index(corpus: Corpus, window_years: int | None = None) -> Cit
     if window_years is not None and len(citing):
         years = corpus.years_array()
         cited = cited[(years[citing] - years[cited]) <= window_years]
-    internal = np.bincount(cited, minlength=len(corpus.documents)).tolist()
-    counts = {
-        d.doc_id: n + d.external_citations
-        for d, n in zip(corpus.documents, internal)
-        if n + d.external_citations
-    }
-    return CitationIndex(counts, window_years)
+    external = np.array([d.external_citations for d in corpus.documents], dtype=np.int64)
+    return np.bincount(cited, minlength=len(corpus.documents)) + external
 
 
 def low_reference_share(stats: dict, min_references: int) -> list[tuple[int, float]]:
@@ -521,8 +502,9 @@ def load_corpus(
         if not all(isinstance(r, str) and r for r in refs):
             raise ParseError(f"{document_path}: record {line_no}: references must be non-empty strings")
         ext = obj.get("external_citations", 0)
-        if isinstance(ext, bool) or not isinstance(ext, int) or ext < 0:
-            raise ParseError(f"{document_path}: record {line_no}: external_citations must be an integer >= 0")
+        # citation counts are int64 arrays and enter float64 sums, exact up to 2**53
+        if isinstance(ext, bool) or not isinstance(ext, int) or not 0 <= ext <= 2**53:
+            raise ParseError(f"{document_path}: record {line_no}: external_citations must be an integer in [0, 2**53]")
         doc_id = pool.setdefault(doc_id, doc_id)
         interned = tuple(sorted({pool.setdefault(r, r) for r in refs}))
         documents.append(Document(doc_id, journal_id, year, doc_type, interned, ext))

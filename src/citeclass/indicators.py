@@ -2,50 +2,85 @@
 
 Baselines are weighted mean citation counts per (doc_type, year, category)
 cell. A document's normalized impact (NI) is the sum over its categories of
-w_dc * cit(d) / mean(cell); cells with mean 0 contribute 0 and are counted
-in a diagnostics report. Excellence works at area level: per (doc_type,
-year, area) cell the cut is the smallest integer t such that the weighted
-share of documents with cit >= t is at most p; a document is excellent when
-it reaches the cut in any area it has positive weight in. The area-level
-functions take vectors the caller has collapsed (AssignmentSet.to_areas).
+w_dc * cit(d) / mean(cell); cells with mean 0 contribute 0 and their hits
+are counted. Excellence works at area level: per (doc_type, year, area) cell
+the cut is the smallest integer t such that the weighted share of documents
+with cit >= t is at most p; a document is excellent when it reaches the cut
+in any area it has positive weight in.
+
+Each indicator is a group-by over one system's WeightColumns and the
+citation counts of build_citation_index. np.bincount adds a group's terms
+in entry order, the order of a loop over the documents and their vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+
+import numpy as np
 
 from .assignments import AssignmentSet
-from .corpus import CitationIndex, Corpus, Document, ValidationError, fmt, write_csv
-from .weights import CategoryVector
+from .corpus import Corpus, Scheme, ValidationError, fmt, write_csv
 
 Cell = tuple[str, int, str]
+
+
+class WeightColumns:
+    """One system's assignment weights as parallel arrays: entry k puts
+    weight[k] of document doc[k] (its corpus position) in class
+    classes[cls[k]] and cell cells[cell[k]], the sorted (doc_type, year,
+    class) triples that hold an entry. Document i is in groups[group[i]]."""
+
+    def __init__(self, classes: tuple[str, ...], groups: list[tuple[str, int]],
+                 group: np.ndarray, doc: np.ndarray, cls: np.ndarray, weight: np.ndarray):
+        self.classes, self.groups, self.group = classes, groups, group
+        self.doc, self.cls, self.weight = doc, cls, weight
+        m = len(classes)
+        keys, self.cell = np.unique(group[doc] * m + cls, return_inverse=True)
+        self.cells: list[Cell] = [(*groups[k // m], classes[k % m]) for k in keys.tolist()]
+
+    @classmethod
+    def of(cls, corpus: Corpus, aset: AssignmentSet, scheme: Scheme) -> WeightColumns:
+        """Category-level columns of every corpus document's vector, entries
+        in corpus order and, within a document, in its vector's order."""
+        classes = tuple(c.code for c in scheme.categories)
+        index = {c: i for i, c in enumerate(classes)}
+        codes: list[str] = []
+        weights: list[float] = []
+        lengths: list[int] = []
+        for d in corpus.documents:
+            vec = aset.vectors.get(d.doc_id)
+            if vec is None:
+                raise ValidationError([f"no assignment for document {d.doc_id!r}"])
+            codes.extend(vec)
+            weights.extend(vec.values())
+            lengths.append(len(vec))
+        unknown = sorted(set(codes) - index.keys())
+        if unknown:
+            raise ValidationError([f"unknown category code {c!r}" for c in unknown])
+        pairs = sorted({(d.doc_type, d.year) for d in corpus.documents})
+        group_of = {g: i for i, g in enumerate(pairs)}
+        group = np.array([group_of[(d.doc_type, d.year)] for d in corpus.documents], dtype=np.int64)
+        doc = np.repeat(np.arange(len(corpus.documents), dtype=np.int64), lengths)
+        cls_idx = np.array([index[c] for c in codes], dtype=np.int64)
+        return cls(classes, pairs, group, doc, cls_idx, np.array(weights, dtype=np.float64))
+
+    def to_areas(self, scheme: Scheme) -> WeightColumns:
+        """The same documents with each vector's weights summed into areas."""
+        areas = tuple(a.code for a in scheme.areas)
+        index = {a: i for i, a in enumerate(areas)}
+        area_of = np.array([index[scheme.cat_to_area[c]] for c in self.classes], dtype=np.int64)
+        n = len(areas)
+        keys, inv = np.unique(self.doc * n + area_of[self.cls], return_inverse=True)
+        weight = np.bincount(inv, weights=self.weight)
+        return WeightColumns(areas, self.groups, self.group, keys // n, keys % n, weight)
 
 
 @dataclass(slots=True)
 class BaselineTable:
     mean_citations: dict[Cell, float]
     cell_weight: dict[Cell, float]
-
-
-@dataclass(slots=True)
-class NIDiagnostics:
-    """Hits on zero-mean baseline cells (every document there is uncited)."""
-
-    zero_mean_hits: dict[Cell, int] = field(default_factory=dict)
-
-    def record(self, cell: Cell) -> None:
-        self.zero_mean_hits[cell] = self.zero_mean_hits.get(cell, 0) + 1
-
-    def total(self) -> int:
-        return sum(self.zero_mean_hits.values())
-
-
-@dataclass(slots=True)
-class ExcellenceThresholds:
-    p: float
-    cut: dict[Cell, int]
 
 
 @dataclass(slots=True)
@@ -56,110 +91,56 @@ class OverlapRow:
     pct_only_a: float
 
 
-def _assigned(corpus: Corpus, aset: AssignmentSet) -> Iterator[tuple[Document, CategoryVector]]:
-    """Each document of the corpus, in corpus order, with its vector."""
-    for d in corpus.documents:
-        vec = aset.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no assignment for document {d.doc_id!r}"])
-        yield d, vec
+def _per_cell(cols: WeightColumns, table: dict[Cell, float], what: str) -> np.ndarray:
+    """table's value for each cell of cols; every cell must be in table."""
+    missing = [cell for cell in cols.cells if cell not in table]
+    if missing:
+        raise ValidationError([f"no {what} for cell {cell!r}" for cell in missing])
+    return np.array([table[cell] for cell in cols.cells])
 
 
-def category_baselines(
-    corpus: Corpus, aset: AssignmentSet, index: CitationIndex
-) -> BaselineTable:
+def category_baselines(cats: WeightColumns, cit: np.ndarray) -> BaselineTable:
     """Weighted mean citations per (doc_type, year, category) cell."""
-    sums: dict[Cell, float] = {}
-    weights: dict[Cell, float] = {}
-    for d, vec in _assigned(corpus, aset):
-        cit = index.count(d.doc_id)
-        for c, w in vec.items():
-            cell = (d.doc_type, d.year, c)
-            sums[cell] = sums.get(cell, 0.0) + w * cit
-            weights[cell] = weights.get(cell, 0.0) + w
-    means = {cell: sums[cell] / weights[cell] for cell in sorted(weights)}
-    return BaselineTable(means, {cell: weights[cell] for cell in sorted(weights)})
-
-
-def normalized_impact(
-    doc: Document,
-    vec: CategoryVector,
-    baselines: BaselineTable,
-    index: CitationIndex,
-    diagnostics: NIDiagnostics | None = None,
-) -> float:
-    cit = index.count(doc.doc_id)
-    total = 0.0
-    for c in sorted(vec):
-        cell = (doc.doc_type, doc.year, c)
-        mean = baselines.mean_citations.get(cell)
-        if mean is None:
-            raise ValidationError([f"no baseline for cell {cell!r}"])
-        if mean == 0.0:
-            if diagnostics is not None:
-                diagnostics.record(cell)
-            continue
-        total += vec[c] * cit / mean
-    return total
+    sums = np.bincount(cats.cell, weights=cats.weight * cit[cats.doc])
+    weights = np.bincount(cats.cell, weights=cats.weight)
+    return BaselineTable(dict(zip(cats.cells, (sums / weights).tolist())),
+                         dict(zip(cats.cells, weights.tolist())))
 
 
 def ni_table(
-    corpus: Corpus,
-    aset: AssignmentSet,
-    baselines: BaselineTable,
-    index: CitationIndex,
-) -> tuple[dict[str, float], NIDiagnostics]:
-    """NI for every document of the corpus under one system."""
-    diagnostics = NIDiagnostics()
-    ni = {d.doc_id: normalized_impact(d, vec, baselines, index, diagnostics)
-          for d, vec in _assigned(corpus, aset)}
-    return ni, diagnostics
+    cats: WeightColumns, baselines: BaselineTable, cit: np.ndarray
+) -> tuple[np.ndarray, dict[Cell, int]]:
+    """NI of every corpus document under one system, and the documents hit
+    per zero-mean cell (every document there is uncited)."""
+    mean = _per_cell(cats, baselines.mean_citations, "baseline")[cats.cell]
+    zero = mean == 0.0
+    terms = np.where(zero, 0.0, cats.weight * cit[cats.doc] / np.where(zero, 1.0, mean))
+    ni = np.bincount(cats.doc, weights=terms, minlength=len(cats.group))
+    hits = np.bincount(cats.cell[zero], minlength=len(cats.cells))
+    return ni, {cats.cells[i]: int(hits[i]) for i in np.flatnonzero(hits)}
 
 
-def ni_abs_diff_series(
-    ni_a: dict[str, float],
-    ni_b: dict[str, float],
-    corpus: Corpus,
-    drop_last_year: bool = False,
-) -> list[tuple[int, float]]:
-    """Per year, unweighted mean of |NI_A - NI_B| over documents."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for d in corpus.documents:
-        a = ni_a.get(d.doc_id)
-        b = ni_b.get(d.doc_id)
-        if a is None or b is None:
-            raise ValidationError([f"NI tables do not cover document {d.doc_id!r}"])
-        sums[d.year] = sums.get(d.year, 0.0) + abs(a - b)
-        counts[d.year] = counts.get(d.year, 0) + 1
-    years = sorted(counts)
-    if drop_last_year and years:
-        years = years[:-1]
-    return [(y, sums[y] / counts[y]) for y in years]
+def ni_abs_diff_series(ni_a: np.ndarray, ni_b: np.ndarray, corpus: Corpus,
+                       drop_last_year: bool = False) -> list[tuple[int, float]]:
+    """Per year, unweighted mean of |NI_A - NI_B| over the corpus documents."""
+    years, inv = np.unique(corpus.years_array(), return_inverse=True)
+    means = np.bincount(inv, weights=np.abs(ni_a - ni_b)) / np.bincount(inv)
+    series = list(zip(years.tolist(), means.tolist()))
+    return series[:-1] if drop_last_year else series
 
 
-def ni_std_by_area(ni: dict[str, float], areas: AssignmentSet) -> list[tuple[str, float]]:
+def ni_std_by_area(ni: np.ndarray, areas: WeightColumns) -> list[tuple[str, float]]:
     """Per area, population standard deviation of document NI weighted by
-    the document's area weight (areas: area-level vectors, as from
-    AssignmentSet.to_areas). Areas with zero weight are omitted."""
-    w_tot: dict[str, float] = {}
-    s1: dict[str, float] = {}
-    s2: dict[str, float] = {}
-    for doc_id, vec in areas.vectors.items():
-        value = ni.get(doc_id)
-        if value is None:
-            raise ValidationError([f"no NI value for document {doc_id!r}"])
-        for a, w in vec.items():
-            w_tot[a] = w_tot.get(a, 0.0) + w
-            s1[a] = s1.get(a, 0.0) + w * value
-            s2[a] = s2.get(a, 0.0) + w * value * value
+    the document's area weight. Areas with zero weight are omitted."""
+    value = ni[areas.doc]
+    n = len(areas.classes)
+    w_tot = np.bincount(areas.cls, weights=areas.weight, minlength=n)
+    s1 = np.bincount(areas.cls, weights=areas.weight * value, minlength=n)
+    s2 = np.bincount(areas.cls, weights=areas.weight * value * value, minlength=n)
     out = []
-    for a in sorted(w_tot):
-        if w_tot[a] <= 0.0:
-            continue
+    for a in np.flatnonzero(w_tot > 0.0):
         mean = s1[a] / w_tot[a]
-        var = max(s2[a] / w_tot[a] - mean * mean, 0.0)
-        out.append((a, math.sqrt(var)))
+        out.append((areas.classes[a], math.sqrt(max(s2[a] / w_tot[a] - mean * mean, 0.0))))
     return out
 
 
@@ -185,101 +166,55 @@ def _cell_cut(value_weights: dict[int, float], p: float) -> int:
     return values[best + 1] + 1
 
 
-def excellence_thresholds(
-    corpus: Corpus,
-    areas: AssignmentSet,
-    index: CitationIndex,
-    p: float,
-) -> ExcellenceThresholds:
-    """Cuts per (doc_type, year, area) cell; areas holds area-level vectors."""
+def excellence_thresholds(areas: WeightColumns, cit: np.ndarray, p: float) -> dict[Cell, int]:
+    """The cut of every (doc_type, year, area) cell, from the cell's weight
+    per citation count."""
     if not (0.0 < p <= 1.0):
         raise ValidationError([f"p must be in (0, 1], got {p}"])
-    cells: dict[Cell, dict[int, float]] = {}
-    for d, vec in _assigned(corpus, areas):
-        cit = index.count(d.doc_id)
-        for a, w in vec.items():
-            vw = cells.setdefault((d.doc_type, d.year, a), {})
-            vw[cit] = vw.get(cit, 0.0) + w
-    cut = {cell: _cell_cut(cells[cell], p) for cell in sorted(cells)}
-    return ExcellenceThresholds(p, cut)
+    # keyed by the rank of the citation count, not the count, so the key fits in int64
+    values, rank = np.unique(cit[areas.doc], return_inverse=True)
+    span, values = len(values), values.tolist()
+    keys, inv = np.unique(areas.cell * span + rank, return_inverse=True)
+    per_cell: list[dict[int, float]] = [{} for _ in areas.cells]
+    for key, w in zip(keys.tolist(), np.bincount(inv, weights=areas.weight).tolist()):
+        per_cell[key // span][values[key % span]] = w
+    return {cell: _cell_cut(vw, p) for cell, vw in zip(areas.cells, per_cell)}
 
 
-def excellence_flags(
-    corpus: Corpus,
-    areas: AssignmentSet,
-    thresholds: ExcellenceThresholds,
-    index: CitationIndex,
-) -> dict[str, bool]:
-    """Document-level flags: excellent in at least one area it has positive
-    weight in (areas: area-level vectors)."""
-    out: dict[str, bool] = {}
-    for d, vec in _assigned(corpus, areas):
-        cit = index.count(d.doc_id)
-        flag = False
-        for a, w in vec.items():
-            if w <= 0.0:
-                continue
-            cell_cut = thresholds.cut.get((d.doc_type, d.year, a))
-            if cell_cut is None:
-                raise ValidationError(
-                    [f"no excellence threshold for cell {(d.doc_type, d.year, a)!r}"]
-                )
-            if cit >= cell_cut:
-                flag = True
-                break
-        out[d.doc_id] = flag
-    return out
+def excellence_flags(areas: WeightColumns, cuts: dict[Cell, int], cit: np.ndarray) -> np.ndarray:
+    """Per corpus document: excellent in at least one area it has positive
+    weight in."""
+    cut = _per_cell(areas, cuts, "excellence threshold")[areas.cell]
+    hit = (areas.weight > 0.0) & (cit[areas.doc] >= cut)
+    flags = np.zeros(len(areas.group), dtype=bool)
+    flags[areas.doc[hit]] = True
+    return flags
 
 
 def excellence_overlap(
-    flags_a: dict[str, bool],
-    flags_b: dict[str, bool],
-    areas_b: AssignmentSet,
+    flags_a: np.ndarray, flags_b: np.ndarray, areas_b: WeightColumns
 ) -> list[OverlapRow]:
-    """Per area: weight under system B (areas_b: its area-level vectors) of
+    """Per area: weight under system B (areas_b: its area-level columns) of
     documents excellent in both systems / only B / only A, as percentages of
     the area's B-size."""
-    denom: dict[str, float] = {}
-    both: dict[str, float] = {}
-    only_b: dict[str, float] = {}
-    only_a: dict[str, float] = {}
-    for doc_id, vec in areas_b.vectors.items():
-        fa = flags_a.get(doc_id)
-        fb = flags_b.get(doc_id)
-        if fa is None or fb is None:
-            raise ValidationError([f"excellence flags do not cover document {doc_id!r}"])
-        for a, w in vec.items():
-            denom[a] = denom.get(a, 0.0) + w
-            if fa and fb:
-                both[a] = both.get(a, 0.0) + w
-            elif fb:
-                only_b[a] = only_b.get(a, 0.0) + w
-            elif fa:
-                only_a[a] = only_a.get(a, 0.0) + w
-    rows = []
-    for a in sorted(denom):
-        if denom[a] <= 0.0:
-            continue
-        rows.append(OverlapRow(
-            a,
-            100.0 * both.get(a, 0.0) / denom[a],
-            100.0 * only_b.get(a, 0.0) / denom[a],
-            100.0 * only_a.get(a, 0.0) / denom[a],
-        ))
-    return rows
+    n = len(areas_b.classes)
+    denom = np.bincount(areas_b.cls, weights=areas_b.weight, minlength=n)
+    # per entry 0: in neither system, 1: only B, 2: only A, 3: both
+    kind = 2 * flags_a[areas_b.doc] + flags_b[areas_b.doc]
+    part = np.bincount(areas_b.cls * 4 + kind, weights=areas_b.weight, minlength=4 * n).reshape(n, 4)
+    return [OverlapRow(areas_b.classes[a], *(100.0 * part[a, k] / denom[a] for k in (3, 1, 2)))
+            for a in np.flatnonzero(denom > 0.0)]
 
 
-def write_indicators_csv(
-    path: str,
-    corpus: Corpus,
-    per_system: list[tuple[str, dict[str, float], dict[str, bool], dict[str, bool]]],
-) -> None:
-    """Rows grouped by document, one row per system:
-    doc_id,system,ni,exc10,exc1."""
+def write_indicators_csv(path: str, corpus: Corpus,
+                         per_system: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """Rows grouped by document, one row per system: doc_id,system,ni,exc10,exc1."""
+    columns = [(system, ni.tolist(), exc10.tolist(), exc1.tolist())
+               for system, ni, exc10, exc1 in per_system]
     write_csv(path, ["doc_id", "system", "ni", "exc10", "exc1"], (
-        [d.doc_id, system, fmt(ni[d.doc_id]), int(exc10[d.doc_id]), int(exc1[d.doc_id])]
-        for d in corpus.documents
-        for system, ni, exc10, exc1 in per_system
+        [d.doc_id, system, fmt(ni[i]), int(exc10[i]), int(exc1[i])]
+        for i, d in enumerate(corpus.documents)
+        for system, ni, exc10, exc1 in columns
     ))
 
 

@@ -28,7 +28,6 @@ import citeclass
 from citeclass import (
     Area,
     Category,
-    CitationIndex,
     Corpus,
     Document,
     FlowGraph,
@@ -37,6 +36,7 @@ from citeclass import (
     Scheme,
     SynParams,
     ThresholdPolicy,
+    WeightColumns,
     build_citation_index,
     category_baselines,
     class_flow_stats,
@@ -284,11 +284,10 @@ def test_c07_ni_self_normalization(syn200):
     u1 = classify_u1f08_all(corpus, asjc)
 
     for aset in (asjc, u1):
-        baselines = category_baselines(corpus, aset, index)
+        baselines = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
         contrib = {}
         weight = {}
-        for d in corpus.documents:
-            cit = index.count(d.doc_id)
+        for d, cit in zip(corpus.documents, index):
             for code, w in aset.get(d.doc_id).items():
                 cell = (d.doc_type, d.year, code)
                 mean = baselines.mean_citations[cell]
@@ -300,17 +299,15 @@ def test_c07_ni_self_normalization(syn200):
         for cell, total in contrib.items():
             assert abs(total / weight[cell] - 1.0) <= 1e-9, cell
 
-    baselines = category_baselines(corpus, asjc, index)
-    doubled = CitationIndex(
-        {k: 2 * v for k, v in index.citation_count.items()},
-        index.window_years,
-    )
-    baselines2 = category_baselines(corpus, asjc, doubled)
-    ni1, _ = ni_table(corpus, asjc, baselines, index)
-    ni2, _ = ni_table(corpus, asjc, baselines2, doubled)
-    assert set(ni1) == set(ni2)
-    for doc_id in ni1:
-        assert abs(ni1[doc_id] - ni2[doc_id]) <= 1e-12
+    cats = WeightColumns.of(corpus, asjc, scheme)
+    baselines = category_baselines(cats, index)
+    doubled = 2 * index
+    baselines2 = category_baselines(cats, doubled)
+    ni1, _ = ni_table(cats, baselines, index)
+    ni2, _ = ni_table(cats, baselines2, doubled)
+    assert len(ni1) == len(ni2) == len(corpus)
+    for v1, v2 in zip(ni1, ni2):
+        assert abs(v1 - v2) <= 1e-12
     _report(7, "impact self-normalization")
 
 
@@ -331,35 +328,35 @@ def test_c08_excellence_cap(syn200):
 
     for aset in (asjc, u1):
         for p in (0.10, 0.01):
-            thresholds = excellence_thresholds(corpus, aset.to_areas(scheme), index, p)
+            areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+            thresholds = excellence_thresholds(areas, index, p)
             excellent = {}
             total = {}
-            for d in corpus.documents:
-                cit = index.count(d.doc_id)
+            for d, cit in zip(corpus.documents, index):
                 for area, w in collapse_to_areas(aset.get(d.doc_id), scheme).items():
                     cell = (d.doc_type, d.year, area)
                     total[cell] = total.get(cell, 0.0) + w
-                    if cit >= thresholds.cut[cell]:
+                    if cit >= thresholds[cell]:
                         excellent[cell] = excellent.get(cell, 0.0) + w
             for cell, tw in total.items():
                 assert excellent.get(cell, 0.0) / tw <= p + 1e-12, cell
 
     scheme1, corpus1 = _unit_weight_corpus(list(range(1000)))
     index1 = build_citation_index(corpus1)
-    areas1 = classify_asjc(corpus1, scheme1).to_areas(scheme1)
+    areas1 = WeightColumns.of(corpus1, classify_asjc(corpus1, scheme1), scheme1).to_areas(scheme1)
     for p in (0.10, 0.01):
-        thresholds = excellence_thresholds(corpus1, areas1, index1, p)
-        flags = excellence_flags(corpus1, areas1, thresholds, index1)
-        share = sum(flags.values()) / len(flags)
+        thresholds = excellence_thresholds(areas1, index1, p)
+        flags = excellence_flags(areas1, thresholds, index1)
+        share = flags.sum() / len(flags)
         assert abs(share - p) <= 0.001, (p, share)
 
     scheme2, corpus2 = _unit_weight_corpus([5] * 100)
     index2 = build_citation_index(corpus2)
-    areas2 = classify_asjc(corpus2, scheme2).to_areas(scheme2)
+    areas2 = WeightColumns.of(corpus2, classify_asjc(corpus2, scheme2), scheme2).to_areas(scheme2)
     for p in (0.10, 0.01):
-        thresholds = excellence_thresholds(corpus2, areas2, index2, p)
-        flags = excellence_flags(corpus2, areas2, thresholds, index2)
-        assert sum(flags.values()) == 0
+        thresholds = excellence_thresholds(areas2, index2, p)
+        flags = excellence_flags(areas2, thresholds, index2)
+        assert flags.sum() == 0
     _report(8, "excellence cap")
 
 

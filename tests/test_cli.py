@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,7 @@ def test_ingest_missing_input_exits_2(tmp_path):
               "--documents", str(tmp_path / "d.jsonl"),
               "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_ingest_invalid_corpus_exits_1(tmp_path):
@@ -253,6 +257,43 @@ def test_compare_missing_assignments_exits_1(pipeline_dir):
     out = pipeline_dir
     os.remove(out / "assignments_u1-f-0.8.jsonl")
     assert run(["compare", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("command", ["compare", "indicators"])
+def test_non_object_assignment_line_exits_2(pipeline_dir, command):
+    with open(pipeline_dir / "assignments_u1-f-0.8.jsonl", "a") as fh:
+        fh.write("[1,2]\n")
+    assert run([command, "--out", str(pipeline_dir)]) == 2
+
+
+@pytest.mark.parametrize("command", ["report", "compare", "indicators", "network"])
+def test_truncated_manifest_exits_2(pipeline_dir, command):
+    out = pipeline_dir
+    assert run(["compare", "--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    (out / "manifest.json").write_text(text[: len(text) // 2])
+    assert run([command, "--out", str(out)]) == 2
+
+
+def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
+    # bench/trace_shim.py patches these names by import path, so renaming one
+    # in src/ must fail here too
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    names = set()
+    for command in ("compare", "indicators"):
+        trace = tmp_path / f"trace_{command}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), command, "--",
+             command, "--out", str(pipeline_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(trace.read_text())
+        names |= {r[1] for r in data["spans"] + data["rollups"]}
+    assert {"indicators.baselines", "indicators.ni", "indicators.thresholds",
+            "indicators.flags", "indicators.overlap", "indicators.std", "indicators.write",
+            "corpus.build_citation_index", "flow.add"} <= names
 
 
 def test_indicators_outputs(pipeline_dir):

@@ -113,17 +113,18 @@ def test_validation_collects_multiple_errors(scheme):
 
 def test_citation_index_counts(small_corpus):
     index = build_citation_index(small_corpus)
+    assert len(index) == len(small_corpus)
     # D3 is cited by D1, D2, D4 and has 1 external citation
-    assert index.count("D3") == 4
+    assert index[small_corpus.position("D3")] == 4
     # D5 is cited by nobody internally, has 5 external
-    assert index.count("D5") == 5
+    assert index[small_corpus.position("D5")] == 5
 
 
 def test_citation_index_window(small_corpus):
     # window 1: only citers within one year of the cited doc count
     index = build_citation_index(small_corpus, window_years=1)
     # D3 (2013): D2 (2014) in window, D1/D4 (2015) out; external always counts
-    assert index.count("D3") == 1 + 1
+    assert index[small_corpus.position("D3")] == 1 + 1
 
 
 def test_low_reference_share(small_corpus):
@@ -214,6 +215,16 @@ def test_load_corpus_rejects_missing_field(tmp_path, scheme):
     jp, dp = tmp_path / "j.jsonl", tmp_path / "d.jsonl"
     jp.write_text('{"journal_id":"J1","asjc_codes":["PH01"]}\n')
     dp.write_text('{"doc_id":"D1","journal_id":"J1","year":2015}\n')
+    with pytest.raises(ParseError):
+        load_corpus(str(jp), str(dp), scheme)
+
+
+@pytest.mark.parametrize("ext", [-1, 2**53 + 1, 2**63])
+def test_load_corpus_rejects_out_of_range_external_citations(tmp_path, scheme, ext):
+    jp, dp = tmp_path / "j.jsonl", tmp_path / "d.jsonl"
+    jp.write_text('{"journal_id":"J1","asjc_codes":["PH01"]}\n')
+    dp.write_text('{"doc_id":"D1","journal_id":"J1","year":2015,"doc_type":"article",'
+                  f'"references":[],"external_citations":{ext}}}\n')
     with pytest.raises(ParseError):
         load_corpus(str(jp), str(dp), scheme)
 

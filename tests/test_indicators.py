@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from citeclass import (
@@ -9,6 +10,7 @@ from citeclass import (
     SYSTEM_ASJC,
     SYSTEM_U1,
     ValidationError,
+    WeightColumns,
     build_citation_index,
     category_baselines,
     classify_asjc,
@@ -19,9 +21,8 @@ from citeclass import (
     ni_abs_diff_series,
     ni_std_by_area,
     ni_table,
-    normalized_impact,
 )
-from citeclass.indicators import NIDiagnostics, _cell_cut
+from citeclass.indicators import _cell_cut
 from citeclass.syngen import oracle_baselines, oracle_excellence
 from citeclass.weights import collapse_to_areas
 from conftest import make_corpus
@@ -41,7 +42,7 @@ def single_cat_corpus(scheme, citations, year=2015, doc_type="article"):
 def test_baselines_weighted_mean(scheme):
     corpus, aset = single_cat_corpus(scheme, [0, 10, 20])
     index = build_citation_index(corpus)
-    b = category_baselines(corpus, aset, index)
+    b = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
     cell = ("article", 2015, "PH01")
     assert b.mean_citations[cell] == pytest.approx(10.0)
     assert b.cell_weight[cell] == pytest.approx(3.0)
@@ -55,7 +56,7 @@ def test_baselines_split_by_type_and_year(scheme):
     ]
     corpus = make_corpus(scheme, docs)
     aset = classify_asjc(corpus, scheme)
-    b = category_baselines(corpus, aset, build_citation_index(corpus))
+    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus))
     assert b.mean_citations[("article", 2015, "PH01")] == pytest.approx(10.0)
     assert b.mean_citations[("review", 2015, "PH01")] == pytest.approx(30.0)
     assert b.mean_citations[("article", 2016, "PH01")] == pytest.approx(50.0)
@@ -64,21 +65,21 @@ def test_baselines_split_by_type_and_year(scheme):
 def test_ni_is_one_for_constant_citations(scheme):
     corpus, aset = single_cat_corpus(scheme, [7, 7, 7, 7])
     index = build_citation_index(corpus)
-    b = category_baselines(corpus, aset, index)
-    ni, diag = ni_table(corpus, aset, b, index)
-    assert all(v == pytest.approx(1.0) for v in ni.values())
-    assert diag.total() == 0
+    cats = WeightColumns.of(corpus, aset, scheme)
+    b = category_baselines(cats, index)
+    ni, zero_mean_hits = ni_table(cats, b, index)
+    assert all(v == pytest.approx(1.0) for v in ni)
+    assert sum(zero_mean_hits.values()) == 0
 
 
 def test_ni_weighted_cell_mean_is_one(syn200):
     scheme, corpus = syn200
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
-    b = category_baselines(corpus, aset, index)
+    b = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
     # per cell: weighted mean of cit/mean over member docs equals 1
     sums = {}
-    for d in corpus.documents:
-        cit = index.count(d.doc_id)
+    for d, cit in zip(corpus.documents, index):
         for c, w in aset.get(d.doc_id).items():
             cell = (d.doc_type, d.year, c)
             mean = b.mean_citations[cell]
@@ -91,35 +92,40 @@ def test_ni_weighted_cell_mean_is_one(syn200):
 
 
 def test_ni_zero_mean_cell_contributes_zero(scheme):
-    corpus, aset = single_cat_corpus(scheme, [0, 0, 0])
+    # D0000 is alone in its cell and uncited; D0001 has a cited cell of its own
+    corpus = make_corpus(scheme, [
+        Document("D0000", "J-PH", 2015, "article", (), 0),
+        Document("D0001", "J-CH", 2015, "article", (), 3),
+    ])
+    cats = WeightColumns.of(corpus, classify_asjc(corpus, scheme), scheme)
     index = build_citation_index(corpus)
-    b = category_baselines(corpus, aset, index)
-    diag = NIDiagnostics()
-    v = normalized_impact(corpus.documents[0], aset.get("D0000"), b, index, diag)
-    assert v == 0.0
-    assert diag.total() == 1
-    assert diag.zero_mean_hits[("article", 2015, "PH01")] == 1
+    ni, zero_mean_hits = ni_table(cats, category_baselines(cats, index), index)
+    assert ni[0] == 0.0
+    assert sum(zero_mean_hits.values()) == 1
+    assert zero_mean_hits[("article", 2015, "PH01")] == 1
 
 
 def test_ni_missing_cell_errors(scheme):
     corpus, aset = single_cat_corpus(scheme, [1, 2])
-    index = build_citation_index(corpus)
-    b = category_baselines(corpus, aset, index)
+    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus))
+    # a corpus with a document in a cell the baselines do not cover
     stranger = Document("DX", "J-CH", 2015, "article", (), 3)
+    corpus2 = make_corpus(scheme, [*corpus.documents, stranger])
+    cats2 = WeightColumns.of(corpus2, classify_asjc(corpus2, scheme), scheme)
     with pytest.raises(ValidationError):
-        normalized_impact(stranger, {"CH01": 1.0}, b, index)
+        ni_table(cats2, b, build_citation_index(corpus2))
 
 
 def test_ni_scale_invariance_under_doubling(scheme):
     cits = [0, 1, 2, 5, 9, 14]
     corpus1, aset = single_cat_corpus(scheme, cits)
     corpus2, _ = single_cat_corpus(scheme, [2 * c for c in cits])
-    ni1, _ = ni_table(corpus1, aset, category_baselines(
-        corpus1, aset, build_citation_index(corpus1)), build_citation_index(corpus1))
-    ni2, _ = ni_table(corpus2, aset, category_baselines(
-        corpus2, aset, build_citation_index(corpus2)), build_citation_index(corpus2))
-    for doc_id in ni1:
-        assert abs(ni1[doc_id] - ni2[doc_id]) <= 1e-12
+    cats1, cats2 = WeightColumns.of(corpus1, aset, scheme), WeightColumns.of(corpus2, aset, scheme)
+    index1, index2 = build_citation_index(corpus1), build_citation_index(corpus2)
+    ni1, _ = ni_table(cats1, category_baselines(cats1, index1), index1)
+    ni2, _ = ni_table(cats2, category_baselines(cats2, index2), index2)
+    for v1, v2 in zip(ni1, ni2, strict=True):
+        assert abs(v1 - v2) <= 1e-12
 
 
 def test_ni_abs_diff_series(scheme):
@@ -129,8 +135,9 @@ def test_ni_abs_diff_series(scheme):
         Document("D3", "J-PH", 2016, "article", (), 6),
     ]
     corpus = make_corpus(scheme, docs)
-    ni_a = {"D1": 1.0, "D2": 0.5, "D3": 2.0}
-    ni_b = {"D1": 1.2, "D2": 0.9, "D3": 2.0}
+    # NI arrays in corpus order: D1, D2, D3
+    ni_a = np.array([1.0, 0.5, 2.0])
+    ni_b = np.array([1.2, 0.9, 2.0])
     series = ni_abs_diff_series(ni_a, ni_b, corpus)
     assert series == [(2015, pytest.approx(0.3)), (2016, pytest.approx(0.0))]
     dropped = ni_abs_diff_series(ni_a, ni_b, corpus, drop_last_year=True)
@@ -143,8 +150,9 @@ def test_ni_std_by_area_weighted(scheme):
         "D2": {"PH01": 0.5, "CH01": 0.5},
     }
     aset = AssignmentSet(SYSTEM_ASJC, vectors)
-    ni = {"D1": 2.0, "D2": 0.0}
-    out = dict(ni_std_by_area(ni, aset.to_areas(scheme)))
+    corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors])
+    ni = np.array([2.0, 0.0])
+    out = dict(ni_std_by_area(ni, WeightColumns.of(corpus, aset, scheme).to_areas(scheme)))
     # PH: weights 1.0 and 0.5 on values 2 and 0 -> mean 4/3, var 8/9
     assert out["PH"] == pytest.approx(math.sqrt(8.0 / 9.0))
     # CH: single value 0 with weight .5 -> std 0
@@ -181,15 +189,14 @@ def test_excellence_share_capped(syn200):
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
     for p in (0.10, 0.01):
-        th = excellence_thresholds(corpus, aset.to_areas(scheme), index, p)
+        th = excellence_thresholds(WeightColumns.of(corpus, aset, scheme).to_areas(scheme), index, p)
         # recompute weighted share per cell, must be <= p
         shares = {}
-        for d in corpus.documents:
-            cit = index.count(d.doc_id)
+        for d, cit in zip(corpus.documents, index):
             for a, w in collapse_to_areas(aset.get(d.doc_id), scheme).items():
                 cell = (d.doc_type, d.year, a)
                 tot, exc = shares.get(cell, (0.0, 0.0))
-                shares[cell] = (tot + w, exc + (w if cit >= th.cut[cell] else 0.0))
+                shares[cell] = (tot + w, exc + (w if cit >= th[cell] else 0.0))
         for cell, (tot, exc) in shares.items():
             assert exc / tot <= p + 1e-12, cell
 
@@ -197,41 +204,41 @@ def test_excellence_share_capped(syn200):
 def test_excellence_exact_share_with_distinct_citations(scheme):
     corpus, aset = single_cat_corpus(scheme, list(range(1000)))
     index = build_citation_index(corpus)
-    areas = aset.to_areas(scheme)
-    th = excellence_thresholds(corpus, areas, index, 0.10)
-    flags = excellence_flags(corpus, areas, th, index)
-    share = sum(flags.values()) / len(flags)
+    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    th = excellence_thresholds(areas, index, 0.10)
+    flags = excellence_flags(areas, th, index)
+    share = flags.sum() / len(flags)
     assert abs(share - 0.10) <= 0.001
 
 
 def test_excellence_all_tied_cell_has_no_excellent_docs(scheme):
     corpus, aset = single_cat_corpus(scheme, [5] * 100)
     index = build_citation_index(corpus)
-    areas = aset.to_areas(scheme)
-    th = excellence_thresholds(corpus, areas, index, 0.10)
-    flags = excellence_flags(corpus, areas, th, index)
-    assert not any(flags.values())
+    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    th = excellence_thresholds(areas, index, 0.10)
+    flags = excellence_flags(areas, th, index)
+    assert not any(flags)
 
 
 def test_excellence_p1_subset_of_p10(syn200):
     scheme, corpus = syn200
-    areas = classify_asjc(corpus, scheme).to_areas(scheme)
+    areas = WeightColumns.of(corpus, classify_asjc(corpus, scheme), scheme).to_areas(scheme)
     index = build_citation_index(corpus)
-    f10 = excellence_flags(corpus, areas, excellence_thresholds(corpus, areas, index, 0.10), index)
-    f1 = excellence_flags(corpus, areas, excellence_thresholds(corpus, areas, index, 0.01), index)
-    for doc_id, flag in f1.items():
-        if flag:
-            assert f10[doc_id]
+    f10 = excellence_flags(areas, excellence_thresholds(areas, index, 0.10), index)
+    f1 = excellence_flags(areas, excellence_thresholds(areas, index, 0.01), index)
+    for flag1, flag10 in zip(f1, f10, strict=True):
+        if flag1:
+            assert flag10
 
 
 def test_excellence_rejects_bad_p(scheme):
     corpus, aset = single_cat_corpus(scheme, [1, 2])
     index = build_citation_index(corpus)
-    areas = aset.to_areas(scheme)
+    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
     with pytest.raises(ValidationError):
-        excellence_thresholds(corpus, areas, index, 0.0)
+        excellence_thresholds(areas, index, 0.0)
     with pytest.raises(ValidationError):
-        excellence_thresholds(corpus, areas, index, 1.5)
+        excellence_thresholds(areas, index, 1.5)
 
 
 def test_excellence_overlap_percentages(scheme):
@@ -242,9 +249,12 @@ def test_excellence_overlap_percentages(scheme):
         "D4": {"CH01": 1.0},
     }
     aset_b = AssignmentSet(SYSTEM_U1, vectors_b)
-    flags_a = {"D1": True, "D2": False, "D3": True, "D4": False}
-    flags_b = {"D1": True, "D2": True, "D3": False, "D4": False}
-    rows = {r.area: r for r in excellence_overlap(flags_a, flags_b, aset_b.to_areas(scheme))}
+    corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors_b])
+    areas_b = WeightColumns.of(corpus, aset_b, scheme).to_areas(scheme)
+    # flags in corpus order: D1, D2, D3, D4
+    flags_a = np.array([True, False, True, False])
+    flags_b = np.array([True, True, False, False])
+    rows = {r.area: r for r in excellence_overlap(flags_a, flags_b, areas_b)}
     # PH size under B = 2.5; both: D1 (1.0) -> 40%; only B: D2 (1.0) -> 40%;
     # only A: D3 (0.5) -> 20%
     assert rows["PH"].pct_common == pytest.approx(40.0)
@@ -255,21 +265,23 @@ def test_excellence_overlap_percentages(scheme):
     assert rows["CH"].pct_common == pytest.approx(0.0)
 
 
-def test_to_areas_collapses_once_per_shared_vector(syn200):
+@pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
+def test_to_areas_matches_collapse_to_areas(syn200, system):
     scheme, corpus = syn200
     aset = classify_asjc(corpus, scheme)
-    areas = aset.to_areas(scheme)
-    assert areas.system == aset.system
-    assert list(areas.vectors) == list(aset.vectors)
-    for doc_id, vec in aset.vectors.items():
-        assert areas.get(doc_id) == collapse_to_areas(vec, scheme)
-    # classify_asjc gives every document of a journal one vector object
-    by_journal = {}
-    for d in corpus.documents:
-        by_journal.setdefault(d.journal_id, []).append(d.doc_id)
-    first, second = next(ids for ids in by_journal.values() if len(ids) >= 2)[:2]
-    assert aset.get(first) is aset.get(second)
-    assert areas.get(first) is areas.get(second)
+    if system == SYSTEM_U1:
+        aset = classify_u1f08_all(corpus, aset)
+    cats = WeightColumns.of(corpus, aset, scheme)
+    areas = cats.to_areas(scheme)
+    # each document's entries, in order, are its vector, and at area level
+    # its collapsed vector
+    for cols, expected in ((cats, lambda vec: vec),
+                           (areas, lambda vec: collapse_to_areas(vec, scheme))):
+        per_doc = [{} for _ in corpus.documents]
+        for k in range(len(cols.doc)):
+            per_doc[cols.doc[k]][cols.classes[cols.cls[k]]] = cols.weight[k]
+        for d, got in zip(corpus.documents, per_doc):
+            assert list(got.items()) == list(expected(aset.get(d.doc_id)).items()), d.doc_id
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +296,7 @@ def syn2000_sets(syn2000):
 def test_baselines_match_oracle(syn2000, syn2000_sets, system, window):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
-    b = category_baselines(corpus, aset, build_citation_index(corpus, window))
+    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus, window))
     oracle = oracle_baselines(corpus, aset, window)
     assert list(b.mean_citations) == list(oracle)
     for cell, (mean, weight) in oracle.items():
@@ -299,9 +311,9 @@ def test_excellence_matches_oracle(syn2000, syn2000_sets, system, window, p):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
     index = build_citation_index(corpus, window)
-    areas = aset.to_areas(scheme)
-    th = excellence_thresholds(corpus, areas, index, p)
-    flags = excellence_flags(corpus, areas, th, index)
+    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    th = excellence_thresholds(areas, index, p)
+    flags = excellence_flags(areas, th, index)
     cuts, oracle_flags = oracle_excellence(corpus, scheme, aset, p, window)
-    assert th.cut == cuts
-    assert flags == oracle_flags
+    assert th == cuts
+    assert flags.tolist() == [oracle_flags[d.doc_id] for d in corpus.documents]
