@@ -76,11 +76,14 @@ def _read_json(path: str):
             raise ParseError(f"{path}: invalid JSON: {e.msg} (line {e.lineno})") from None
 
 
-def _update_manifest(out_dir: str, entries: dict[str, str]) -> None:
+def _read_manifest(out_dir: str) -> dict[str, str]:
+    """The manifest so far. Stages read it before they write anything, so a
+    bad manifest fails a stage while --out is as it was."""
     path = os.path.join(out_dir, MANIFEST_FILE)
-    data = _read_json(path) if os.path.exists(path) else {}
-    data.update(entries)
-    write_json(path, data)
+    manifest = _read_json(path) if os.path.exists(path) else {}
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return manifest
 
 
 def _require_artifacts(out_dir: str, names: list[str]) -> None:
@@ -147,6 +150,8 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, STATS_FILE, ASJC_FILE, U1_FILE])
+    manifest = _read_manifest(cfg.out)
+    stats = _read_json(os.path.join(cfg.out, STATS_FILE))
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
     # per level: the flow accumulator and each system's support counters
@@ -194,11 +199,10 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
             write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"],
                       [[r.class_code, fmt(r.pct_incoming), fmt(r.pct_outgoing)] for r in rows])
 
-    stats = _read_json(os.path.join(out, STATS_FILE))
     write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"],
               [[y, fmt(pct)] for y, pct in low_reference_share(stats, cfg.min_references)])
 
-    _update_manifest(out, {
+    write_json(os.path.join(out, MANIFEST_FILE), manifest | {
         "figure_1": FIG1, "figure_2": FIG2, "figure_4": FIG4, "figure_5": FIG5,
         "figure_6": FIG6, "table_1": TABLE1, "table_2": TABLE2, "table_3": TABLE3,
         "table_4": TABLE4,
@@ -209,6 +213,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, ASJC_FILE, U1_FILE])
+    manifest = _read_manifest(cfg.out)
     scheme, corpus = _load_pipeline_corpus(cfg.out)
     cit = build_citation_index(corpus, cfg.citation_window)
 
@@ -252,7 +257,7 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
         ind.write_overlap_csv(os.path.join(out, name),
                               ind.excellence_overlap(exc_a[p], exc_b[p], areas_b))
 
-    _update_manifest(out, {
+    write_json(os.path.join(out, MANIFEST_FILE), manifest | {
         "figure_7": FIG7, "figure_8": FIG8, "figure_9": FIG9, "figure_10": FIG10,
     })
     print(f"computed indicators for {len(corpus)} documents")
@@ -263,6 +268,7 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
     flows_name = f"flows_{cfg.level}.csv"
     stats_name = f"class_stats_{cfg.level}.csv"
     _require_artifacts(cfg.out, [flows_name, stats_name])
+    manifest = _read_manifest(cfg.out)
     matrix = flow.read_flow_csv(os.path.join(cfg.out, flows_name), cfg.level)
     # node sizes are the U1-F-0.8 class sizes; the graph reads nothing else
     for r in flow.read_class_stats_csv(os.path.join(cfg.out, stats_name)):
@@ -273,7 +279,7 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
     layout = netgraph.linlog_layout(graph, cfg.layout_params())
     name = f"{FIG3_BASE}.{cfg.format}"
     netgraph.export_graph(graph, partition, layout, cfg.format, os.path.join(cfg.out, name))
-    _update_manifest(cfg.out, {"figure_3": name})
+    write_json(os.path.join(cfg.out, MANIFEST_FILE), manifest | {"figure_3": name})
     n_comm = len(set(partition.community.values()))
     print(f"network: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
           f"{n_comm} communities, Q = {partition.q:.6f}")
@@ -283,7 +289,7 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [STATS_FILE])
     stats = _read_json(os.path.join(cfg.out, STATS_FILE))
-    manifest_path = os.path.join(cfg.out, MANIFEST_FILE)
+    manifest = _read_manifest(cfg.out)
     write_json(os.path.join(cfg.out, REPORT_FILE), {
         "n_documents": stats["n_documents"],
         "n_journals": stats["n_journals"],
@@ -295,7 +301,7 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
             {"year": y, "pct_below_min_refs": pct}
             for y, pct in low_reference_share(stats, cfg.min_references)
         ],
-        "artifacts": _read_json(manifest_path) if os.path.exists(manifest_path) else {},
+        "artifacts": manifest,
     })
     print(f"report written for {stats['n_documents']} documents")
     return 0

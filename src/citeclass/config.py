@@ -6,6 +6,7 @@ Precedence: built-in defaults < config file < command-line flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,6 +55,8 @@ class RunConfig:
             errors.append(f"year_min {self.year_min} exceeds year_max {self.year_max}")
         if not (self.bin_width > 0):
             errors.append(f"bin_width must be > 0, got {self.bin_width}")
+        if not (0.0 <= self.edge_epsilon < math.inf):
+            errors.append(f"edge_epsilon must be finite and >= 0, got {self.edge_epsilon}")
         for key in ("citer_window", "citation_window"):
             if (v := getattr(self, key)) is not None and v < 0:
                 errors.append(f"{key} must be >= 0, got {v}")

@@ -4,8 +4,12 @@ The graph has one node per class (sized by the target-system class size)
 and one directed edge per positive flow. Community detection runs greedy
 modularity maximization (Clauset-Newman-Moore) on the symmetrized graph:
 start from singletons, repeatedly merge the pair of communities with the
-largest gain dQ = 2*(e_ij - a_i*a_j) while it is positive, ties broken by
-the smallest community-id pair.
+largest gain dQ = 2*(e_ij - a_i*a_j) while it is positive. The gains are one
+dense matrix over community pairs i < j, read in row-major order, so a tie
+goes to the smallest (i, j). The degree fractions a_i are summed pair by
+pair in the order of the symmetrized weights: exact ties are common with
+integer weights, and summing e's rows instead rounds some a_i differently
+and changes which pair wins.
 
 The layout minimizes the LinLog energy
     sum_edges w_uv*|x_u - x_v|  -  sum_pairs r_uv*ln|x_u - x_v|
@@ -72,8 +76,8 @@ class LayoutParams:
         errors = []
         if self.iterations < 1:
             errors.append(f"iterations must be >= 1, got {self.iterations}")
-        if not (self.step > 0.0):
-            errors.append(f"step must be > 0, got {self.step}")
+        if not (0.0 < self.step < math.inf):
+            errors.append(f"step must be finite and > 0, got {self.step}")
         if self.variant not in VARIANTS:
             errors.append(f"unknown layout variant {self.variant!r}")
         if errors:
@@ -153,45 +157,31 @@ def detect_communities(graph: FlowGraph) -> Partition:
     if two_m <= 0.0:
         return Partition({c: i for i, c in enumerate(codes)}, 0.0)
 
-    # e[i][j]: inter-community weight fraction; a[i]: degree fraction
-    e: dict[int, dict[int, float]] = {i: {} for i in range(n)}
-    a = [0.0] * n
+    # e[i, j]: inter-community weight fraction; a[i]: degree fraction, summed
+    # in pair order (see the module docstring)
+    e = np.zeros((n, n))
+    a = np.zeros(n)
     for (i, j), w in sym.items():
         frac = w / two_m
-        e[i][j] = e[i].get(j, 0.0) + frac
-        e[j][i] = e[j].get(i, 0.0) + frac
+        e[i, j] = e[j, i] = frac
         a[i] += frac
         a[j] += frac
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     q = -math.fsum(ai * ai for ai in a)
 
-    while len(members) > 1:
-        best_dq = 0.0
-        best: tuple[int, int] | None = None
-        for i in sorted(members):
-            row = e[i]
-            for j in sorted(row):
-                if j <= i:
-                    continue
-                dq = 2.0 * (row[j] - a[i] * a[j])
-                if dq > best_dq:
-                    best_dq = dq
-                    best = (i, j)
-        if best is None:
+    live = np.triu(np.ones((n, n), dtype=bool), k=1)  # pairs i < j of live communities
+    while True:
+        dq = np.where(live, 2.0 * (e - np.outer(a, a)), -math.inf)
+        i, j = divmod(int(np.argmax(dq)), n)  # the first maximum in row-major order
+        if not dq[i, j] > 0.0:
             break
-        i, j = best
-        q += best_dq
-        members[i].extend(members[j])
-        del members[j]
+        q += float(dq[i, j])
+        members[i].extend(members.pop(j))
         a[i] += a[j]
-        for k, w in e[j].items():
-            if k == i:
-                continue
-            e[i][k] = e[i].get(k, 0.0) + w
-            e[k][i] = e[k].get(i, 0.0) + w
-            del e[k][j]
-        e[i].pop(j, None)
-        del e[j]
+        e[i] += e[j]
+        e[:, i] = e[i]
+        e[i, i] = 0.0
+        live[j, :] = live[:, j] = False
 
     community: dict[str, int] = {}
     for new_id, old_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
@@ -200,13 +190,16 @@ def detect_communities(graph: FlowGraph) -> Partition:
     return Partition(community, q)
 
 
-def _pair_distances(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise distances between the rows of x, with an infinite diagonal."""
+    dx = x[:, None, 0] - x[None, :, 0]
+    dy = x[:, None, 1] - x[None, :, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(d, math.inf)
+    return d
 
 
-def _energy(x: np.ndarray, w: np.ndarray, rep: np.ndarray, upper: np.ndarray) -> float:
-    d = _pair_distances(x)
+def _energy(d: np.ndarray, w: np.ndarray, rep: np.ndarray, upper: np.ndarray) -> float:
     att_mask = upper & (w > 0.0)
     rep_mask = upper & (rep > 0.0)
     if np.any(d[rep_mask] <= 0.0):
@@ -217,9 +210,7 @@ def _energy(x: np.ndarray, w: np.ndarray, rep: np.ndarray, upper: np.ndarray) ->
     return att - rep_term
 
 
-def _gradient(x: np.ndarray, w: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    d = _pair_distances(x)
-    np.fill_diagonal(d, math.inf)
+def _gradient(x: np.ndarray, d: np.ndarray, w: np.ndarray, rep: np.ndarray) -> np.ndarray:
     inv = 1.0 / d
     coef = w * inv - rep * inv * inv
     return coef.sum(axis=1)[:, None] * x - coef @ x
@@ -234,13 +225,9 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
     rng = np.random.default_rng(params.seed)
     x = rng.random((n, 2))
 
-    idx = {c: i for i, c in enumerate(codes)}
     w = np.zeros((n, n))
-    for e in graph.edges:
-        i, j = idx[e.source], idx[e.target]
-        if i != j:
-            w[i, j] += e.weight
-            w[j, i] += e.weight
+    for (i, j), wij in _symmetric_weights(graph).items():
+        w[i, j] = w[j, i] = wij
     if params.variant == "node":
         deg = w.sum(axis=1)
         rep = np.outer(deg, deg)
@@ -249,17 +236,16 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
     np.fill_diagonal(rep, 0.0)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
 
-    def separated(pos: np.ndarray) -> np.ndarray:
-        # coincident nodes get a seeded jitter of magnitude 1e-9
+    def separated(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """pos with coincident nodes moved apart by a seeded jitter of
+        magnitude 1e-9, and its distances."""
         for _ in range(100):
-            d = _pair_distances(pos)
-            np.fill_diagonal(d, math.inf)
-            ii, jj = np.nonzero(d == 0.0)
-            keep = ii < jj
-            if not keep.any():
-                return pos
+            d = _distances(pos)
+            if not (d == 0.0).any():
+                return pos, d
+            ii, jj = np.nonzero(d == 0.0)  # d is symmetric
             pos = pos.copy()
-            for k in np.unique(jj[keep]):
+            for k in np.unique(jj[ii < jj]):
                 off = rng.standard_normal(2)
                 norm = math.sqrt(float(off @ off))
                 if norm == 0.0:
@@ -267,26 +253,24 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
                 pos[int(k)] += off / norm * 1e-9
         raise ValidationError(["could not separate coincident nodes"])
 
-    x = separated(x)
-    energy = _energy(x, w, rep, upper)
+    x, d = separated(x)
+    energy = _energy(d, w, rep, upper)
     trace = [energy]
     step = params.step
     for _ in range(params.iterations):
-        grad = _gradient(x, w, rep)
+        grad = _gradient(x, d, w, rep)
         if not np.isfinite(grad).all():
             break
         s = step
-        accepted = None
         while s > 1e-18:
-            cand = separated(x - s * grad)
-            cand_energy = _energy(cand, w, rep, upper)
-            if cand_energy < energy:
-                accepted = (cand, cand_energy)
+            cand, cand_d = separated(x - s * grad)
+            new_energy = _energy(cand_d, w, rep, upper)
+            if new_energy < energy:
                 break
             s /= 2.0
-        if accepted is None:
+        else:  # no step lowered the energy
             break
-        x, new_energy = accepted
+        x, d = cand, cand_d
         trace.append(new_energy)
         converged = abs(energy - new_energy) < 1e-9 * max(abs(energy), 1e-12)
         energy = new_energy

@@ -57,7 +57,7 @@ from citeclass import (
 )
 from citeclass.cli import main
 from conftest import partitions
-from citeclass.netgraph import GraphEdge, GraphNode, _energy, _gradient
+from citeclass.netgraph import GraphEdge, GraphNode, _distances, _energy, _gradient
 from citeclass.syngen import SplitMix64, planted_journal_categories
 
 
@@ -422,7 +422,7 @@ def test_c10_layout_correctness():
         np.fill_diagonal(rep, 0.0)
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
         x = rng.uniform(-1, 1, size=(n, 2))
-        grad = _gradient(x, w, rep)
+        grad = _gradient(x, _distances(x), w, rep)
         h = 1e-6
         numeric = np.zeros_like(x)
         for i in range(n):
@@ -430,7 +430,8 @@ def test_c10_layout_correctness():
                 xp, xm = x.copy(), x.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                numeric[i, k] = (_energy(xp, w, rep, upper) - _energy(xm, w, rep, upper)) / (2 * h)
+                numeric[i, k] = (_energy(_distances(xp), w, rep, upper)
+                                 - _energy(_distances(xm), w, rep, upper)) / (2 * h)
         scale = max(np.abs(numeric).max(), 1.0)
         worst = max(worst, np.abs(grad - numeric).max() / scale)
     assert worst <= 1e-4

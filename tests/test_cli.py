@@ -266,13 +266,30 @@ def test_non_object_assignment_line_exits_2(pipeline_dir, command):
     assert run([command, "--out", str(pipeline_dir)]) == 2
 
 
-@pytest.mark.parametrize("command", ["report", "compare", "indicators", "network"])
-def test_truncated_manifest_exits_2(pipeline_dir, command):
-    out = pipeline_dir
+def snapshot(out):
+    return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def assert_bad_manifest_exits_2(out, command, spoil):
     assert run(["compare", "--out", str(out)]) == 0
     text = (out / "manifest.json").read_text()
-    (out / "manifest.json").write_text(text[: len(text) // 2])
+    (out / "manifest.json").write_text(spoil(text))
+    # without one of compare's files, a compare that writes before it fails
+    # leaves a new file behind, as indicators and network would
+    os.remove(out / "fig1_low_reference_share.csv")
+    before = snapshot(out)
     assert run([command, "--out", str(out)]) == 2
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("command", ["report", "compare", "indicators", "network"])
+def test_truncated_manifest_exits_2(pipeline_dir, command):
+    assert_bad_manifest_exits_2(pipeline_dir, command, lambda text: text[: len(text) // 2])
+
+
+@pytest.mark.parametrize("command", ["report", "compare", "indicators", "network"])
+def test_non_object_manifest_exits_2(pipeline_dir, command):
+    assert_bad_manifest_exits_2(pipeline_dir, command, lambda text: "[1, 2]\n")
 
 
 def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
@@ -281,7 +298,7 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     names = set()
-    for command in ("compare", "indicators"):
+    for command in ("compare", "indicators", "network"):
         trace = tmp_path / f"trace_{command}.json"
         proc = subprocess.run(
             [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), command, "--",
@@ -293,7 +310,8 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
         names |= {r[1] for r in data["spans"] + data["rollups"]}
     assert {"indicators.baselines", "indicators.ni", "indicators.thresholds",
             "indicators.flags", "indicators.overlap", "indicators.std", "indicators.write",
-            "corpus.build_citation_index", "flow.add"} <= names
+            "corpus.build_citation_index", "flow.add",
+            "netgraph.communities", "netgraph.layout"} <= names
 
 
 def test_indicators_outputs(pipeline_dir):
@@ -376,6 +394,24 @@ def test_bad_config_format_fails_before_layout(pipeline_dir, tmp_path, monkeypat
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text("format = bogus\n")
     assert run(["network", "--config", str(cfgp), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "inf"), ("--step", "nan"), ("--edge-epsilon", "nan"),
+    ("--edge-epsilon", "inf"), ("--edge-epsilon", "-1"),
+])
+def test_bad_layout_knob_fails_before_layout(pipeline_dir, monkeypatch, flag, value):
+    # a step of inf never ends the line search, and an edge_epsilon of nan
+    # keeps no edge
+    from citeclass import netgraph
+
+    def no_layout(*args, **kwargs):
+        raise AssertionError("layout ran before the config was checked")
+
+    monkeypatch.setattr(netgraph, "linlog_layout", no_layout)
+    out = pipeline_dir
+    assert run(["compare", "--out", str(out)]) == 0
+    assert run(["network", flag, value, "--out", str(out)]) == 1
 
 
 def test_package_exports_resolve():

@@ -14,7 +14,7 @@ from citeclass import (
     load_graph,
     modularity,
 )
-from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _energy, _gradient
+from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient
 from conftest import partitions
 
 
@@ -137,6 +137,79 @@ def test_detect_never_beats_brute_force():
         assert part.q == pytest.approx(modularity(g, part.community), abs=1e-9)
 
 
+def greedy_reference(graph):
+    """Plain-loop greedy merging over a dict of dicts: the merge rule of
+    detect_communities, with the same adds in the same order."""
+    codes = graph.node_codes()
+    idx = {c: i for i, c in enumerate(codes)}
+    sym = {}
+    for edge in graph.edges:
+        i, j = idx[edge.source], idx[edge.target]
+        if i != j:
+            key = (min(i, j), max(i, j))
+            sym[key] = sym.get(key, 0.0) + edge.weight
+    two_m = 2.0 * math.fsum(sym.values())
+    if two_m <= 0.0:
+        return {c: i for i, c in enumerate(codes)}, 0.0
+    e = {i: {} for i in range(len(codes))}
+    a = [0.0] * len(codes)
+    for (i, j), w in sym.items():
+        e[i][j] = e[j][i] = w / two_m
+        a[i] += w / two_m
+        a[j] += w / two_m
+    members = {i: [i] for i in range(len(codes))}
+    q = -math.fsum(ai * ai for ai in a)
+    while True:
+        best_dq, best = 0.0, None
+        for i in sorted(members):
+            for j in sorted(k for k in e[i] if k > i):
+                dq = 2.0 * (e[i][j] - a[i] * a[j])
+                if dq > best_dq:
+                    best_dq, best = dq, (i, j)
+        if best is None:
+            break
+        i, j = best
+        q += best_dq
+        members[i].extend(members.pop(j))
+        a[i] += a[j]
+        for k, w in e.pop(j).items():
+            del e[k][j]
+            if k != i:
+                e[i][k] = e[i].get(k, 0.0) + w
+                e[k][i] = e[k].get(i, 0.0) + w
+    community = {}
+    for new_id, old_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
+        for node in members[old_id]:
+            community[codes[node]] = new_id
+    return community, q
+
+
+def random_directed_graph(rng, weights):
+    n = int(rng.integers(2, 41))
+    density = rng.uniform(0.05, 0.6)
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < density:
+                w = {"unit": 1.0, "small": float(rng.integers(1, 4)),
+                     "real": float(rng.uniform(0.01, 5.0))}[weights]
+                edges.append(GraphEdge(f"n{i:02d}", f"n{j:02d}", w))
+    return FlowGraph([GraphNode(f"n{i:02d}", 1.0) for i in range(n)], edges)
+
+
+@pytest.mark.parametrize("weights", ["unit", "small", "real"])
+def test_detect_matches_greedy_reference(weights):
+    # unit and small-integer weights make exact dQ ties common, so the tie
+    # rule and the order a is summed in both decide the partition
+    rng = np.random.default_rng({"unit": 71, "small": 72, "real": 73}[weights])
+    for trial in range(150):
+        g = random_directed_graph(rng, weights)
+        part = detect_communities(g)
+        community, q = greedy_reference(g)
+        assert part.community == community, f"trial {trial}"
+        assert part.q == q, f"trial {trial}"
+
+
 def test_layout_deterministic():
     g = two_triangles()
     params = LayoutParams(iterations=80, step=0.1, seed=3)
@@ -189,7 +262,7 @@ def test_gradient_matches_finite_differences():
         np.fill_diagonal(rep, 0.0)
         iu = np.triu(np.ones((n, n), dtype=bool), 1)
         x = rng.uniform(-1, 1, size=(n, 2))
-        g = _gradient(x, w, rep)
+        g = _gradient(x, _distances(x), w, rep)
         h = 1e-6
         num = np.zeros_like(x)
         for i in range(n):
@@ -197,7 +270,8 @@ def test_gradient_matches_finite_differences():
                 xp, xm = x.copy(), x.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                num[i, k] = (_energy(xp, w, rep, iu) - _energy(xm, w, rep, iu)) / (2 * h)
+                num[i, k] = (_energy(_distances(xp), w, rep, iu)
+                             - _energy(_distances(xm), w, rep, iu)) / (2 * h)
         scale = max(np.abs(num).max(), 1.0)
         rel = np.abs(g - num).max() / scale
         worst = max(worst, rel)
