@@ -76,14 +76,8 @@ def journal_vector(journal: Journal, scheme: Scheme) -> CategoryVector:
 
 
 def classify_asjc(corpus: Corpus, scheme: Scheme) -> AssignmentSet:
-    """Classify every document. Documents of the same journal share one
-    weights dict (the vector depends only on the journal)."""
-    cache: dict[str, CategoryVector] = {}
-    vectors: dict[str, CategoryVector] = {}
-    for d in corpus.documents:
-        vec = cache.get(d.journal_id)
-        if vec is None:
-            vec = journal_vector(corpus.journals[d.journal_id], scheme)
-            cache[d.journal_id] = vec
-        vectors[d.doc_id] = vec
-    return AssignmentSet(SYSTEM_ASJC, vectors)
+    """Classify every document: each gets its journal's vector."""
+    vectors = {jid: journal_vector(corpus.journals[jid], scheme)
+               for jid in dict.fromkeys(d.journal_id for d in corpus.documents)}
+    return AssignmentSet.from_rows(
+        SYSTEM_ASJC, ((d.doc_id, vectors[d.journal_id]) for d in corpus.documents))

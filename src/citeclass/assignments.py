@@ -7,16 +7,26 @@ same result always serializes to the same bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
+from scipy import sparse
 
 from .corpus import ParseError, ValidationError, _load_jsonl
-from .weights import CategoryVector
+from .weights import NORMALIZATION_TOL, CategoryVector
 
 SYSTEM_ASJC = "ASJC-FRAC"
 SYSTEM_U1 = "U1-F-0.8"
 KNOWN_SYSTEMS = (SYSTEM_ASJC, SYSTEM_U1)
+
+WRITE_BLOCK = 1024  # rows formatted per block by write_assignments
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,51 +37,83 @@ class Assignment:
 
 
 class AssignmentSet:
-    """All assignments of one system, keyed by doc_id."""
+    """All assignments of one system: row i of the float64 CSR matrix
+    weights is the vector of doc_ids[i] over codes, entries in code order.
+    doc_ids and codes are sorted."""
 
-    def __init__(self, system: str, vectors: dict[str, CategoryVector] | None = None):
+    def __init__(self, system: str, doc_ids: list[str], codes: tuple[str, ...], weights: sparse.csr_matrix):
         if system not in KNOWN_SYSTEMS:
             raise ValidationError([f"unknown classification system {system!r}"])
-        self.system = system
-        self.vectors: dict[str, CategoryVector] = vectors if vectors is not None else {}
+        self.system, self.doc_ids, self.codes, self.weights = system, doc_ids, codes, weights
+
+    @classmethod
+    def from_rows(cls, system: str, rows: Iterable[tuple[str, Mapping[str, float]]]) -> AssignmentSet:
+        """Pack (doc_id, vector) pairs, in any doc_id order, into a set. Only
+        flat arrays grow while the rows stream in."""
+        doc_ids: list[str] = []
+        col_of: dict[str, int] = {}  # code -> column, by first appearance
+        indptr, indices, data = array("q", [0]), array("i"), array("d")
+        for doc_id, vec in rows:
+            doc_ids.append(doc_id)
+            indices.extend([col_of.setdefault(c, len(col_of)) for c in vec])
+            data.extend(vec.values())
+            indptr.append(len(data))
+        codes = sorted(col_of)
+        # first-appearance column -> sorted column: the inverse permutation
+        rank = np.fromiter((col_of[c] for c in codes), np.int32, len(codes)).argsort()
+        weights = sparse.csr_matrix(
+            (np.frombuffer(data), rank[np.frombuffer(indices, np.int32)], np.frombuffer(indptr, np.int64)),
+            shape=(len(doc_ids), len(codes)))
+        weights.sort_indices()
+        if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
+            order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+            doc_ids, weights = [doc_ids[i] for i in order], weights[order]
+            if dups := sorted({a for a, b in zip(doc_ids, doc_ids[1:]) if a == b}):
+                raise ValidationError([f"duplicate assignment for {d!r}" for d in dups])
+        return cls(system, doc_ids, tuple(codes), weights)
+
+    def row(self, i: int) -> CategoryVector:
+        """The vector of doc_ids[i] as a dict in code order."""
+        lo, hi = self.weights.indptr[i:i + 2]
+        return dict(zip(map(self.codes.__getitem__, self.weights.indices[lo:hi].tolist()),
+                        self.weights.data[lo:hi].tolist()))
 
     def get(self, doc_id: str) -> CategoryVector:
-        return self.vectors[doc_id]
+        i = bisect_left(self.doc_ids, doc_id)
+        if i == len(self.doc_ids) or self.doc_ids[i] != doc_id:
+            raise KeyError(doc_id)
+        return self.row(i)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.doc_ids)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.vectors
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.vectors)
-
-
-def format_weights(weights: CategoryVector) -> str:
-    parts = ",".join(
-        f"{json.dumps(code)}:{w:.12g}" for code, w in sorted(weights.items())
-    )
-    return "{" + parts + "}"
-
-
-def assignment_line(assignment: Assignment) -> str:
-    return (
-        f'{{"doc_id":{json.dumps(assignment.doc_id)},'
-        f'"system":{json.dumps(assignment.system)},'
-        f'"weights":{format_weights(assignment.weights)}}}'
-    )
+    def require_docs(self, doc_ids: list[str]) -> None:
+        """Check that the set holds exactly these sorted doc ids."""
+        if self.doc_ids != doc_ids:
+            held, wanted = set(self.doc_ids), set(doc_ids)
+            raise ValidationError(
+                [f"no {self.system} assignment for {d!r}" for d in sorted(wanted - held)]
+                + [f"unexpected {self.system} assignment for {d!r}" for d in sorted(held - wanted)])
 
 
 def write_assignments(path: str, aset: AssignmentSet) -> None:
+    codes = [json.dumps(c) for c in aset.codes]
+    system = json.dumps(aset.system)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for doc_id in sorted(aset.vectors):
-            fh.write(assignment_line(Assignment(doc_id, aset.system, aset.vectors[doc_id])))
-            fh.write("\n")
+        for lo in range(0, len(aset), WRITE_BLOCK):
+            block = aset.weights[lo:lo + WRITE_BLOCK]
+            ptr, keys, values = block.indptr.tolist(), block.indices.tolist(), block.data.tolist()
+            for i, doc_id in enumerate(aset.doc_ids[lo:lo + WRITE_BLOCK]):
+                parts = ",".join(f"{codes[k]}:{w:.12g}" for k, w in
+                                 zip(keys[ptr[i]:ptr[i + 1]], values[ptr[i]:ptr[i + 1]]))
+                fh.write(f'{{"doc_id":{json.dumps(doc_id)},"system":{system},"weights":{{{parts}}}}}\n')
 
 
 def iter_assignments(path: str) -> Iterator[Assignment]:
-    """Stream assignments from a JSONL file without holding them all."""
+    """Stream assignments from a JSONL file without holding them all. A
+    weight that is not a finite number is malformed; weights that are not
+    all positive with a sum within NORMALIZATION_TOL of 1 are invalid."""
+    fmax = sys.float_info.max
     for line_no, obj in _load_jsonl(path):
         doc_id = obj.get("doc_id")
         system = obj.get("system")
@@ -79,34 +121,27 @@ def iter_assignments(path: str) -> Iterator[Assignment]:
         if not isinstance(doc_id, str) or not isinstance(system, str) or not isinstance(weights, dict):
             raise ParseError(f"{path}: record {line_no}: malformed assignment")
         for k, v in weights.items():
-            if not isinstance(k, str) or isinstance(v, bool) or not isinstance(v, (int, float)):
+            # type() rules out bool; the range rules out nan, inf and ints beyond float
+            if not isinstance(k, str) or type(v) not in (float, int) or not -fmax <= v <= fmax:
                 raise ParseError(f"{path}: record {line_no}: malformed weights")
-        yield Assignment(doc_id, system, {k: float(v) for k, v in weights.items()})
+        vec = {k: float(v) for k, v in weights.items()}
+        if min(vec.values(), default=0.0) <= 0.0 or abs(math.fsum(vec.values()) - 1.0) > NORMALIZATION_TOL:
+            raise ValidationError([f"{path}: record {line_no}: weights must be positive and sum to 1"])
+        yield Assignment(doc_id, system, vec)
 
 
 def read_assignments(path: str, expect_system: str | None = None) -> AssignmentSet:
-    """Load a whole assignment file. Documents with identical weight vectors
-    share one dict (journals repeat across documents, so this bounds memory
-    by the number of distinct vectors)."""
-    system: str | None = expect_system
-    vectors: dict[str, CategoryVector] = {}
-    # sharing pays off only while vectors actually repeat, so give up on
-    # files dominated by distinct vectors
-    pool: dict[tuple, CategoryVector] | None = {}
-    for a in iter_assignments(path):
-        if system is None:
-            system = a.system
-        elif a.system != system:
-            raise ValidationError([f"{path}: mixed systems {system!r} and {a.system!r}"])
-        if a.doc_id in vectors:
-            raise ValidationError([f"{path}: duplicate assignment for {a.doc_id!r}"])
-        if pool is None:
-            vectors[a.doc_id] = a.weights
-        else:
-            key = tuple(sorted(a.weights.items()))
-            vectors[a.doc_id] = pool.setdefault(key, a.weights)
-            if len(pool) > 100_000:
-                pool = None
-    if system is None:
+    """Load a whole assignment file of one system."""
+    records = iter_assignments(path)
+    first = next(records, None)
+    if first is None:
         raise ValidationError([f"{path}: no assignments found"])
-    return AssignmentSet(system, vectors)
+    system = expect_system or first.system
+
+    def rows() -> Iterator[tuple[str, CategoryVector]]:
+        for a in itertools.chain((first,), records):
+            if a.system != system:
+                raise ValidationError([f"{path}: mixed systems {system!r} and {a.system!r}"])
+            yield a.doc_id, a.weights
+
+    return AssignmentSet.from_rows(system, rows())

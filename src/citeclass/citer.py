@@ -7,8 +7,7 @@ vector; a reference outside the corpus contributes nothing. The document's
 aggregate (mean over non-empty reference profiles) is cut to the categories
 within a relative threshold of the heaviest one, capped at a maximum
 support size, and renormalized. Documents with too few references, or with
-an empty aggregate, keep their journal-based vector unchanged (the same
-dict object, so they serialize identically).
+an empty aggregate, keep their journal-based vector bit for bit.
 
 With a citer window w, only citers published at most w years after the
 reference count. classify_u1f08_all classifies a whole corpus through
@@ -71,64 +70,27 @@ def apply_threshold(vec: CategoryVector, policy: ThresholdPolicy) -> CategoryVec
     return normalize({k: vec[k] for k in kept})
 
 
-def _journal_rows(corpus: Corpus, asjc_set: AssignmentSet) -> tuple[np.ndarray, list[CategoryVector]]:
-    """Map each document to its journal's vector row, verifying the set is
-    journal-constant and covers the corpus."""
-    n = len(corpus.documents)
-    u = np.empty(n, dtype=np.int32)
-    row_of_journal: dict[str, int] = {}
-    rows: list[CategoryVector] = []
-    for i, d in enumerate(corpus.documents):
-        vec = asjc_set.vectors.get(d.doc_id)
-        if vec is None:
-            raise ValidationError([f"no journal-based assignment for document {d.doc_id!r}"])
-        r = row_of_journal.get(d.journal_id)
-        if r is None:
-            r = len(rows)
-            row_of_journal[d.journal_id] = r
-            rows.append(vec)
-        elif rows[r] is not vec and rows[r] != vec:
-            raise ValidationError(
-                [f"journal-based assignments are not constant within journal {d.journal_id!r}"]
-            )
-        u[i] = r
-    return u, rows
-
-
 def classify_u1f08_all(
     corpus: Corpus,
     asjc_set: AssignmentSet,
     policy: ThresholdPolicy = ThresholdPolicy(),
     citer_window: int | None = None,
 ) -> AssignmentSet:
-    """Classify every document of a corpus."""
+    """Classify every document of a corpus. asjc_set must hold exactly the
+    corpus documents, with one vector per journal."""
     docs = corpus.documents
     n = len(docs)
-    out: dict[str, CategoryVector] = {}
-    if n == 0:
-        return AssignmentSet(SYSTEM_U1, out)
-
-    u, rows = _journal_rows(corpus, asjc_set)
-    codes: set[str] = set()
-    for vec in rows:
-        codes.update(vec)
-    cols = sorted(codes)
-    col_of = {c: j for j, c in enumerate(cols)}
-    m = len(cols)
-
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in rows:
-        for k in sorted(vec):
-            indices.append(col_of[k])
-            data.append(vec[k])
-        indptr.append(len(indices))
-    V = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(rows), max(m, 1)),
-    )
-    A = V[u]
+    asjc_set.require_docs([d.doc_id for d in docs])
+    A, codes = asjc_set.weights, asjc_set.codes
+    # V holds one row per journal in order of first appearance, which fixes
+    # the summation order of the fallback product Mf @ V; u maps documents to rows
+    row_of: dict[str, int] = {}
+    u = np.fromiter((row_of.setdefault(d.journal_id, len(row_of)) for d in docs), np.int32, n)
+    V = A[np.unique(u, return_index=True)[1]]
+    journals = list(row_of)
+    varying = [journals[r] for r in np.unique(u[(A != V[u]).nonzero()[0]])]
+    if varying:
+        raise ValidationError([f"journal-based assignments vary within journal {j!r}" for j in varying])
 
     citing, cited = corpus.ref_edges()
     ne = len(citing)
@@ -154,43 +116,42 @@ def classify_u1f08_all(
     alpha[outside] = 1.0 / ncr[outside]
     fallback_edge = (in_window & (ncr == 1)) | (~in_window & (ncr == 0))
 
-    for i0 in range(0, n, CHUNK_SIZE):
-        i1 = min(i0 + CHUNK_SIZE, n)
-        cn = i1 - i0
-        lo, hi = np.searchsorted(citing, (i0, i1))
-        ld = citing[lo:hi] - i0
-        e_r = cited[lo:hi]
-        e_alpha = alpha[lo:hi]
-        e_fall = fallback_edge[lo:hi]
-        e_sub = subtract[lo:hi]
+    def rows():
+        for i0 in range(0, n, CHUNK_SIZE):
+            i1 = min(i0 + CHUNK_SIZE, n)
+            cn = i1 - i0
+            lo, hi = np.searchsorted(citing, (i0, i1))
+            ld = citing[lo:hi] - i0
+            e_r = cited[lo:hi]
+            e_alpha = alpha[lo:hi]
+            e_fall = fallback_edge[lo:hi]
+            e_sub = subtract[lo:hi]
 
-        keep = ~e_fall
-        Magg = sparse.csr_matrix((e_alpha[keep], (ld[keep], e_r[keep])), shape=(cn, n))
-        dense = (Magg @ S).toarray()
-        csub = np.bincount(ld[e_sub], weights=e_alpha[e_sub], minlength=cn)
-        if csub.any():
-            dense -= csub[:, None] * A[i0:i1].toarray()
-        if e_fall.any():
-            Mf = sparse.csr_matrix(
-                (np.ones(int(e_fall.sum())), (ld[e_fall], u[e_r[e_fall]])),
-                shape=(cn, V.shape[0]),
-            )
-            dense += (Mf @ V).toarray()
-        kc = k_internal[i0:i1].astype(np.float64)
-        np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
-        np.maximum(dense, 0.0, out=dense)
+            keep = ~e_fall
+            Magg = sparse.csr_matrix((e_alpha[keep], (ld[keep], e_r[keep])), shape=(cn, n))
+            dense = (Magg @ S).toarray()
+            csub = np.bincount(ld[e_sub], weights=e_alpha[e_sub], minlength=cn)
+            if csub.any():
+                dense -= csub[:, None] * A[i0:i1].toarray()
+            if e_fall.any():
+                Mf = sparse.csr_matrix(
+                    (np.ones(int(e_fall.sum())), (ld[e_fall], u[e_r[e_fall]])),
+                    shape=(cn, V.shape[0]),
+                )
+                dense += (Mf @ V).toarray()
+            kc = k_internal[i0:i1].astype(np.float64)
+            np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
+            np.maximum(dense, 0.0, out=dense)
 
-        for j in range(cn):
-            d = docs[i0 + j]
-            if len(d.references) < policy.min_references or k_internal[i0 + j] == 0:
-                out[d.doc_id] = asjc_set.vectors[d.doc_id]
-                continue
-            row = dense[j]
-            nz = np.nonzero(row > 1e-15)[0]
-            if nz.size == 0:
-                out[d.doc_id] = asjc_set.vectors[d.doc_id]
-                continue
-            agg = {cols[c]: float(row[c]) for c in nz}
-            out[d.doc_id] = apply_threshold(agg, policy)
+            for j in range(cn):
+                d = docs[i0 + j]
+                if len(d.references) >= policy.min_references and k_internal[i0 + j] > 0:
+                    row = dense[j]
+                    nz = np.nonzero(row > 1e-15)[0]
+                    if nz.size:
+                        agg = dict(zip(map(codes.__getitem__, nz.tolist()), row[nz].tolist()))
+                        yield d.doc_id, apply_threshold(agg, policy)
+                        continue
+                yield d.doc_id, asjc_set.row(i0 + j)
 
-    return AssignmentSet(SYSTEM_U1, out)
+    return AssignmentSet.from_rows(SYSTEM_U1, rows())

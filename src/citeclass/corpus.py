@@ -12,7 +12,7 @@ File formats:
                   ``{"journal_id": str, "asjc_codes": [str, ...]}``
 
   documents JSONL one object per line:
-                  ``{"doc_id": str, "journal_id": str, "year": int,
+                  ``{"doc_id": str, "journal_id": str, "year": int in [0, 9999],
                   "doc_type": str, "references": [str, ...],
                   "external_citations": int in [0, 2**53] (optional, default 0)}``
 
@@ -241,6 +241,9 @@ class Corpus:
             self._index[d.doc_id] = pos
             if d.journal_id not in self.journals:
                 errors.append(f"document {d.doc_id!r} references unknown journal {d.journal_id!r}")
+            # int32 year arrays hold these years and their differences exactly
+            if not 0 <= d.year <= 9999:
+                errors.append(f"document {d.doc_id!r} year {d.year} outside [0, 9999]")
             if year_min is not None and d.year < year_min:
                 errors.append(f"document {d.doc_id!r} year {d.year} below period start {year_min}")
             if year_max is not None and d.year > year_max:

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 from .assignments import AssignmentSet
 from .corpus import ParseError, Scheme, ValidationError, fmt, write_csv
-from .weights import SUPPORT_EPS, CategoryVector, collapse_to_areas
+from .weights import NORMALIZATION_TOL, SUPPORT_EPS, CategoryVector, collapse_to_areas
 
 LEVELS = ("category", "area")
-
-NORMALIZATION_TOL = 1e-6
 
 
 @dataclass(slots=True)
@@ -134,17 +132,12 @@ def flow_matrix(
     scheme: Scheme | None = None,
 ) -> FlowMatrix:
     """Flow matrix between two assignment sets over the same documents."""
-    if set(set_a.vectors) != set(set_b.vectors):
-        only_a = sorted(set(set_a.vectors) - set(set_b.vectors))[:5]
-        only_b = sorted(set(set_b.vectors) - set(set_a.vectors))[:5]
-        raise ValidationError(
-            [f"assignment sets cover different documents (e.g. only in A: {only_a}, only in B: {only_b})"]
-        )
+    set_b.require_docs(set_a.doc_ids)
     if level == "area" and scheme is None:
         raise ValidationError(["area-level flows require a scheme"])
     acc = FlowAccumulator(level)
-    for doc_id in sorted(set_a.vectors):
-        vec_a, vec_b = set_a.vectors[doc_id], set_b.vectors[doc_id]
+    for doc_id in set_a.doc_ids:
+        vec_a, vec_b = set_a.get(doc_id), set_b.get(doc_id)
         if level == "area":
             vec_a, vec_b = collapse_to_areas(vec_a, scheme), collapse_to_areas(vec_b, scheme)
         acc.add(vec_a, vec_b)

@@ -42,29 +42,22 @@ class WeightColumns:
 
     @classmethod
     def of(cls, corpus: Corpus, aset: AssignmentSet, scheme: Scheme) -> WeightColumns:
-        """Category-level columns of every corpus document's vector, entries
-        in corpus order and, within a document, in its vector's order."""
+        """Category-level columns of a set holding exactly the corpus
+        documents, entries in corpus order and, within a document, in code
+        order."""
+        aset.require_docs([d.doc_id for d in corpus.documents])
         classes = tuple(c.code for c in scheme.categories)
         index = {c: i for i, c in enumerate(classes)}
-        codes: list[str] = []
-        weights: list[float] = []
-        lengths: list[int] = []
-        for d in corpus.documents:
-            vec = aset.vectors.get(d.doc_id)
-            if vec is None:
-                raise ValidationError([f"no assignment for document {d.doc_id!r}"])
-            codes.extend(vec)
-            weights.extend(vec.values())
-            lengths.append(len(vec))
-        unknown = sorted(set(codes) - index.keys())
+        unknown = [c for c in aset.codes if c not in index]
         if unknown:
             raise ValidationError([f"unknown category code {c!r}" for c in unknown])
         pairs = sorted({(d.doc_type, d.year) for d in corpus.documents})
         group_of = {g: i for i, g in enumerate(pairs)}
         group = np.array([group_of[(d.doc_type, d.year)] for d in corpus.documents], dtype=np.int64)
-        doc = np.repeat(np.arange(len(corpus.documents), dtype=np.int64), lengths)
-        cls_idx = np.array([index[c] for c in codes], dtype=np.int64)
-        return cls(classes, pairs, group, doc, cls_idx, np.array(weights, dtype=np.float64))
+        W = aset.weights
+        doc = np.repeat(np.arange(len(aset), dtype=np.int64), np.diff(W.indptr))
+        cls_idx = np.array([index[c] for c in aset.codes], dtype=np.int64)[W.indices]
+        return cls(classes, pairs, group, doc, cls_idx, W.data)
 
     def to_areas(self, scheme: Scheme) -> WeightColumns:
         """The same documents with each vector's weights summed into areas."""

@@ -199,15 +199,22 @@ def _distances(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def _energy(d: np.ndarray, w: np.ndarray, rep: np.ndarray, upper: np.ndarray) -> float:
-    att_mask = upper & (w > 0.0)
-    rep_mask = upper & (rep > 0.0)
-    if np.any(d[rep_mask] <= 0.0):
+def _pairs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the pairs i < j with m > 0, row-major, and m there."""
+    idx = np.flatnonzero(np.triu(m > 0.0, k=1))
+    return idx, m.take(idx)
+
+
+def _energy(d: np.ndarray, att: tuple, rep: tuple) -> float:
+    """Energy at distances d over the attraction and repulsion _pairs."""
+    (att_idx, att_w), (rep_idx, rep_w) = att, rep
+    rep_d = d.take(rep_idx)
+    if np.any(rep_d <= 0.0):
         return math.inf
-    att = float((w[att_mask] * d[att_mask]).sum())
+    att_term = float((att_w * d.take(att_idx)).sum())
     with np.errstate(divide="ignore"):
-        rep_term = float((rep[rep_mask] * np.log(d[rep_mask])).sum())
-    return att - rep_term
+        rep_term = float((rep_w * np.log(rep_d)).sum())
+    return att_term - rep_term
 
 
 def _gradient(x: np.ndarray, d: np.ndarray, w: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -234,7 +241,7 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
     else:
         rep = np.ones((n, n))
     np.fill_diagonal(rep, 0.0)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    att_pairs, rep_pairs = _pairs(w), _pairs(rep)
 
     def separated(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """pos with coincident nodes moved apart by a seeded jitter of
@@ -254,7 +261,7 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
         raise ValidationError(["could not separate coincident nodes"])
 
     x, d = separated(x)
-    energy = _energy(d, w, rep, upper)
+    energy = _energy(d, att_pairs, rep_pairs)
     trace = [energy]
     step = params.step
     for _ in range(params.iterations):
@@ -264,7 +271,7 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
         s = step
         while s > 1e-18:
             cand, cand_d = separated(x - s * grad)
-            new_energy = _energy(cand_d, w, rep, upper)
+            new_energy = _energy(cand_d, att_pairs, rep_pairs)
             if new_energy < energy:
                 break
             s /= 2.0

@@ -279,7 +279,7 @@ def oracle_classify(
             kept = {code: kept[code] for code in order[: policy.max_categories]}
         total = sum(kept.values())
         vectors[d.doc_id] = {code: kept[code] / total for code in sorted(kept)}
-    return AssignmentSet(SYSTEM_U1, vectors)
+    return AssignmentSet.from_rows(SYSTEM_U1, vectors.items())
 
 
 def oracle_flow(w_a: CategoryVector, w_b: CategoryVector) -> DocumentFlow:
@@ -331,7 +331,7 @@ def oracle_baselines(
     cit = _oracle_citations(corpus, citation_window)
     terms: dict[tuple[str, int, str], list[tuple[float, float]]] = {}
     for d in corpus.documents:
-        for code, w in aset.vectors[d.doc_id].items():
+        for code, w in aset.get(d.doc_id).items():
             terms.setdefault((d.doc_type, d.year, code), []).append((w * cit[d.doc_id], w))
     out = {}
     for cell in sorted(terms):
@@ -359,7 +359,7 @@ def oracle_excellence(
     members: dict[tuple[str, int, str], list[tuple[int, float]]] = {}
     for d in corpus.documents:
         acc: dict[str, float] = {}
-        for code, w in aset.vectors[d.doc_id].items():
+        for code, w in aset.get(d.doc_id).items():
             area = scheme.category_by_code[code].area_code
             acc[area] = acc.get(area, 0.0) + w
         area_weights[d.doc_id] = acc

@@ -17,6 +17,8 @@ CategoryVector = dict[str, float]
 SUPPORT_EPS = 1e-9
 # entries below this are dropped from stored vectors
 PRUNE_EPS = 1e-12
+# a vector whose weights sum this close to 1 counts as normalized
+NORMALIZATION_TOL = 1e-6
 
 
 def normalize(vec: Mapping[str, float]) -> CategoryVector:

@@ -57,7 +57,7 @@ from citeclass import (
 )
 from citeclass.cli import main
 from conftest import partitions
-from citeclass.netgraph import GraphEdge, GraphNode, _distances, _energy, _gradient
+from citeclass.netgraph import GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
 from citeclass.syngen import SplitMix64, planted_journal_categories
 
 
@@ -110,8 +110,8 @@ def test_c01_mass_conservation():
         asjc = classify_asjc(corpus, scheme)
         u1 = classify_u1f08_all(corpus, asjc)
         for aset in (asjc, u1):
-            assert set(aset.vectors) == {d.doc_id for d in corpus.documents}
-            for vec in aset.vectors.values():
+            assert set(aset.doc_ids) == {d.doc_id for d in corpus.documents}
+            for vec in map(aset.get, aset.doc_ids):
                 assert abs(math.fsum(vec.values()) - 1.0) <= 1e-9
                 assert not set(vec) & banned
                 assert all(w > 0.0 for w in vec.values())
@@ -150,7 +150,7 @@ def test_c03_citer_system_contract(syn200):
     for d in corpus.documents:
         vec = u1.get(d.doc_id)
         if len(d.references) < 3:
-            assert vec is asjc.get(d.doc_id)
+            assert vec == asjc.get(d.doc_id)
             continue
         profiles = []
         for ref in d.references:
@@ -162,7 +162,7 @@ def test_c03_citer_system_contract(syn200):
             else:
                 profiles.append(asjc.get(ref))
         if not profiles:
-            assert vec is asjc.get(d.doc_id)
+            assert vec == asjc.get(d.doc_id)
             continue
         thresholded += 1
         assert 1 <= len(vec) <= 5
@@ -180,9 +180,9 @@ def test_c04_oracle_equivalence(syn200, syn2000):
         asjc = classify_asjc(corpus, scheme)
         u1 = classify_u1f08_all(corpus, asjc)
         oracle = oracle_classify(corpus, scheme, ThresholdPolicy())
-        assert set(u1.vectors) == set(oracle.vectors)
-        for doc_id, vec in u1.vectors.items():
-            expected = oracle.vectors[doc_id]
+        assert set(u1.doc_ids) == set(oracle.doc_ids)
+        for doc_id in u1.doc_ids:
+            vec, expected = u1.get(doc_id), oracle.get(doc_id)
             assert set(vec) == set(expected), doc_id
             for code, w in vec.items():
                 assert abs(w - expected[code]) <= 1e-9, (doc_id, code)
@@ -222,9 +222,10 @@ def _planted_accuracy(prob: float, seed: int) -> float:
     u1 = classify_u1f08_all(corpus, asjc)
     hits = eligible = 0
     for d in corpus.documents:
-        vec = u1.vectors[d.doc_id]
-        if vec is asjc.vectors[d.doc_id]:
+        # the written fallback rule: these documents keep their ASJC-FRAC vector
+        if len(d.references) < 3 or not any(r in corpus for r in d.references):
             continue
+        vec = u1.get(d.doc_id)
         eligible += 1
         top = max(vec.items(), key=lambda kv: (kv[1], kv[0]))[0]
         hits += top == planted[d.journal_id]
@@ -420,7 +421,7 @@ def test_c10_layout_correctness():
         deg = w.sum(axis=1)
         rep = np.outer(deg, deg)
         np.fill_diagonal(rep, 0.0)
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        att, reps = _pairs(w), _pairs(rep)
         x = rng.uniform(-1, 1, size=(n, 2))
         grad = _gradient(x, _distances(x), w, rep)
         h = 1e-6
@@ -430,8 +431,8 @@ def test_c10_layout_correctness():
                 xp, xm = x.copy(), x.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                numeric[i, k] = (_energy(_distances(xp), w, rep, upper)
-                                 - _energy(_distances(xm), w, rep, upper)) / (2 * h)
+                numeric[i, k] = (_energy(_distances(xp), att, reps)
+                                 - _energy(_distances(xm), att, reps)) / (2 * h)
         scale = max(np.abs(numeric).max(), 1.0)
         worst = max(worst, np.abs(grad - numeric).max() / scale)
     assert worst <= 1e-4

@@ -93,7 +93,7 @@ def test_classify_asjc_shares_vectors_per_journal(scheme, small_corpus):
     ]
     corpus = make_corpus(scheme, docs)
     aset = classify_asjc(corpus, scheme)
-    assert aset.get("D1") is aset.get("D6")
+    assert aset.get("D1") == aset.get("D6")
 
 
 def test_multidisciplinary_split_285(scheme285):

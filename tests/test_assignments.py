@@ -1,0 +1,71 @@
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from citeclass import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, ValidationError
+from citeclass.assignments import read_assignments, write_assignments
+
+
+@st.composite
+def assignment_rows(draw):
+    """(doc_id, vector) pairs in any order, each vector's keys in any order
+    and its weights positive with a sum of 1."""
+    doc_ids = draw(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=12, unique=True))
+    codes = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8, unique=True))
+    rows = []
+    for doc_id in doc_ids:
+        support = draw(st.lists(st.sampled_from(codes), min_size=1, unique=True))
+        raw = [draw(st.floats(min_value=1e-6, max_value=1.0)) for _ in support]
+        total = math.fsum(raw)
+        rows.append((doc_id, {c: r / total for c, r in zip(support, raw)}))
+    return rows
+
+
+def bits(vec):
+    return {k: w.hex() for k, w in vec.items()}
+
+
+@given(rows=assignment_rows(), system=st.sampled_from([SYSTEM_ASJC, SYSTEM_U1]))
+@settings(max_examples=150, deadline=None)
+def test_write_read_write_round_trip(tmp_path_factory, rows, system):
+    tmp = tmp_path_factory.mktemp("rt")
+    first, second = tmp / "a.jsonl", tmp / "b.jsonl"
+    packed = AssignmentSet.from_rows(system, rows)
+    assert packed.doc_ids == sorted(d for d, _ in rows)
+    for doc_id, vec in rows:
+        assert bits(packed.get(doc_id)) == bits(dict(sorted(vec.items())))
+    write_assignments(str(first), packed)
+    read = read_assignments(str(first), system)
+    write_assignments(str(second), read)
+    assert first.read_bytes() == second.read_bytes()
+    again = read_assignments(str(second), system)
+    assert read.doc_ids == again.doc_ids == packed.doc_ids
+    for doc_id, vec in rows:
+        # the file holds each weight at 12 significant digits
+        assert bits(read.get(doc_id)) == bits({k: float("%.12g" % w) for k, w in sorted(vec.items())})
+        assert bits(again.get(doc_id)) == bits(read.get(doc_id))
+
+
+def test_from_rows_sorts_rows_and_codes():
+    aset = AssignmentSet.from_rows(SYSTEM_ASJC, [("D2", {"B": 0.25, "A": 0.75}), ("D1", {"C": 1.0})])
+    assert aset.doc_ids == ["D1", "D2"]
+    assert aset.codes == ("A", "B", "C")
+    assert aset.weights.toarray().tolist() == [[0.0, 0.0, 1.0], [0.75, 0.25, 0.0]]
+    assert list(aset.get("D2")) == ["A", "B"]
+    with pytest.raises(KeyError):
+        aset.get("D3")
+
+
+def test_from_rows_rejects_duplicate_doc_ids():
+    with pytest.raises(ValidationError, match="duplicate assignment for 'D1'"):
+        AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"A": 1.0}), ("D0", {"A": 1.0}), ("D1", {"B": 1.0})])
+
+
+def test_require_docs_names_missing_and_extra():
+    aset = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"A": 1.0}), ("D3", {"A": 1.0})])
+    aset.require_docs(["D1", "D3"])
+    with pytest.raises(ValidationError) as e:
+        aset.require_docs(["D1", "D2"])
+    assert e.value.errors == [f"no {SYSTEM_ASJC} assignment for 'D2'",
+                              f"unexpected {SYSTEM_ASJC} assignment for 'D3'"]

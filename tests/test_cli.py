@@ -86,6 +86,25 @@ def test_ingest_invalid_corpus_exits_1(tmp_path):
     assert report["errors"]
 
 
+@pytest.mark.parametrize("year", [3000000000, 10000, -1])
+def test_ingest_rejects_year_out_of_range(tmp_path, year):
+    # later stages hold years in int32 arrays
+    syn = tmp_path / "syn"
+    assert run(["syngen", "--out", str(syn), "--n-docs", "30", "--n-journals", "5", "--seed", "1"]) == 0
+    docs = syn / "documents.jsonl"
+    lines = docs.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps(dict(json.loads(lines[0]), year=year)) + "\n"
+    docs.write_text("".join(lines))
+    out = tmp_path / "out"
+    rc = run(["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
+              "--documents", str(docs), "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["status"] == "invalid"
+    assert any(f"year {year} outside [0, 9999]" in e for e in report["errors"])
+    assert not (out / "corpus").exists()
+
+
 def test_classify_requires_ingest(tmp_path):
     rc = run(["classify", "--system", "asjc-frac", "--out", str(tmp_path / "fresh")])
     assert rc == 1
@@ -292,17 +311,100 @@ def test_non_object_manifest_exits_2(pipeline_dir, command):
     assert_bad_manifest_exits_2(pipeline_dir, command, lambda text: "[1, 2]\n")
 
 
+ASJC = "assignments_asjc-frac.jsonl"
+U1 = "assignments_u1-f-0.8.jsonl"
+
+
+def rewrite_records(path, edit):
+    """Replace the assignment file's records by edit(records)."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
+
+
+def assert_stage_fails(out, argv, code):
+    # the stage's own output is removed first, so a write before the failure shows
+    if argv[0] == "classify":
+        os.remove(out / U1)
+    before = snapshot(out)
+    assert run([*argv, "--out", str(out)]) == code
+    assert snapshot(out) == before
+
+
+STAGES_READING = {
+    "compare": (["compare"], U1),
+    "indicators": (["indicators"], U1),
+    "classify-u1f08": (["classify", "--system", "u1f08"], ASJC),
+}
+
+
+@pytest.mark.parametrize("weights, code", [
+    ('{"A": NaN, "B": 0.5}', 2), ('{"A": Infinity}', 2), ('{"A": -Infinity, "B": 1.0}', 2),
+    ('{"A": 1e400}', 2), ('{"A": 1%s}' % ("0" * 400), 2),
+    ('{"A": 1.5, "B": -0.5}', 1), ('{"A": 1.0, "B": 0}', 1), ('{"A": 0.5}', 1), ("{}", 1),
+], ids=["nan", "inf", "-inf", "float-overflow", "int-overflow", "negative", "zero", "sum-half", "empty"])
+@pytest.mark.parametrize("stage", list(STAGES_READING))
+def test_bad_weights_fail_before_writing(pipeline_dir, stage, weights, code):
+    # a weight that is not a finite number is malformed; a weight <= 0 or a
+    # sum off 1 is invalid. A and B become codes that the file uses.
+    argv, name = STAGES_READING[stage]
+    path = pipeline_dir / name
+    lines = path.read_text().splitlines(keepends=True)
+    codes = sorted({c for line in lines for c in json.loads(line)["weights"]})
+    weights = weights.replace('"A"', json.dumps(codes[0])).replace('"B"', json.dumps(codes[1]))
+    first = json.loads(lines[0])
+    lines[0] = '{"doc_id": %s, "system": %s, "weights": %s}\n' % (
+        json.dumps(first["doc_id"]), json.dumps(first["system"]), weights)
+    path.write_text("".join(lines))
+    assert_stage_fails(pipeline_dir, argv, code)
+
+
+def drop_first(records):
+    return records[1:]
+
+
+def add_outside_doc(records):
+    return records + [dict(records[-1], doc_id="ZZZ-outside")]
+
+
+def vary_within_journal(pipeline_dir):
+    docs = [json.loads(line) for line in (pipeline_dir / "corpus" / "documents.jsonl").read_text().splitlines()]
+    by_journal = {}
+    for d in docs:
+        by_journal.setdefault(d["journal_id"], []).append(d["doc_id"])
+    target = next(ids[1] for ids in by_journal.values() if len(ids) > 1)
+
+    def edit(records):
+        weights = {r["doc_id"]: r["weights"] for r in records}
+        other = next(w for w in weights.values() if w != weights[target])
+        return [dict(r, weights=other) if r["doc_id"] == target else r for r in records]
+    return edit
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("missing", ["classify", "--system", "u1f08"]),
+    ("missing", ["indicators"]),
+    ("outside", ["classify", "--system", "u1f08"]),
+    ("outside", ["indicators"]),
+    ("varying", ["classify", "--system", "u1f08"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_asjc_set_must_match_the_corpus(pipeline_dir, case, argv):
+    edit = {"missing": drop_first, "outside": add_outside_doc}.get(case) or vary_within_journal(pipeline_dir)
+    rewrite_records(pipeline_dir / ASJC, edit)
+    assert_stage_fails(pipeline_dir, argv, 1)
+
+
 def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     # bench/trace_shim.py patches these names by import path, so renaming one
     # in src/ must fail here too
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     names = set()
-    for command in ("compare", "indicators", "network"):
-        trace = tmp_path / f"trace_{command}.json"
+    for argv in (["classify", "--system", "asjc-frac"], ["classify", "--system", "u1f08"],
+                 ["compare"], ["indicators"], ["network"]):
+        trace = tmp_path / f"trace_{argv[-1]}.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), command, "--",
-             command, "--out", str(pipeline_dir)],
+            [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), argv[-1], "--",
+             *argv, "--out", str(pipeline_dir)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
@@ -311,7 +413,9 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     assert {"indicators.baselines", "indicators.ni", "indicators.thresholds",
             "indicators.flags", "indicators.overlap", "indicators.std", "indicators.write",
             "corpus.build_citation_index", "flow.add",
-            "netgraph.communities", "netgraph.layout"} <= names
+            "netgraph.communities", "netgraph.layout",
+            "asjc.classify_asjc", "citer.classify_u1f08_all",
+            "assignments.read_assignments", "assignments.write_assignments"} <= names
 
 
 def test_indicators_outputs(pipeline_dir):

@@ -78,8 +78,8 @@ def two_doc_sets():
     va = {"D1": {"PH01": 1.0}, "D2": {"PH01": 0.5, "CH01": 0.5}}
     vb = {"D1": {"CH01": 1.0}, "D2": {"PH01": 0.5, "CH01": 0.5}}
     return (
-        AssignmentSet(SYSTEM_ASJC, va),
-        AssignmentSet(SYSTEM_U1, vb),
+        AssignmentSet.from_rows(SYSTEM_ASJC, va.items()),
+        AssignmentSet.from_rows(SYSTEM_U1, vb.items()),
     )
 
 
@@ -99,15 +99,16 @@ def test_flow_matrix_area_level_collapses_first(scheme):
     va = {"D1": {"PH01": 1.0}}
     vb = {"D1": {"PH02": 1.0}}
     m = flow_matrix(
-        AssignmentSet(SYSTEM_ASJC, va), AssignmentSet(SYSTEM_U1, vb), "area", scheme
+        AssignmentSet.from_rows(SYSTEM_ASJC, va.items()),
+        AssignmentSet.from_rows(SYSTEM_U1, vb.items()), "area", scheme
     )
     assert m.flow == {}
     assert_vec_close(m.common, {"PH": 1.0})
 
 
 def test_flow_matrix_rejects_mismatched_docs():
-    set_a = AssignmentSet(SYSTEM_ASJC, {"D1": {"X": 1.0}})
-    set_b = AssignmentSet(SYSTEM_U1, {"D2": {"X": 1.0}})
+    set_a = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"X": 1.0})])
+    set_b = AssignmentSet.from_rows(SYSTEM_U1, [("D2", {"X": 1.0})])
     with pytest.raises(ValidationError):
         flow_matrix(set_a, set_b, "category")
 
@@ -124,8 +125,8 @@ def test_accumulator_matches_flow_matrix(syn200):
     ):
         direct = flow_matrix(set_a, set_b, level, scheme)
         acc = FlowAccumulator(level)
-        for doc_id in sorted(set_a.vectors):
-            acc.add(to_level(set_a.vectors[doc_id]), to_level(set_b.vectors[doc_id]))
+        for doc_id in set_a.doc_ids:
+            acc.add(to_level(set_a.get(doc_id)), to_level(set_b.get(doc_id)))
         streamed = acc.finish()
         assert streamed.n_docs == direct.n_docs == len(corpus)
         assert streamed.size_a == direct.size_a
@@ -155,8 +156,8 @@ def test_class_flow_stats_balance(syn200):
 
 
 def test_top_links_sorted_and_filtered():
-    set_a = AssignmentSet(SYSTEM_ASJC, {"D1": {"X": 1.0}, "D2": {"Y": 1.0}})
-    set_b = AssignmentSet(SYSTEM_U1, {"D1": {"Z": 1.0}, "D2": {"Z": 0.5, "Y": 0.5}})
+    set_a = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"X": 1.0}), ("D2", {"Y": 1.0})])
+    set_b = AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"Z": 1.0}), ("D2", {"Z": 0.5, "Y": 0.5})])
     m = flow_matrix(set_a, set_b, "category")
     links = top_links(m, 0.4)
     assert links[0] == ("X", "Z", 1.0)

@@ -149,7 +149,7 @@ def test_ni_std_by_area_weighted(scheme):
         "D1": {"PH01": 1.0},
         "D2": {"PH01": 0.5, "CH01": 0.5},
     }
-    aset = AssignmentSet(SYSTEM_ASJC, vectors)
+    aset = AssignmentSet.from_rows(SYSTEM_ASJC, vectors.items())
     corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors])
     ni = np.array([2.0, 0.0])
     out = dict(ni_std_by_area(ni, WeightColumns.of(corpus, aset, scheme).to_areas(scheme)))
@@ -248,7 +248,7 @@ def test_excellence_overlap_percentages(scheme):
         "D3": {"PH01": 0.5, "CH01": 0.5},
         "D4": {"CH01": 1.0},
     }
-    aset_b = AssignmentSet(SYSTEM_U1, vectors_b)
+    aset_b = AssignmentSet.from_rows(SYSTEM_U1, vectors_b.items())
     corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors_b])
     areas_b = WeightColumns.of(corpus, aset_b, scheme).to_areas(scheme)
     # flags in corpus order: D1, D2, D3, D4

@@ -14,7 +14,7 @@ from citeclass import (
     load_graph,
     modularity,
 )
-from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient
+from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
 from conftest import partitions
 
 
@@ -260,7 +260,7 @@ def test_gradient_matches_finite_differences():
         deg = w.sum(axis=1)
         rep = np.outer(deg, deg)
         np.fill_diagonal(rep, 0.0)
-        iu = np.triu(np.ones((n, n), dtype=bool), 1)
+        att, reps = _pairs(w), _pairs(rep)
         x = rng.uniform(-1, 1, size=(n, 2))
         g = _gradient(x, _distances(x), w, rep)
         h = 1e-6
@@ -270,8 +270,8 @@ def test_gradient_matches_finite_differences():
                 xp, xm = x.copy(), x.copy()
                 xp[i, k] += h
                 xm[i, k] -= h
-                num[i, k] = (_energy(_distances(xp), w, rep, iu)
-                             - _energy(_distances(xm), w, rep, iu)) / (2 * h)
+                num[i, k] = (_energy(_distances(xp), att, reps)
+                             - _energy(_distances(xm), att, reps)) / (2 * h)
         scale = max(np.abs(num).max(), 1.0)
         rel = np.abs(g - num).max() / scale
         worst = max(worst, rel)

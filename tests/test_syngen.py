@@ -140,8 +140,8 @@ def test_oracle_matches_production_u1(syn200):
     asjc_set = classify_asjc(corpus, scheme)
     prod = classify_u1f08_all(corpus, asjc_set, policy)
     oracle = oracle_classify(corpus, scheme, policy)
-    assert set(oracle.vectors) == set(prod.vectors)
-    for doc_id in oracle.vectors:
+    assert set(oracle.doc_ids) == set(prod.doc_ids)
+    for doc_id in oracle.doc_ids:
         assert_vec_close(oracle.get(doc_id), prod.get(doc_id), tol=1e-9)
 
 
