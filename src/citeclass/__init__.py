@@ -4,6 +4,8 @@ compare the two: flow matrices, citation indicators, community detection,
 force-directed layout, and a seeded synthetic corpus generator.
 """
 
+import types
+
 from .assignments import (
     Assignment,
     AssignmentSet,
@@ -27,8 +29,10 @@ from .corpus import (
     build_citation_index,
     corpus_summary,
     load_corpus,
+    load_corpus_npz,
     load_scheme,
     low_reference_share,
+    save_corpus_npz,
     write_corpus,
     write_scheme,
 )
@@ -71,67 +75,6 @@ from .weights import collapse_to_areas, normalize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Area",
-    "Assignment",
-    "AssignmentSet",
-    "BaselineTable",
-    "Category",
-    "ClassFlowStats",
-    "Corpus",
-    "Document",
-    "FlowAccumulator",
-    "FlowGraph",
-    "FlowMatrix",
-    "Journal",
-    "Layout",
-    "LayoutParams",
-    "ParseError",
-    "Partition",
-    "Scheme",
-    "SummaryStats",
-    "SynParams",
-    "SYSTEM_ASJC",
-    "SYSTEM_U1",
-    "ThresholdPolicy",
-    "ValidationError",
-    "WeightColumns",
-    "apply_threshold",
-    "build_citation_index",
-    "build_flow_graph",
-    "category_baselines",
-    "class_flow_stats",
-    "classify_asjc",
-    "classify_u1f08_all",
-    "collapse_to_areas",
-    "corpus_summary",
-    "detect_communities",
-    "document_flow",
-    "excellence_flags",
-    "excellence_overlap",
-    "excellence_thresholds",
-    "export_graph",
-    "flow_matrix",
-    "generate_corpus",
-    "iter_assignments",
-    "journal_vector",
-    "linlog_layout",
-    "load_corpus",
-    "load_graph",
-    "load_scheme",
-    "low_reference_share",
-    "modularity",
-    "ni_abs_diff_series",
-    "ni_std_by_area",
-    "ni_table",
-    "normalize",
-    "oracle_classify",
-    "oracle_flow",
-    "read_assignments",
-    "redistribute",
-    "summary_stats",
-    "top_links",
-    "write_assignments",
-    "write_corpus",
-    "write_scheme",
-]
+# every name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

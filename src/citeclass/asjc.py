@@ -9,6 +9,8 @@ result is normalized and pruned.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .assignments import AssignmentSet, SYSTEM_ASJC
 from .corpus import Corpus, Journal, Scheme, ValidationError
 from .weights import CategoryVector, PRUNE_EPS, normalize
@@ -76,8 +78,12 @@ def journal_vector(journal: Journal, scheme: Scheme) -> CategoryVector:
 
 
 def classify_asjc(corpus: Corpus, scheme: Scheme) -> AssignmentSet:
-    """Classify every document: each gets its journal's vector."""
-    vectors = {jid: journal_vector(corpus.journals[jid], scheme)
-               for jid in dict.fromkeys(d.journal_id for d in corpus.documents)}
-    return AssignmentSet.from_rows(
-        SYSTEM_ASJC, ((d.doc_id, vectors[d.journal_id]) for d in corpus.documents))
+    """Classify every document: each gets its journal's vector. The vectors
+    of the journals that hold documents are the rows of one CSR, and the
+    documents' rows are picked from it by journal."""
+    present = np.unique(corpus.journal_index)
+    journals = AssignmentSet.from_rows(SYSTEM_ASJC, (
+        (jid, journal_vector(corpus.journals[jid], scheme))
+        for jid in map(corpus.journal_ids.__getitem__, present.tolist())))
+    rows = journals.weights[np.searchsorted(present, corpus.journal_index)]
+    return AssignmentSet(SYSTEM_ASJC, corpus.doc_ids, journals.codes, rows)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 from scipy import sparse
 
-from .corpus import ParseError, ValidationError, _load_jsonl
+from .corpus import ParseError, ValidationError, _load_jsonl, atomic_open
 from .weights import NORMALIZATION_TOL, CategoryVector
 
 SYSTEM_ASJC = "ASJC-FRAC"
@@ -99,7 +99,7 @@ class AssignmentSet:
 def write_assignments(path: str, aset: AssignmentSet) -> None:
     codes = [json.dumps(c) for c in aset.codes]
     system = json.dumps(aset.system)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(aset), WRITE_BLOCK):
             block = aset.weights[lo:lo + WRITE_BLOCK]
             ptr, keys, values = block.indptr.tolist(), block.indices.tolist(), block.data.tolist()

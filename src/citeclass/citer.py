@@ -77,17 +77,17 @@ def classify_u1f08_all(
     citer_window: int | None = None,
 ) -> AssignmentSet:
     """Classify every document of a corpus. asjc_set must hold exactly the
-    corpus documents, with one vector per journal."""
-    docs = corpus.documents
-    n = len(docs)
-    asjc_set.require_docs([d.doc_id for d in docs])
+    documents of the corpus, with one vector per journal."""
+    n = len(corpus)
+    asjc_set.require_docs(corpus.doc_ids)
     A, codes = asjc_set.weights, asjc_set.codes
     # V holds one row per journal in order of first appearance, which fixes
     # the summation order of the fallback product Mf @ V; u maps documents to rows
-    row_of: dict[str, int] = {}
-    u = np.fromiter((row_of.setdefault(d.journal_id, len(row_of)) for d in docs), np.int32, n)
-    V = A[np.unique(u, return_index=True)[1]]
-    journals = list(row_of)
+    present, first, inv = np.unique(corpus.journal_index, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(first)
+    u = np.argsort(by_appearance)[inv]
+    V = A[first[by_appearance]]
+    journals = [corpus.journal_ids[j] for j in present[by_appearance].tolist()]
     varying = [journals[r] for r in np.unique(u[(A != V[u]).nonzero()[0]])]
     if varying:
         raise ValidationError([f"journal-based assignments vary within journal {j!r}" for j in varying])
@@ -95,9 +95,8 @@ def classify_u1f08_all(
     citing, cited = corpus.ref_edges()
     ne = len(citing)
     k_internal = np.bincount(citing, minlength=n)
-    if citer_window is not None and ne:
-        years = corpus.years_array()
-        in_window = (years[citing] - years[cited]) <= citer_window
+    if citer_window is not None:
+        in_window = (corpus.year[citing] - corpus.year[cited]) <= citer_window
     else:
         in_window = np.ones(ne, dtype=bool)
     n_cit = np.bincount(cited[in_window], minlength=n)
@@ -115,6 +114,7 @@ def classify_u1f08_all(
     outside = ~in_window & (ncr >= 1)
     alpha[outside] = 1.0 / ncr[outside]
     fallback_edge = (in_window & (ncr == 1)) | (~in_window & (ncr == 0))
+    reclassified = (corpus.n_references >= policy.min_references) & (k_internal > 0)
 
     def rows():
         for i0 in range(0, n, CHUNK_SIZE):
@@ -143,15 +143,14 @@ def classify_u1f08_all(
             np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
             np.maximum(dense, 0.0, out=dense)
 
-            for j in range(cn):
-                d = docs[i0 + j]
-                if len(d.references) >= policy.min_references and k_internal[i0 + j] > 0:
+            for j, (doc_id, own) in enumerate(zip(corpus.doc_ids[i0:i1], reclassified[i0:i1].tolist())):
+                if own:
                     row = dense[j]
                     nz = np.nonzero(row > 1e-15)[0]
                     if nz.size:
                         agg = dict(zip(map(codes.__getitem__, nz.tolist()), row[nz].tolist()))
-                        yield d.doc_id, apply_threshold(agg, policy)
+                        yield doc_id, apply_threshold(agg, policy)
                         continue
-                yield d.doc_id, asjc_set.row(i0 + j)
+                yield doc_id, asjc_set.row(i0 + j)
 
     return AssignmentSet.from_rows(SYSTEM_U1, rows())

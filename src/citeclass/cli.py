@@ -23,14 +23,15 @@ from .config import (
 )
 from .corpus import (
     Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary, fmt,
-    load_corpus, load_scheme, low_reference_share, write_corpus, write_csv, write_json,
-    write_scheme,
+    load_corpus, load_corpus_npz, load_scheme, low_reference_share, save_corpus_npz,
+    write_corpus, write_csv, write_json, write_scheme,
 )
 from .weights import collapse_to_areas
 
 SCHEME_FILE = os.path.join("corpus", "scheme.csv")
 JOURNALS_FILE = os.path.join("corpus", "journals.jsonl")
 DOCUMENTS_FILE = os.path.join("corpus", "documents.jsonl")
+CORPUS_FILE = os.path.join("corpus", "corpus.npz")
 STATS_FILE = "corpus_stats.json"
 VALIDATION_FILE = "validation_report.json"
 ASJC_FILE = "assignments_asjc-frac.jsonl"
@@ -95,13 +96,13 @@ def _require_artifacts(out_dir: str, names: list[str]) -> None:
 
 
 def _load_pipeline_corpus(out_dir: str) -> tuple[Scheme, Corpus]:
-    _require_artifacts(out_dir, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE])
+    """The scheme and the corpus arrays that ingest wrote; the JSONL is
+    only hashed, to refuse arrays it no longer matches."""
+    _require_artifacts(out_dir, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, CORPUS_FILE])
     scheme = load_scheme(os.path.join(out_dir, SCHEME_FILE))
-    corpus = load_corpus(
-        os.path.join(out_dir, JOURNALS_FILE),
-        os.path.join(out_dir, DOCUMENTS_FILE),
-        scheme,
-    )
+    corpus = load_corpus_npz(os.path.join(out_dir, CORPUS_FILE), scheme,
+                             os.path.join(out_dir, JOURNALS_FILE),
+                             os.path.join(out_dir, DOCUMENTS_FILE))
     return scheme, corpus
 
 
@@ -120,7 +121,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 1
     os.makedirs(os.path.join(cfg.out, "corpus"), exist_ok=True)
     write_scheme(scheme, os.path.join(cfg.out, SCHEME_FILE))
-    write_corpus(corpus, os.path.join(cfg.out, JOURNALS_FILE), os.path.join(cfg.out, DOCUMENTS_FILE))
+    paths = [os.path.join(cfg.out, name) for name in (JOURNALS_FILE, DOCUMENTS_FILE)]
+    write_corpus(corpus, *paths)
+    save_corpus_npz(corpus, os.path.join(cfg.out, CORPUS_FILE), *paths)
     write_json(os.path.join(cfg.out, STATS_FILE), corpus_summary(corpus))
     write_json(os.path.join(cfg.out, VALIDATION_FILE), {
         "status": "ok",
@@ -212,7 +215,8 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_artifacts(cfg.out, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, ASJC_FILE, U1_FILE])
+    _require_artifacts(cfg.out, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, CORPUS_FILE,
+                                 ASJC_FILE, U1_FILE])
     manifest = _read_manifest(cfg.out)
     scheme, corpus = _load_pipeline_corpus(cfg.out)
     cit = build_citation_index(corpus, cfg.citation_window)

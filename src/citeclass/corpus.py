@@ -16,6 +16,10 @@ File formats:
                   "doc_type": str, "references": [str, ...],
                   "external_citations": int in [0, 2**53] (optional, default 0)}``
 
+  corpus npz      the columns of a Corpus as an uncompressed npz, with the
+                  sha256 of the journals and documents JSONL it was saved
+                  next to; it is stale once they no longer match.
+
 Loading is strict: structurally malformed input raises ParseError (with line
 or record position), semantic problems raise ValidationError (all collected).
 Loaded objects are immutable; every ordering is lexicographic so identical
@@ -25,15 +29,23 @@ inputs yield identical in-memory layouts and byte-identical re-serialization.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+import os
+import zipfile
+from bisect import bisect_left
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
+from operator import attrgetter, lt
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 SCHEME_HEADER = ["code", "name", "area_code", "area_name", "is_misc", "is_multidisciplinary"]
 
 MAX_REPORTED_ERRORS = 100
+# years lie in [0, YEARS): int32 arrays hold them and their differences exactly
+YEARS = 10000
 
 
 class ParseError(Exception):
@@ -61,9 +73,25 @@ def fmt(v: float | None) -> str:
     return "%.6f" % v
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a temp file beside path for writing. It replaces path when the
+    block ends, and is removed when the block raises, so path keeps its old
+    bytes and no temp file stays behind."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     """Write an artifact CSV: one header row, then the rows, with \n line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -71,7 +99,7 @@ def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
 
 def write_json(path: str, obj) -> None:
     """Write an artifact JSON: indented, keys sorted, newline-terminated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -187,12 +215,15 @@ class Document:
 
 
 class Corpus:
-    """An immutable set of journals and documents against one Scheme.
-
-    Documents are kept sorted by doc_id; each document's references are
-    sorted and duplicate-free. References may point outside the corpus
-    (external references); those resolve to nothing but still count toward
-    the document's reference total.
+    """An immutable set of journals and documents against one Scheme, held
+    as columns. Document i is doc_ids[i], in sorted order, with journal_index
+    into journal_ids (sorted), year (int32), type_index into doc_types
+    (sorted), external_citations (int64) and n_references. Its references,
+    sorted and duplicate-free, are row i of the CSR (ref_indptr, ref) over
+    the id pool doc_ids + external_ids. The pool indices below len(doc_ids)
+    are the references in the corpus; they alone form the CSR (cited_indptr,
+    cited) of cited positions. External references resolve to nothing but
+    still count toward n_references. documents is built on first access.
     """
 
     def __init__(
@@ -203,17 +234,15 @@ class Corpus:
         year_min: int | None = None,
         year_max: int | None = None,
     ):
-        self.scheme = scheme
-        self.year_min = year_min
-        self.year_max = year_max
+        self.scheme, self.year_min, self.year_max = scheme, year_min, year_max
         errors: list[str] = []
 
-        self.journals: dict[str, Journal] = {}
+        by_id: dict[str, Journal] = {}
         for j in sorted(journals, key=lambda j: j.journal_id):
             if not j.journal_id:
                 errors.append("journal with empty id")
                 continue
-            if j.journal_id in self.journals:
+            if j.journal_id in by_id:
                 errors.append(f"duplicate journal_id {j.journal_id!r}")
                 continue
             if not j.asjc_codes:
@@ -225,25 +254,22 @@ class Corpus:
                     errors.append(f"journal {j.journal_id!r} carries unknown code {code!r}")
             # Code order carries no meaning; store sorted so equal corpora
             # serialize identically.
-            if any(j.asjc_codes[i] >= j.asjc_codes[i + 1] for i in range(len(j.asjc_codes) - 1)):
+            if not all(map(lt, j.asjc_codes, j.asjc_codes[1:])):
                 j = Journal(j.journal_id, tuple(sorted(j.asjc_codes)))
-            self.journals[j.journal_id] = j
+            by_id[j.journal_id] = j
 
         docs = sorted(documents, key=lambda d: d.doc_id)
-        self._index: dict[str, int] = {}
         for pos, d in enumerate(docs):
             if not d.doc_id:
                 errors.append(f"document at position {pos} has empty doc_id")
                 continue
-            if d.doc_id in self._index:
+            if pos and d.doc_id == docs[pos - 1].doc_id:
                 errors.append(f"duplicate doc_id {d.doc_id!r}")
                 continue
-            self._index[d.doc_id] = pos
-            if d.journal_id not in self.journals:
+            if d.journal_id not in by_id:
                 errors.append(f"document {d.doc_id!r} references unknown journal {d.journal_id!r}")
-            # int32 year arrays hold these years and their differences exactly
-            if not 0 <= d.year <= 9999:
-                errors.append(f"document {d.doc_id!r} year {d.year} outside [0, 9999]")
+            if not 0 <= d.year < YEARS:
+                errors.append(f"document {d.doc_id!r} year {d.year} outside [0, {YEARS - 1}]")
             if year_min is not None and d.year < year_min:
                 errors.append(f"document {d.doc_id!r} year {d.year} below period start {year_min}")
             if year_max is not None and d.year > year_max:
@@ -252,65 +278,96 @@ class Corpus:
                 errors.append(f"document {d.doc_id!r} cites itself")
             if d.external_citations < 0:
                 errors.append(f"document {d.doc_id!r} has negative external_citations")
-        # Defensive: references must be sorted and duplicate-free for the
-        # citation index to count correctly. Rebuild only when violated.
-        normalized: list[Document] = []
-        for d in docs:
-            refs = d.references
-            if any(refs[i] >= refs[i + 1] for i in range(len(refs) - 1)):
-                d = Document(
-                    d.doc_id, d.journal_id, d.year, d.doc_type,
-                    tuple(sorted(set(refs))), d.external_citations,
-                )
-            normalized.append(d)
-        self.documents: list[Document] = normalized
-
         if errors:
             raise ValidationError(errors)
+        # Defensive: references must be sorted and duplicate-free for the
+        # citation index to count correctly. Rebuild only when violated.
+        for i, d in enumerate(docs):
+            refs = d.references
+            if not all(map(lt, refs, refs[1:])):
+                docs[i] = Document(d.doc_id, d.journal_id, d.year, d.doc_type,
+                                   tuple(sorted(set(refs))), d.external_citations)
 
-        self._edges: tuple[np.ndarray, np.ndarray] | None = None
+        n = len(docs)
+
+        def column(attr: str, dtype, index: dict | None = None) -> np.ndarray:
+            values = map(attrgetter(attr), docs)
+            return np.fromiter(values if index is None else map(index.__getitem__, values), dtype, n)
+
+        doc_ids = [d.doc_id for d in docs]
+        doc_types = sorted({d.doc_type for d in docs})
+        flat = [r for d in docs for r in d.references]
+        # one id -> pool index table; map looks every reference up in C
+        pool = dict(zip(doc_ids, range(n)))
+        external_ids = sorted(set(flat).difference(pool))
+        pool.update(zip(external_ids, range(n, n + len(external_ids))))
+        self._attach(by_id, {
+            "doc_ids": doc_ids,
+            "journal_index": column("journal_id", np.int32, dict(zip(by_id, range(len(by_id))))),
+            "year": column("year", np.int32),
+            "doc_types": doc_types,
+            "type_index": column("doc_type", np.int32, dict(zip(doc_types, range(len(doc_types))))),
+            "external_citations": column("external_citations", np.int64),
+            "ref_indptr": np.concatenate(
+                ([0], np.cumsum(np.fromiter(map(len, map(attrgetter("references"), docs)), np.int64, n)))),
+            "ref": np.fromiter(map(pool.__getitem__, flat), np.int32, len(flat)),
+            "external_ids": external_ids,
+        })
+        self._documents = docs
+
+    def _attach(self, journals: dict[str, Journal], columns: dict) -> None:
+        """Set the journals and the stored columns; derive the rest."""
+        self.journals, self.journal_ids = journals, list(journals)
+        for name in ("doc_ids", "doc_types", "external_ids", *NPZ_COLUMNS):
+            setattr(self, name, columns[name])
+        self.n_references = np.diff(self.ref_indptr)
+        internal = self.ref < len(self.doc_ids)
+        self.cited_indptr = np.concatenate(([0], np.cumsum(internal)))[self.ref_indptr]
+        self.cited = self.ref[internal]
+        self._documents: list[Document] | None = None
+
+    @property
+    def documents(self) -> list[Document]:
+        """The documents as objects, in doc_id order."""
+        if self._documents is None:
+            pool = self.doc_ids + self.external_ids
+            refs, ptr = self.ref.tolist(), self.ref_indptr.tolist()
+            journal_ids, doc_types = self.journal_ids, self.doc_types
+            self._documents = [
+                Document(doc_id, journal_ids[j], year, doc_types[t],
+                         tuple(map(pool.__getitem__, refs[ptr[i]:ptr[i + 1]])), ext)
+                for i, (doc_id, j, year, t, ext) in enumerate(zip(
+                    self.doc_ids, self.journal_index.tolist(), self.year.tolist(),
+                    self.type_index.tolist(), self.external_citations.tolist()))
+            ]
+        return self._documents
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._index
+        i = bisect_left(self.doc_ids, doc_id)
+        return self.doc_ids[i:i + 1] == [doc_id]
 
     def doc(self, doc_id: str) -> Document:
-        return self.documents[self._index[doc_id]]
+        return self.documents[self.position(doc_id)]
 
     def position(self, doc_id: str) -> int:
-        return self._index[doc_id]
+        i = bisect_left(self.doc_ids, doc_id)
+        if self.doc_ids[i:i + 1] != [doc_id]:
+            raise KeyError(doc_id)
+        return i
 
     def ref_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """In-corpus reference edges as (citing_pos, cited_pos) int32 arrays.
-
-        Ordered by citing position then cited position. External references
-        are not represented.
-        """
-        if self._edges is None:
-            citing: list[int] = []
-            cited: list[int] = []
-            index = self._index
-            for pos, d in enumerate(self.documents):
-                for r in d.references:
-                    rp = index.get(r)
-                    if rp is not None:
-                        citing.append(pos)
-                        cited.append(rp)
-            self._edges = (
-                np.asarray(citing, dtype=np.int32),
-                np.asarray(cited, dtype=np.int32),
-            )
-        return self._edges
-
-    def years_array(self) -> np.ndarray:
-        return np.asarray([d.year for d in self.documents], dtype=np.int32)
+        """In-corpus reference edges as (citing_pos, cited_pos) int32 arrays,
+        ordered by citing position then cited position."""
+        citing = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.cited_indptr))
+        return citing, self.cited
 
 
 def build_citation_index(corpus: Corpus, window_years: int | None = None) -> np.ndarray:
     """Citations of every document, as an int64 array aligned with
-    corpus.documents: in-window internal citations plus external_citations.
+    corpus.doc_ids: in-window internal citations plus external_citations.
 
     A citation is in-window when year(citing) - year(cited) <= window_years;
     with no window every internal citation counts.
@@ -318,11 +375,9 @@ def build_citation_index(corpus: Corpus, window_years: int | None = None) -> np.
     if window_years is not None and window_years < 0:
         raise ValidationError([f"window_years must be >= 0, got {window_years}"])
     citing, cited = corpus.ref_edges()
-    if window_years is not None and len(citing):
-        years = corpus.years_array()
-        cited = cited[(years[citing] - years[cited]) <= window_years]
-    external = np.array([d.external_citations for d in corpus.documents], dtype=np.int64)
-    return np.bincount(cited, minlength=len(corpus.documents)) + external
+    if window_years is not None:
+        cited = cited[(corpus.year[citing] - corpus.year[cited]) <= window_years]
+    return np.bincount(cited, minlength=len(corpus)) + corpus.external_citations
 
 
 def low_reference_share(stats: dict, min_references: int) -> list[tuple[int, float]]:
@@ -519,7 +574,7 @@ def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
     """Canonical form: one compact JSON object per line, journals and
     documents sorted by id, references sorted, external_citations omitted
     when zero."""
-    with open(journal_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(journal_path, "w", encoding="utf-8", newline="\n") as fh:
         for jid in sorted(corpus.journals):
             j = corpus.journals[jid]
             fh.write(json.dumps(
@@ -527,7 +582,7 @@ def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
                 separators=(",", ":"),
             ))
             fh.write("\n")
-    with open(document_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(document_path, "w", encoding="utf-8", newline="\n") as fh:
         for d in corpus.documents:
             obj: dict = {
                 "doc_id": d.doc_id,
@@ -540,3 +595,86 @@ def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
                 obj["external_citations"] = d.external_citations
             fh.write(json.dumps(obj, separators=(",", ":")))
             fh.write("\n")
+
+
+# the numeric columns a corpus npz stores as they are, and the string lists it
+# stores as UTF-8 bytes <name> with the offsets <name>_ptr of each string
+NPZ_COLUMNS = ("journal_index", "year", "type_index", "external_citations", "ref_indptr", "ref")
+NPZ_STRINGS = ("doc_ids", "doc_types", "external_ids", "journal_ids", "journal_codes")
+NPZ_DTYPES = {
+    "jsonl_sha256": np.uint8, "journal_index": np.int32, "year": np.int32, "type_index": np.int32,
+    "external_citations": np.int64, "ref_indptr": np.int64, "ref": np.int32, "code_indptr": np.int64,
+    **{name: np.uint8 for name in NPZ_STRINGS}, **{f"{name}_ptr": np.int64 for name in NPZ_STRINGS},
+}
+
+
+def _sha256(*paths: str) -> np.ndarray:
+    """The sha256 digests of the files, one after the other, as uint8."""
+    digests = b""
+    for path in paths:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                h.update(block)
+        digests += h.digest()
+    return np.frombuffer(digests, np.uint8)
+
+
+def save_corpus_npz(corpus: Corpus, path: str, journal_path: str, document_path: str) -> None:
+    """Write the columns of corpus as an uncompressed npz, with the digests of
+    the JSONL files it was written next to. Equal corpora give equal bytes."""
+    journals = corpus.journals.values()
+    arrays = {name: getattr(corpus, name) for name in NPZ_COLUMNS}
+    arrays["jsonl_sha256"] = _sha256(journal_path, document_path)
+    arrays["code_indptr"] = np.cumsum([0] + [len(j.asjc_codes) for j in journals], dtype=np.int64)
+    for name, strings in (("doc_ids", corpus.doc_ids), ("doc_types", corpus.doc_types),
+                          ("external_ids", corpus.external_ids), ("journal_ids", corpus.journal_ids),
+                          ("journal_codes", [c for j in journals for c in j.asjc_codes])):
+        arrays[name] = np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
+        arrays[f"{name}_ptr"] = np.cumsum([0] + [len(x) for x in strings], dtype=np.int64)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path: str) -> Corpus:
+    """Read a corpus saved by save_corpus_npz. An unreadable file, or arrays
+    of the wrong type, length or range, raise ParseError; a file whose
+    digests do not match the two JSONL files is stale: ValidationError."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            a = {name: npz[name] for name in npz.files}
+        text = {name: a[name].tobytes().decode("utf-8", "surrogatepass") for name in NPZ_STRINGS}
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
+        raise ParseError(f"{path}: unreadable corpus arrays: {e!r}") from None
+    if sorted(a) != sorted(NPZ_DTYPES) or any(a[k].dtype != t or a[k].ndim != 1
+                                               for k, t in NPZ_DTYPES.items()):
+        raise ParseError(f"{path}: not the arrays of a corpus")
+    size = {name: len(a[f"{name}_ptr"]) - 1 for name in NPZ_STRINGS}
+    n = size["doc_ids"]
+    # (array, its length or None, the end of its offsets or the bound of its values)
+    for name, length, end in (
+        ("jsonl_sha256", 64, 256), ("journal_index", n, size["journal_ids"]), ("year", n, YEARS),
+        ("type_index", n, size["doc_types"]), ("external_citations", n, 2**53 + 1),
+        ("ref", None, n + size["external_ids"]), ("ref_indptr", n + 1, len(a["ref"])),
+        ("code_indptr", size["journal_ids"] + 1, size["journal_codes"]),
+        *((f"{name}_ptr", None, len(text[name])) for name in NPZ_STRINGS),
+    ):
+        x = a[name]
+        if name.endswith("ptr"):
+            ok = len(x) > 0 and x[0] == 0 and x[-1] == end and not (np.diff(x) < 0).any()
+        else:
+            ok = x.size == 0 or (x.min() >= 0 and x.max() < end)
+        if not ok or length not in (None, len(x)):
+            raise ParseError(f"{path}: array {name!r} has the wrong length or values out of range")
+    if not np.array_equal(a["jsonl_sha256"], _sha256(journal_path, document_path)):
+        raise ValidationError([f"{path} is stale: {journal_path} or {document_path} "
+                               "changed since it was written"])
+    for name in NPZ_STRINGS:
+        ptr = a[f"{name}_ptr"].tolist()
+        a[name] = [text[name][i:j] for i, j in zip(ptr, ptr[1:])]
+    codes, ptr = a["journal_codes"], a["code_indptr"].tolist()
+    corpus = Corpus.__new__(Corpus)
+    corpus.scheme, corpus.year_min, corpus.year_max = scheme, None, None
+    corpus._attach({jid: Journal(jid, tuple(codes[ptr[i]:ptr[i + 1]]))
+                    for i, jid in enumerate(a["journal_ids"])}, a)
+    return corpus

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignments import AssignmentSet
-from .corpus import Corpus, Scheme, ValidationError, fmt, write_csv
+from .corpus import YEARS, Corpus, Scheme, ValidationError, fmt, write_csv
 
 Cell = tuple[str, int, str]
 
@@ -45,15 +45,16 @@ class WeightColumns:
         """Category-level columns of a set holding exactly the corpus
         documents, entries in corpus order and, within a document, in code
         order."""
-        aset.require_docs([d.doc_id for d in corpus.documents])
+        aset.require_docs(corpus.doc_ids)
         classes = tuple(c.code for c in scheme.categories)
         index = {c: i for i, c in enumerate(classes)}
         unknown = [c for c in aset.codes if c not in index]
         if unknown:
             raise ValidationError([f"unknown category code {c!r}" for c in unknown])
-        pairs = sorted({(d.doc_type, d.year) for d in corpus.documents})
-        group_of = {g: i for i, g in enumerate(pairs)}
-        group = np.array([group_of[(d.doc_type, d.year)] for d in corpus.documents], dtype=np.int64)
+        # doc_types is sorted and years lie in [0, YEARS), so the keys sort as the pairs do
+        keys, group = np.unique(corpus.type_index.astype(np.int64) * YEARS + corpus.year,
+                                return_inverse=True)
+        pairs = [(corpus.doc_types[k // YEARS], k % YEARS) for k in keys.tolist()]
         W = aset.weights
         doc = np.repeat(np.arange(len(aset), dtype=np.int64), np.diff(W.indptr))
         cls_idx = np.array([index[c] for c in aset.codes], dtype=np.int64)[W.indices]
@@ -115,8 +116,8 @@ def ni_table(
 
 def ni_abs_diff_series(ni_a: np.ndarray, ni_b: np.ndarray, corpus: Corpus,
                        drop_last_year: bool = False) -> list[tuple[int, float]]:
-    """Per year, unweighted mean of |NI_A - NI_B| over the corpus documents."""
-    years, inv = np.unique(corpus.years_array(), return_inverse=True)
+    """Per year, unweighted mean of |NI_A - NI_B| over all documents of the corpus."""
+    years, inv = np.unique(corpus.year, return_inverse=True)
     means = np.bincount(inv, weights=np.abs(ni_a - ni_b)) / np.bincount(inv)
     series = list(zip(years.tolist(), means.tolist()))
     return series[:-1] if drop_last_year else series
@@ -205,8 +206,8 @@ def write_indicators_csv(path: str, corpus: Corpus,
     columns = [(system, ni.tolist(), exc10.tolist(), exc1.tolist())
                for system, ni, exc10, exc1 in per_system]
     write_csv(path, ["doc_id", "system", "ni", "exc10", "exc1"], (
-        [d.doc_id, system, fmt(ni[i]), int(exc10[i]), int(exc1[i])]
-        for i, d in enumerate(corpus.documents)
+        [doc_id, system, fmt(ni[i]), int(exc10[i]), int(exc1[i])]
+        for i, doc_id in enumerate(corpus.doc_ids)
         for system, ni, exc10, exc1 in columns
     ))
 

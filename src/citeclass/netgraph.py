@@ -29,7 +29,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import ParseError, ValidationError, write_json
+from .corpus import ParseError, ValidationError, atomic_open, write_json
 from .flow import FlowMatrix
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -345,7 +345,7 @@ def export_graph(
             lines.append("    </edge>")
         lines.append("  </graph>")
         lines.append("</graphml>")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
     else:

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from citeclass import Corpus
 from citeclass.cli import build_parser, main
 from citeclass.config import RunConfig, field_types
 from citeclass.syngen import SynParams
@@ -52,6 +55,7 @@ def test_ingest_writes_canonical_corpus(pipeline_dir):
     assert (out / "corpus" / "scheme.csv").exists()
     assert (out / "corpus" / "journals.jsonl").exists()
     assert (out / "corpus" / "documents.jsonl").exists()
+    assert (out / "corpus" / "corpus.npz").exists()
     stats = json.loads((out / "corpus_stats.json").read_text())
     assert stats["n_documents"] == 400
     report = json.loads((out / "validation_report.json").read_text())
@@ -398,24 +402,107 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     # in src/ must fail here too
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    names = set()
-    for argv in (["classify", "--system", "asjc-frac"], ["classify", "--system", "u1f08"],
-                 ["compare"], ["indicators"], ["network"]):
-        trace = tmp_path / f"trace_{argv[-1]}.json"
+    syn = tmp_path / "syn"
+    ingest = ["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
+              "--documents", str(syn / "documents.jsonl")]
+    names = {}
+    for label, argv, out in (
+        ("ingest", ingest, tmp_path / "traced_ingest"),
+        ("asjc-frac", ["classify", "--system", "asjc-frac"], pipeline_dir),
+        ("u1f08", ["classify", "--system", "u1f08"], pipeline_dir),
+        ("compare", ["compare"], pipeline_dir),
+        ("indicators", ["indicators"], pipeline_dir),
+        ("network", ["network"], pipeline_dir),
+    ):
+        trace = tmp_path / f"trace_{label}.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), argv[-1], "--",
-             *argv, "--out", str(pipeline_dir)],
+            [sys.executable, str(root / "bench" / "trace_shim.py"), str(trace), label, "--",
+             *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         data = json.loads(trace.read_text())
-        names |= {r[1] for r in data["spans"] + data["rollups"]}
+        names[label] = {r[1] for r in data["spans"] + data["rollups"]}
+    assert {"corpus.load_corpus", "corpus.write_corpus", "corpus.validate"} <= names["ingest"]
+    # parse once: only ingest reads the corpus JSONL
+    for label in ("asjc-frac", "u1f08", "indicators"):
+        assert "corpus.load_corpus" not in names[label], label
     assert {"indicators.baselines", "indicators.ni", "indicators.thresholds",
             "indicators.flags", "indicators.overlap", "indicators.std", "indicators.write",
             "corpus.build_citation_index", "flow.add",
             "netgraph.communities", "netgraph.layout",
             "asjc.classify_asjc", "citer.classify_u1f08_all",
-            "assignments.read_assignments", "assignments.write_assignments"} <= names
+            "assignments.read_assignments", "assignments.write_assignments"} <= set().union(*names.values())
+
+
+NPZ = Path("corpus") / "corpus.npz"
+# the stages that load the corpus npz, with the output each writes first
+CORPUS_READERS = {
+    "classify-asjc-frac": (["classify", "--system", "asjc-frac"], ASJC),
+    "classify-u1f08": (["classify", "--system", "u1f08"], U1),
+    "indicators": (["indicators"], "indicators.csv"),
+}
+
+
+def edit_documents(out):
+    path = out / "corpus" / "documents.jsonl"
+    text = path.read_text()
+    path.write_text(text.replace('"doc_type":"article"', '"doc_type":"review"', 1))
+    assert path.read_text() != text
+
+
+def truncate_npz(out):
+    data = (out / NPZ).read_bytes()
+    (out / NPZ).write_bytes(data[: len(data) // 2])
+
+
+def shorten_year(out):
+    with np.load(out / NPZ) as npz:
+        arrays = dict(npz)
+    arrays["year"] = arrays["year"][:-1]
+    np.savez(out / NPZ, **arrays)
+
+
+# spoiler -> (edit of --out, exit code): stale and missing arrays are invalid
+# state, unreadable or inconsistent ones malformed input
+NPZ_SPOILERS = {
+    "stale": (edit_documents, 1),
+    "missing": (lambda out: os.remove(out / NPZ), 1),
+    "truncated": (truncate_npz, 2),
+    "short-year": (shorten_year, 2),
+}
+
+
+@pytest.mark.parametrize("spoiler", list(NPZ_SPOILERS))
+@pytest.mark.parametrize("stage", list(CORPUS_READERS))
+def test_bad_corpus_npz_fails_before_writing(pipeline_dir, stage, spoiler):
+    argv, own = CORPUS_READERS[stage]
+    spoil, code = NPZ_SPOILERS[spoiler]
+    spoil(pipeline_dir)
+    (pipeline_dir / own).unlink(missing_ok=True)
+    before = snapshot(pipeline_dir)
+    assert run([*argv, "--out", str(pipeline_dir)]) == code
+    assert snapshot(pipeline_dir) == before
+
+
+def test_stages_never_build_the_documents_view(pipeline_dir, monkeypatch):
+    # classify and indicators read the corpus columns only
+    def refuse(corpus):
+        raise AssertionError("Corpus.documents was built")
+
+    monkeypatch.setattr(Corpus, "documents", property(refuse))
+    for argv in CORPUS_READERS.values():
+        assert run([*argv[0], "--out", str(pipeline_dir)]) == 0
+
+
+def test_ingest_writes_the_same_npz_twice(pipeline_dir, tmp_path):
+    syn = tmp_path / "syn"
+    # zip entries carry a time stamp of 2 s resolution
+    time.sleep(2.1)
+    again = tmp_path / "again"
+    assert run(["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
+                "--documents", str(syn / "documents.jsonl"), "--out", str(again)]) == 0
+    assert (again / NPZ).read_bytes() == (pipeline_dir / NPZ).read_bytes()
 
 
 def test_indicators_outputs(pipeline_dir):

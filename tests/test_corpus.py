@@ -1,4 +1,8 @@
+import os
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from citeclass import (
     Area,
@@ -12,12 +16,14 @@ from citeclass import (
     build_citation_index,
     corpus_summary,
     load_corpus,
+    load_corpus_npz,
     load_scheme,
     low_reference_share,
+    save_corpus_npz,
     write_corpus,
     write_scheme,
 )
-from citeclass.corpus import fmt
+from citeclass.corpus import fmt, write_csv, write_json
 from conftest import make_corpus, make_scheme
 
 
@@ -261,3 +267,98 @@ def test_fmt_is_the_artifact_number_format():
     assert fmt(0.5) == "0.500000"
     assert fmt(-1e-12) == "0.000000"
     assert fmt(None) == "NA"
+
+
+# the journals of make_corpus
+JOURNAL_IDS = ["J-PH", "J-PH2", "J-CH", "J-MIX", "J-MD", "J-MISC"]
+IDS = st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def documents(draw):
+    """Documents that cite each other and ids outside the corpus, with
+    references in any order."""
+    doc_ids = draw(st.lists(IDS, max_size=8, unique=True))
+    external = [x for x in draw(st.lists(IDS, max_size=6, unique=True)) if x not in doc_ids]
+    docs = []
+    for doc_id in doc_ids:
+        pool = [x for x in doc_ids if x != doc_id] + external
+        refs = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True)) if pool else []
+        docs.append(Document(
+            doc_id, draw(st.sampled_from(JOURNAL_IDS)), draw(st.integers(0, 9999)),
+            draw(st.sampled_from(["article", "review", "lettre é"])), tuple(refs),
+            draw(st.integers(0, 2**53))))
+    return docs
+
+
+EDGE_CASES = [
+    Document("D1", "J-PH", 2015, "article", (), 0),  # no references
+    Document("D2", "J-CH", 2016, "review", ("X2", "X1"), 3),  # only external references
+    Document("Dé", "J-MIX", 2017, "article", ("文献", "D1", "X1"), 0),
+    Document("文献", "J-MD", 0, "lettre é", ("X\x00",), 2**53),
+]
+COLUMNS = ("doc_ids", "journal_ids", "doc_types", "external_ids", "journal_index", "year",
+           "type_index", "external_citations", "n_references", "ref_indptr", "ref",
+           "cited_indptr", "cited")
+
+
+@given(docs=documents())
+@example(docs=EDGE_CASES)
+@settings(max_examples=100, deadline=None)
+def test_npz_round_trip(tmp_path_factory, docs):
+    # JSONL -> Corpus -> npz -> Corpus -> JSONL gives the canonical bytes back
+    d = tmp_path_factory.mktemp("npz")
+    scheme = make_scheme()
+    jsonl = [str(d / "journals.jsonl"), str(d / "documents.jsonl")]
+    again = [str(d / "journals2.jsonl"), str(d / "documents2.jsonl")]
+    write_corpus(make_corpus(scheme, docs), *jsonl)
+    parsed = load_corpus(*jsonl, scheme)
+    save_corpus_npz(parsed, str(d / "corpus.npz"), *jsonl)
+    loaded = load_corpus_npz(str(d / "corpus.npz"), scheme, *jsonl)
+    write_corpus(loaded, *again)
+    for a, b in zip(jsonl, again):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert loaded.journals == parsed.journals
+    for name in COLUMNS:
+        x, y = getattr(parsed, name), getattr(loaded, name)
+        if isinstance(x, list):
+            assert x == y, name
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert loaded.documents == parsed.documents
+
+
+def test_columns_of_small_corpus(small_corpus):
+    c = small_corpus
+    assert c.doc_ids == ["D1", "D2", "D3", "D4", "D5"]
+    assert c.external_ids == ["X1", "X2", "X3"]
+    assert c.n_references.tolist() == [3, 1, 0, 3, 4]
+    # D1 cites D2, D3 and X1 (pool index 5 + 0)
+    assert c.ref[c.ref_indptr[0]:c.ref_indptr[1]].tolist() == [1, 2, 5]
+    assert c.cited_indptr.tolist() == [0, 2, 3, 3, 6, 8]
+    assert c.cited.tolist() == [1, 2, 2, 0, 1, 2, 0, 3]
+    assert [c.journal_ids[j] for j in c.journal_index] == ["J-PH", "J-CH", "J-MIX", "J-MD", "J-MISC"]
+    assert [c.doc_types[t] for t in c.type_index] == ["article", "article", "article", "review", "article"]
+
+
+def failing_rows():
+    yield [3, 4]
+    raise RuntimeError("write failed halfway")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, bad: write_csv(path, ["a", "b"], failing_rows() if bad else [[1, 2]]),
+    # keys are sorted, so "a" is written before "z" fails to serialize
+    lambda path, bad: write_json(path, {"a": [1, 2], "z": object() if bad else 3}),
+], ids=["csv", "json"])
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    path = str(tmp_path / "artifact")
+    write(path, False)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises((RuntimeError, TypeError)):
+        write(path, True)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["artifact"]
