@@ -20,6 +20,12 @@ def run(args):
     return main(args)
 
 
+def ingest_argv(syn):
+    """ingest of the corpus that syngen wrote to syn."""
+    return ["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
+            "--documents", str(syn / "documents.jsonl")]
+
+
 @pytest.fixture()
 def pipeline_dir(tmp_path):
     """syngen + ingest + both classify runs in a temp directory."""
@@ -27,10 +33,7 @@ def pipeline_dir(tmp_path):
     out = tmp_path / "out"
     assert run(["syngen", "--out", str(syn), "--n-docs", "400",
                 "--n-journals", "40", "--seed", "42"]) == 0
-    assert run(["ingest", "--scheme", str(syn / "scheme.csv"),
-                "--journals", str(syn / "journals.jsonl"),
-                "--documents", str(syn / "documents.jsonl"),
-                "--out", str(out)]) == 0
+    assert run([*ingest_argv(syn), "--out", str(out)]) == 0
     assert run(["classify", "--system", "asjc-frac", "--out", str(out)]) == 0
     assert run(["classify", "--system", "u1f08", "--out", str(out)]) == 0
     return out
@@ -402,12 +405,9 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     # in src/ must fail here too
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    syn = tmp_path / "syn"
-    ingest = ["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
-              "--documents", str(syn / "documents.jsonl")]
     names = {}
     for label, argv, out in (
-        ("ingest", ingest, tmp_path / "traced_ingest"),
+        ("ingest", ingest_argv(tmp_path / "syn"), tmp_path / "traced_ingest"),
         ("asjc-frac", ["classify", "--system", "asjc-frac"], pipeline_dir),
         ("u1f08", ["classify", "--system", "u1f08"], pipeline_dir),
         ("compare", ["compare"], pipeline_dir),
@@ -491,17 +491,15 @@ def test_stages_never_build_the_documents_view(pipeline_dir, monkeypatch):
         raise AssertionError("Corpus.documents was built")
 
     monkeypatch.setattr(Corpus, "documents", property(refuse))
-    for argv in CORPUS_READERS.values():
-        assert run([*argv[0], "--out", str(pipeline_dir)]) == 0
+    for argv, _ in CORPUS_READERS.values():
+        assert run([*argv, "--out", str(pipeline_dir)]) == 0
 
 
 def test_ingest_writes_the_same_npz_twice(pipeline_dir, tmp_path):
-    syn = tmp_path / "syn"
     # zip entries carry a time stamp of 2 s resolution
     time.sleep(2.1)
     again = tmp_path / "again"
-    assert run(["ingest", "--scheme", str(syn / "scheme.csv"), "--journals", str(syn / "journals.jsonl"),
-                "--documents", str(syn / "documents.jsonl"), "--out", str(again)]) == 0
+    assert run([*ingest_argv(tmp_path / "syn"), "--out", str(again)]) == 0
     assert (again / NPZ).read_bytes() == (pipeline_dir / NPZ).read_bytes()
 
 
