@@ -7,10 +7,10 @@ force-directed layout, and a seeded synthetic corpus generator.
 import types
 
 from .assignments import (
-    Assignment,
     AssignmentSet,
     SYSTEM_ASJC,
     SYSTEM_U1,
+    collapse_to_areas,
     iter_assignments,
     read_assignments,
     write_assignments,
@@ -42,7 +42,6 @@ from .flow import (
     FlowMatrix,
     SummaryStats,
     class_flow_stats,
-    document_flow,
     flow_matrix,
     summary_stats,
     top_links,
@@ -71,7 +70,7 @@ from .netgraph import (
     modularity,
 )
 from .syngen import SynParams, generate_corpus, oracle_classify, oracle_flow
-from .weights import collapse_to_areas, normalize
+from .weights import normalize
 
 __version__ = "0.1.0"
 

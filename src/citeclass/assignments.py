@@ -13,13 +13,12 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import ParseError, ValidationError, _load_jsonl, atomic_open
+from .corpus import ParseError, Scheme, ValidationError, _load_jsonl, atomic_open
 from .weights import NORMALIZATION_TOL, CategoryVector
 
 SYSTEM_ASJC = "ASJC-FRAC"
@@ -27,13 +26,6 @@ SYSTEM_U1 = "U1-F-0.8"
 KNOWN_SYSTEMS = (SYSTEM_ASJC, SYSTEM_U1)
 
 WRITE_BLOCK = 1024  # rows formatted per block by write_assignments
-
-
-@dataclass(frozen=True, slots=True)
-class Assignment:
-    doc_id: str
-    system: str
-    weights: CategoryVector
 
 
 class AssignmentSet:
@@ -96,6 +88,21 @@ class AssignmentSet:
                 + [f"unexpected {self.system} assignment for {d!r}" for d in sorted(held - wanted)])
 
 
+def collapse_to_areas(aset: AssignmentSet, scheme: Scheme) -> AssignmentSet:
+    """The same documents with each vector's category weights summed into
+    the scheme's areas: one product with the 0/1 category -> area matrix,
+    which adds each area's weights in code order."""
+    unknown = [c for c in aset.codes if c not in scheme.cat_to_area]
+    if unknown:
+        raise ValidationError([f"unknown category code {c!r}" for c in unknown])
+    areas = tuple(a.code for a in scheme.areas)
+    area_of = {a: i for i, a in enumerate(areas)}
+    cols = [area_of[scheme.cat_to_area[c]] for c in aset.codes]
+    to_area = sparse.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1)),
+                                shape=(len(aset.codes), len(areas)))
+    return AssignmentSet(aset.system, aset.doc_ids, areas, (aset.weights @ to_area).sorted_indices())
+
+
 def write_assignments(path: str, aset: AssignmentSet) -> None:
     codes = [json.dumps(c) for c in aset.codes]
     system = json.dumps(aset.system)
@@ -109,8 +116,8 @@ def write_assignments(path: str, aset: AssignmentSet) -> None:
                 fh.write(f'{{"doc_id":{json.dumps(doc_id)},"system":{system},"weights":{{{parts}}}}}\n')
 
 
-def iter_assignments(path: str) -> Iterator[Assignment]:
-    """Stream assignments from a JSONL file without holding them all. A
+def iter_assignments(path: str) -> Iterator[tuple[str, str, CategoryVector]]:
+    """Stream (doc_id, system, vector) records from a JSONL file. A
     weight that is not a finite number is malformed; weights that are not
     all positive with a sum within NORMALIZATION_TOL of 1 are invalid."""
     fmax = sys.float_info.max
@@ -127,7 +134,7 @@ def iter_assignments(path: str) -> Iterator[Assignment]:
         vec = {k: float(v) for k, v in weights.items()}
         if min(vec.values(), default=0.0) <= 0.0 or abs(math.fsum(vec.values()) - 1.0) > NORMALIZATION_TOL:
             raise ValidationError([f"{path}: record {line_no}: weights must be positive and sum to 1"])
-        yield Assignment(doc_id, system, vec)
+        yield doc_id, system, vec
 
 
 def read_assignments(path: str, expect_system: str | None = None) -> AssignmentSet:
@@ -136,12 +143,12 @@ def read_assignments(path: str, expect_system: str | None = None) -> AssignmentS
     first = next(records, None)
     if first is None:
         raise ValidationError([f"{path}: no assignments found"])
-    system = expect_system or first.system
+    system = expect_system or first[1]
 
     def rows() -> Iterator[tuple[str, CategoryVector]]:
-        for a in itertools.chain((first,), records):
-            if a.system != system:
-                raise ValidationError([f"{path}: mixed systems {system!r} and {a.system!r}"])
-            yield a.doc_id, a.weights
+        for doc_id, other, vec in itertools.chain((first,), records):
+            if other != system:
+                raise ValidationError([f"{path}: mixed systems {system!r} and {other!r}"])
+            yield doc_id, vec
 
     return AssignmentSet.from_rows(system, rows())

@@ -16,8 +16,9 @@ import sys
 
 from . import asjc, citer, flow, indicators as ind, netgraph, syngen
 from .assignments import (
-    SYSTEM_ASJC, SYSTEM_U1, iter_assignments, read_assignments, write_assignments,
+    SYSTEM_ASJC, SYSTEM_U1, collapse_to_areas, read_assignments, write_assignments,
 )
+from .assignments import iter_assignments  # noqa: F401 (bench/trace_shim.py patches this name)
 from .config import (
     FIELD_CHOICES, FIELD_PARSERS, RunConfig, build_config, field_types, parse_config_file,
 )
@@ -26,7 +27,6 @@ from .corpus import (
     load_corpus, load_corpus_npz, load_scheme, low_reference_share, save_corpus_npz,
     write_corpus, write_csv, write_json, write_scheme,
 )
-from .weights import collapse_to_areas
 
 SCHEME_FILE = os.path.join("corpus", "scheme.csv")
 JOURNALS_FILE = os.path.join("corpus", "journals.jsonl")
@@ -157,48 +157,28 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     stats = _read_json(os.path.join(cfg.out, STATS_FILE))
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
-    # per level: the flow accumulator and each system's support counters
-    sinks = {level: (flow.FlowAccumulator(level), flow.SupportStats(), flow.SupportStats())
-             for level in flow.LEVELS}
-    category, area = sinks["category"], sinks["area"]
-    it_a = iter_assignments(os.path.join(cfg.out, ASJC_FILE))
-    it_b = iter_assignments(os.path.join(cfg.out, U1_FILE))
-    try:
-        for a, b in zip(it_a, it_b, strict=True):
-            if a.doc_id != b.doc_id:
-                raise ValidationError(
-                    [f"assignment files diverge at {a.doc_id!r} vs {b.doc_id!r}"]
-                )
-            if a.system != SYSTEM_ASJC or b.system != SYSTEM_U1:
-                raise ValidationError(
-                    [f"expected systems {SYSTEM_ASJC}/{SYSTEM_U1}, got {a.system}/{b.system}"]
-                )
-            for (acc, st_a, st_b), vec_a, vec_b in (
-                (category, a.weights, b.weights),
-                (area, collapse_to_areas(a.weights, scheme), collapse_to_areas(b.weights, scheme)),
-            ):
-                acc.add(vec_a, vec_b)
-                st_a.add(vec_a)
-                st_b.add(vec_b)
-    except ValueError:
-        raise ValidationError(["assignment files cover different numbers of documents"]) from None
-    if category[0].n_docs == 0:
-        raise ValidationError(["assignment files are empty"])
+    set_a = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
+    set_b = read_assignments(os.path.join(cfg.out, U1_FILE), SYSTEM_U1)
+    # both levels are computed before anything is written
+    results = []
+    for level, sets in (("category", (set_a, set_b)),
+                        ("area", (collapse_to_areas(set_a, scheme), collapse_to_areas(set_b, scheme)))):
+        acc = flow.FlowAccumulator(level)
+        acc.add(*sets)
+        results.append((acc.finish(), *map(flow.SupportStats, sets)))
 
     out = cfg.out
-    for side, level in enumerate(flow.LEVELS):
-        acc, st_a, st_b = sinks[level]
-        matrix = acc.finish()
+    for side, (matrix, st_a, st_b) in enumerate(results):
         rows = flow.class_flow_stats(matrix)
         path = {key: os.path.join(out, names[side]) for key, names in LEVEL_FILES.items()}
         flow.write_flow_csv(matrix, path["flows"])
         flow.write_class_stats_csv(rows, path["class_stats"])
         for key, (header, table) in flow.level_tables(rows, st_a, st_b, cfg.bin_width).items():
             write_csv(path[key], header, table)
-        min_link = cfg.min_link_category if level == "category" else cfg.min_link_area
-        write_csv(path["top_links"], ["from_class", "to_class", "weight"],
+        min_link = cfg.min_link_category if matrix.level == "category" else cfg.min_link_area
+        write_csv(path["top_links"], flow.FLOW_HEADER,
                   [[i, j, fmt(w)] for i, j, w in flow.top_links(matrix, min_link)])
-        if level == "area":
+        if matrix.level == "area":
             write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"],
                       [[r.class_code, fmt(r.pct_incoming), fmt(r.pct_outgoing)] for r in rows])
 
@@ -210,7 +190,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
         "figure_6": FIG6, "table_1": TABLE1, "table_2": TABLE2, "table_3": TABLE3,
         "table_4": TABLE4,
     })
-    print(f"compared {category[0].n_docs} documents across both systems")
+    print(f"compared {len(set_a)} documents across both systems")
     return 0
 
 
@@ -225,8 +205,9 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     diag_report = {}
     results = {}
     for name, system in ((ASJC_FILE, SYSTEM_ASJC), (U1_FILE, SYSTEM_U1)):
-        cats = ind.WeightColumns.of(corpus, read_assignments(os.path.join(out, name), system), scheme)
-        areas = cats.to_areas(scheme)
+        aset = read_assignments(os.path.join(out, name), system)
+        cats = ind.WeightColumns(corpus, aset)
+        areas = ind.WeightColumns(corpus, collapse_to_areas(aset, scheme))
         baselines = ind.category_baselines(cats, cit)
         ni, zero_mean_hits = ind.ni_table(cats, baselines, cit)
         exc = {p: ind.excellence_flags(areas, ind.excellence_thresholds(areas, cit, p), cit)

@@ -7,7 +7,8 @@ class with a surplus s_j = max(wB_j - wA_j, 0) proportionally:
 move[i -> j] = d_i * s_j / T where T is the total deficit. Summed over
 documents this yields a class-by-class flow matrix, at category level or
 with vectors collapsed to areas first, and the per-class comparison tables
-of that level.
+of that level. Both systems are AssignmentSets over the same rows, and every
+sum is a np.bincount that adds its terms in document order.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
-from .assignments import AssignmentSet
+import numpy as np
+from scipy import sparse
+
+from .assignments import AssignmentSet, collapse_to_areas
 from .corpus import ParseError, Scheme, ValidationError, fmt, write_csv
-from .weights import NORMALIZATION_TOL, SUPPORT_EPS, CategoryVector, collapse_to_areas
+from .weights import NORMALIZATION_TOL, SUPPORT_EPS
 
 LEVELS = ("category", "area")
-
-
-@dataclass(slots=True)
-class DocumentFlow:
-    common: CategoryVector
-    moves: dict[tuple[str, str], float]
 
 
 @dataclass(slots=True)
@@ -64,65 +63,68 @@ class SummaryStats:
     cv_pct: float | None
 
 
-def document_flow(from_vec: CategoryVector, to_vec: CategoryVector) -> DocumentFlow:
-    """Proportional coupling between two normalized vectors of one document."""
-    for name, vec in (("from", from_vec), ("to", to_vec)):
-        total = math.fsum(vec.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError([f"{name} vector is not normalized (sum {total!r})"])
-    common = {
-        k: min(from_vec[k], to_vec[k])
-        for k in sorted(from_vec.keys() & to_vec.keys())
-        if min(from_vec[k], to_vec[k]) > 0.0
-    }
-    deficits = {k: v - to_vec.get(k, 0.0) for k, v in from_vec.items() if v > to_vec.get(k, 0.0)}
-    surpluses = {k: v - from_vec.get(k, 0.0) for k, v in to_vec.items() if v > from_vec.get(k, 0.0)}
-    total_deficit = math.fsum(deficits.values())
-    if total_deficit <= 1e-15:
-        return DocumentFlow(common, {})
-    moves = {
-        (i, j): d * s / total_deficit
-        for i, d in sorted(deficits.items())
-        for j, s in sorted(surpluses.items())
-    }
-    return DocumentFlow(common, moves)
+def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> sparse.csr_matrix:
+    """The set's weights with its codes in the columns col gives them."""
+    W = aset.weights
+    cols = np.array([col[c] for c in aset.codes], dtype=np.int32)
+    return sparse.csr_matrix((W.data, cols[W.indices], W.indptr), shape=(len(aset), len(col)))
 
 
 class FlowAccumulator:
-    """Streams document vector pairs into a FlowMatrix without holding them.
-    Vectors must already be at the accumulator's level."""
+    """Sums the flows of pairs of assignment sets at one level into a FlowMatrix."""
 
     def __init__(self, level: str):
         if level not in LEVELS:
             raise ValidationError([f"unknown flow level {level!r}"])
-        self.level = level
-        self.n_docs = 0
-        self.size_a: dict[str, float] = {}
-        self.size_b: dict[str, float] = {}
-        self.common: dict[str, float] = {}
-        self.flow: dict[tuple[str, str], float] = {}
+        # Counter.update adds each value to the key's running sum
+        self.sums = FlowMatrix(level, 0, Counter(), Counter(), Counter(), Counter())
 
-    def add(self, from_vec: CategoryVector, to_vec: CategoryVector) -> None:
-        df = document_flow(from_vec, to_vec)
-        self.n_docs += 1
-        for k, w in from_vec.items():
-            self.size_a[k] = self.size_a.get(k, 0.0) + w
-        for k, w in to_vec.items():
-            self.size_b[k] = self.size_b.get(k, 0.0) + w
-        for k, w in df.common.items():
-            self.common[k] = self.common.get(k, 0.0) + w
-        for pair, w in df.moves.items():
-            self.flow[pair] = self.flow.get(pair, 0.0) + w
+    def add(self, set_a: AssignmentSet, set_b: AssignmentSet) -> None:
+        """Add the flows from set_a to set_b, two sets of the same documents
+        with vectors already at this level."""
+        set_b.require_docs(set_a.doc_ids)
+        codes = sorted(set(set_a.codes) | set(set_b.codes))
+        col = {c: i for i, c in enumerate(codes)}
+        n, m = len(set_a), len(codes)
+        A, B = _on_codes(set_a, col), _on_codes(set_b, col)
+        for name, W in (("from", A), ("to", B)):
+            total = np.asarray(W.sum(axis=1)).ravel()
+            bad = np.flatnonzero(np.abs(total - 1.0) > NORMALIZATION_TOL).tolist()
+            if bad:
+                raise ValidationError([f"{name} vector of {set_a.doc_ids[i]!r} sums to {total[i]!r}" for i in bad])
+        diff = A - B
+        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(diff.indptr))
+        is_d, is_s = diff.data > 0.0, diff.data < 0.0
+        d, row_d, col_d = diff.data[is_d], row[is_d], diff.indices[is_d]
+        s, row_s, col_s = -diff.data[is_s], row[is_s], diff.indices[is_s]
+        # the total deficit T of each row, exact as math.fsum: a sum of two terms is
+        # rounded once, so only rows with three or more deficits need fsum
+        T = np.bincount(row_d, weights=d, minlength=n)
+        bounds = np.searchsorted(row_d, np.arange(n + 1))
+        for r in np.flatnonzero(np.diff(bounds) > 2).tolist():
+            T[r] = math.fsum(d[bounds[r]:bounds[r + 1]].tolist())
+        # one move d * s / T per (deficit, surplus) entry pair of a row with T > 1e-15,
+        # summed into cell i * m + j of the class pair (i, j)
+        reps = np.where(T[row_d] > 1e-15, np.bincount(row_s, minlength=n)[row_d], 0)
+        pair_d = np.repeat(np.arange(len(d), dtype=np.int32), reps)
+        pair_s = np.arange(len(pair_d)) + np.repeat(np.searchsorted(row_s, row_d) - np.cumsum(reps) + reps, reps)
+        cell = col_d[pair_d].astype(np.int64) * m + col_s[pair_s]
+        used = np.flatnonzero(np.bincount(cell, minlength=m * m))
+        moved = np.bincount(cell, weights=d[pair_d] * s[pair_s] / T[row_d[pair_d]], minlength=m * m)[used]
+
+        sums = self.sums
+        sums.n_docs += n
+        for into, W in ((sums.size_a, A), (sums.size_b, B), (sums.common, A.minimum(B))):
+            held = np.flatnonzero(np.bincount(W.indices, minlength=m))
+            into.update(dict(zip([codes[k] for k in held.tolist()],
+                                 np.bincount(W.indices, weights=W.data, minlength=m)[held].tolist())))
+        sums.flow.update(dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist())))
 
     def finish(self) -> FlowMatrix:
-        return FlowMatrix(
-            self.level,
-            self.n_docs,
-            dict(sorted(self.size_a.items())),
-            dict(sorted(self.size_b.items())),
-            dict(sorted(self.common.items())),
-            dict(sorted(self.flow.items())),
-        )
+        """The sums so far, each dict in key order."""
+        s = self.sums
+        parts = (s.size_a, s.size_b, s.common, s.flow)
+        return FlowMatrix(s.level, s.n_docs, *(dict(sorted(d.items())) for d in parts))
 
 
 def flow_matrix(
@@ -131,16 +133,14 @@ def flow_matrix(
     level: str = "category",
     scheme: Scheme | None = None,
 ) -> FlowMatrix:
-    """Flow matrix between two assignment sets over the same documents."""
-    set_b.require_docs(set_a.doc_ids)
-    if level == "area" and scheme is None:
-        raise ValidationError(["area-level flows require a scheme"])
+    """Flow matrix between two category-level assignment sets over the same
+    documents, at category level or collapsed to the scheme's areas."""
     acc = FlowAccumulator(level)
-    for doc_id in set_a.doc_ids:
-        vec_a, vec_b = set_a.get(doc_id), set_b.get(doc_id)
-        if level == "area":
-            vec_a, vec_b = collapse_to_areas(vec_a, scheme), collapse_to_areas(vec_b, scheme)
-        acc.add(vec_a, vec_b)
+    if level == "area":
+        if scheme is None:
+            raise ValidationError(["area-level flows require a scheme"])
+        set_a, set_b = collapse_to_areas(set_a, scheme), collapse_to_areas(set_b, scheme)
+    acc.add(set_a, set_b)
     return acc.finish()
 
 
@@ -185,30 +185,24 @@ def summary_stats(values: list[float]) -> SummaryStats:
 
 
 class SupportStats:
-    """Per-class single-assignment counters for one system and level."""
+    """Per-class single-assignment counters of one assignment set, over its
+    entries above SUPPORT_EPS. For each class that has one: pct_single, the
+    percentage of its documents that carry it alone, and mean_weight, its
+    mean weight."""
 
-    def __init__(self):
-        self.n_pos: dict[str, int] = {}
-        self.n_single: dict[str, int] = {}
-        self.sum_w: dict[str, float] = {}
-
-    def add(self, vec: CategoryVector) -> None:
-        pos = [(c, w) for c, w in vec.items() if w > SUPPORT_EPS]
-        for c, w in pos:
-            self.n_pos[c] = self.n_pos.get(c, 0) + 1
-            self.sum_w[c] = self.sum_w.get(c, 0.0) + w
-        if len(pos) == 1:
-            c = pos[0][0]
-            self.n_single[c] = self.n_single.get(c, 0) + 1
-
-    def pct_single(self) -> dict[str, float]:
-        """Per class with positive weight somewhere: the percentage of those
-        documents that carry it alone."""
-        return {c: 100.0 * self.n_single.get(c, 0) / n for c, n in self.n_pos.items()}
-
-    def mean_weight(self) -> dict[str, float]:
-        """Per class with positive weight somewhere: its mean positive weight."""
-        return {c: self.sum_w[c] / n for c, n in self.n_pos.items()}
+    def __init__(self, aset: AssignmentSet):
+        W, m = aset.weights, len(aset.codes)
+        pos = W.data > SUPPORT_EPS
+        row = np.repeat(np.arange(len(aset), dtype=np.int32), np.diff(W.indptr))[pos]
+        col = W.indices[pos]
+        alone = np.bincount(row, minlength=len(aset))[row] == 1
+        n_pos = np.bincount(col, minlength=m)
+        held = np.flatnonzero(n_pos)
+        n_pos, n_single = n_pos[held].tolist(), np.bincount(col[alone], minlength=m)[held].tolist()
+        sum_w = np.bincount(col, weights=W.data[pos], minlength=m)[held].tolist()
+        classes = [aset.codes[k] for k in held.tolist()]
+        self.pct_single = {c: 100.0 * k / n for c, k, n in zip(classes, n_single, n_pos)}
+        self.mean_weight = {c: w / n for c, w, n in zip(classes, sum_w, n_pos)}
 
 
 def size_histogram_rows(stats: list[ClassFlowStats], bin_width: float) -> list[list]:
@@ -243,8 +237,8 @@ def level_tables(
     """The comparison datasets of one level that derive from its class stats
     and support counters, keyed by dataset: (CSV header, rows)."""
     single = {
-        "pct_single_asjc_frac": st_a.pct_single(), "mean_weight_asjc_frac": st_a.mean_weight(),
-        "pct_single_u1_f08": st_b.pct_single(), "mean_weight_u1_f08": st_b.mean_weight(),
+        "pct_single_asjc_frac": st_a.pct_single, "mean_weight_asjc_frac": st_a.mean_weight,
+        "pct_single_u1_f08": st_b.pct_single, "mean_weight_u1_f08": st_b.mean_weight,
     }
     summary_header = ["metric", "n", "mean", "std", "cv_pct"]
     return {
@@ -272,34 +266,50 @@ def level_tables(
     }
 
 
+FLOW_HEADER = ["from_class", "to_class", "weight"]
+CLASS_STATS_HEADER = ["class", "size_a", "size_b", "common",
+                      "incoming", "outgoing", "pct_incoming", "pct_outgoing"]
+
+
+def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each row of a CSV with this header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ParseError(f"{path}: expected the header {','.join(header)}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields")
+            yield line_no, row
+
+
+def _csv_number(path: str, line_no: int, text: str) -> float:
+    """A CSV weight, size or percentage: not a finite number is malformed,
+    a negative one invalid."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"{path}: line {line_no}: bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: line {line_no}: {text!r} is not a finite number")
+    if value < 0.0:
+        raise ValidationError([f"{path}: line {line_no}: negative value {text!r}"])
+    return value
+
+
 def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
-    write_csv(path, ["from_class", "to_class", "weight"],
-              ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
+    write_csv(path, FLOW_HEADER, ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
 
 
 def read_flow_csv(path: str, level: str) -> FlowMatrix:
     """Rebuild a flow matrix (flows only; sizes must come from class stats)."""
-    flow: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["from_class", "to_class", "weight"]:
-            raise ParseError(f"{path}: expected flow CSV header")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(f"{path}: line {line_no}: expected 3 fields")
-            try:
-                flow[(row[0], row[1])] = float(row[2])
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: bad weight {row[2]!r}") from None
+    rows = _csv_rows(path, FLOW_HEADER)
+    flow = {(row[0], row[1]): _csv_number(path, line_no, row[2]) for line_no, row in rows}
     return FlowMatrix(level, 0, {}, {}, {}, dict(sorted(flow.items())))
 
 
 def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
-    write_csv(path, [
-        "class", "size_a", "size_b", "common",
-        "incoming", "outgoing", "pct_incoming", "pct_outgoing",
-    ], [
+    write_csv(path, CLASS_STATS_HEADER, [
         [r.class_code, fmt(r.size_a), fmt(r.size_b), fmt(r.common),
          fmt(r.incoming), fmt(r.outgoing), fmt(r.pct_incoming), fmt(r.pct_outgoing)]
         for r in sorted(rows, key=lambda r: r.class_code)
@@ -307,22 +317,6 @@ def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
 
 
 def read_class_stats_csv(path: str) -> list[ClassFlowStats]:
-    rows: list[ClassFlowStats] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:6] != ["class", "size_a", "size_b", "common", "incoming", "outgoing"]:
-            raise ParseError(f"{path}: expected class stats CSV header")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 8:
-                raise ParseError(f"{path}: line {line_no}: expected 8 fields")
-            try:
-                pct_in = None if row[6] == "NA" else float(row[6])
-                pct_out = None if row[7] == "NA" else float(row[7])
-                rows.append(ClassFlowStats(
-                    row[0], float(row[1]), float(row[2]), float(row[3]),
-                    float(row[4]), float(row[5]), pct_in, pct_out,
-                ))
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: bad numeric field") from None
-    return rows
+    return [ClassFlowStats(row[0], *(
+        None if i >= 6 and row[i] == "NA" else _csv_number(path, line_no, row[i]) for i in range(1, 8)))
+        for line_no, row in _csv_rows(path, CLASS_STATS_HEADER)]

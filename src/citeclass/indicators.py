@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignments import AssignmentSet
-from .corpus import YEARS, Corpus, Scheme, ValidationError, fmt, write_csv
+from .corpus import YEARS, Corpus, ValidationError, fmt, write_csv
 
 Cell = tuple[str, int, str]
 
@@ -32,43 +32,20 @@ class WeightColumns:
     classes[cls[k]] and cell cells[cell[k]], the sorted (doc_type, year,
     class) triples that hold an entry. Document i is in groups[group[i]]."""
 
-    def __init__(self, classes: tuple[str, ...], groups: list[tuple[str, int]],
-                 group: np.ndarray, doc: np.ndarray, cls: np.ndarray, weight: np.ndarray):
-        self.classes, self.groups, self.group = classes, groups, group
-        self.doc, self.cls, self.weight = doc, cls, weight
-        m = len(classes)
-        keys, self.cell = np.unique(group[doc] * m + cls, return_inverse=True)
-        self.cells: list[Cell] = [(*groups[k // m], classes[k % m]) for k in keys.tolist()]
-
-    @classmethod
-    def of(cls, corpus: Corpus, aset: AssignmentSet, scheme: Scheme) -> WeightColumns:
-        """Category-level columns of a set holding exactly the corpus
-        documents, entries in corpus order and, within a document, in code
-        order."""
+    def __init__(self, corpus: Corpus, aset: AssignmentSet):
+        """The columns of a set holding exactly the corpus documents, with
+        the set's codes as classes: entries in corpus order and, within a
+        document, in code order."""
         aset.require_docs(corpus.doc_ids)
-        classes = tuple(c.code for c in scheme.categories)
-        index = {c: i for i, c in enumerate(classes)}
-        unknown = [c for c in aset.codes if c not in index]
-        if unknown:
-            raise ValidationError([f"unknown category code {c!r}" for c in unknown])
         # doc_types is sorted and years lie in [0, YEARS), so the keys sort as the pairs do
-        keys, group = np.unique(corpus.type_index.astype(np.int64) * YEARS + corpus.year,
-                                return_inverse=True)
-        pairs = [(corpus.doc_types[k // YEARS], k % YEARS) for k in keys.tolist()]
-        W = aset.weights
-        doc = np.repeat(np.arange(len(aset), dtype=np.int64), np.diff(W.indptr))
-        cls_idx = np.array([index[c] for c in aset.codes], dtype=np.int64)[W.indices]
-        return cls(classes, pairs, group, doc, cls_idx, W.data)
-
-    def to_areas(self, scheme: Scheme) -> WeightColumns:
-        """The same documents with each vector's weights summed into areas."""
-        areas = tuple(a.code for a in scheme.areas)
-        index = {a: i for i, a in enumerate(areas)}
-        area_of = np.array([index[scheme.cat_to_area[c]] for c in self.classes], dtype=np.int64)
-        n = len(areas)
-        keys, inv = np.unique(self.doc * n + area_of[self.cls], return_inverse=True)
-        weight = np.bincount(inv, weights=self.weight)
-        return WeightColumns(areas, self.groups, self.group, keys // n, keys % n, weight)
+        keys, self.group = np.unique(corpus.type_index.astype(np.int64) * YEARS + corpus.year,
+                                     return_inverse=True)
+        self.groups = [(corpus.doc_types[k // YEARS], k % YEARS) for k in keys.tolist()]
+        W, m = aset.weights, len(aset.codes)
+        self.classes, self.cls, self.weight = aset.codes, W.indices.astype(np.int64), W.data
+        self.doc = np.repeat(np.arange(len(aset), dtype=np.int64), np.diff(W.indptr))
+        keys, self.cell = np.unique(self.group[self.doc] * m + self.cls, return_inverse=True)
+        self.cells: list[Cell] = [(*self.groups[k // m], self.classes[k % m]) for k in keys.tolist()]
 
 
 @dataclass(slots=True)

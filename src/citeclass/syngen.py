@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from .assignments import AssignmentSet, SYSTEM_U1
 from .citer import ThresholdPolicy
 from .corpus import Corpus, Document, Journal, Scheme, Area, Category, ValidationError
-from .flow import DocumentFlow
 from .weights import CategoryVector
 
 MASK64 = (1 << 64) - 1
 ORACLE_MAX_DOCS = 10_000
-ORACLE_MAX_CLASSES = 10
+ORACLE_MAX_CLASSES = 1_000
 
 
 class SplitMix64:
@@ -282,8 +281,11 @@ def oracle_classify(
     return AssignmentSet.from_rows(SYSTEM_U1, vectors.items())
 
 
-def oracle_flow(w_a: CategoryVector, w_b: CategoryVector) -> DocumentFlow:
-    """Explicit-enumeration recomputation of the proportional coupling."""
+def oracle_flow(
+    w_a: CategoryVector, w_b: CategoryVector
+) -> tuple[CategoryVector, dict[tuple[str, str], float]]:
+    """Explicit-enumeration recomputation of the proportional coupling of one
+    document: its common part and its moves."""
     classes = sorted(set(w_a) | set(w_b))
     if len(classes) > ORACLE_MAX_CLASSES:
         raise ValidationError([f"oracle_flow is limited to {ORACLE_MAX_CLASSES} classes"])
@@ -299,13 +301,13 @@ def oracle_flow(w_a: CategoryVector, w_b: CategoryVector) -> DocumentFlow:
             deficits[c] = a - b
         elif b > a:
             surpluses[c] = b - a
-    total = sum(deficits.values())
+    total = math.fsum(deficits.values())
     moves: dict[tuple[str, str], float] = {}
     if total > 1e-15:
         for i, d in deficits.items():
             for j, s in surpluses.items():
                 moves[(i, j)] = d * s / total
-    return DocumentFlow(common, moves)
+    return common, moves
 
 
 def _oracle_citations(corpus: Corpus, citation_window: int | None) -> dict[str, int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .corpus import Scheme, ValidationError
+from .corpus import ValidationError
 
 CategoryVector = dict[str, float]
 
@@ -32,13 +32,3 @@ def normalize(vec: Mapping[str, float]) -> CategoryVector:
         raise ValidationError(["normalization left an empty vector"])
     return out
 
-
-def collapse_to_areas(vec: Mapping[str, float], scheme: Scheme) -> CategoryVector:
-    """Sum category weights into their areas."""
-    acc: dict[str, float] = {}
-    for code, w in vec.items():
-        area = scheme.cat_to_area.get(code)
-        if area is None:
-            raise ValidationError([f"unknown category code {code!r}"])
-        acc[area] = acc.get(area, 0.0) + w
-    return dict(sorted(acc.items()))

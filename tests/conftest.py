@@ -1,13 +1,17 @@
 import pytest
 
 from citeclass import (
+    SYSTEM_ASJC,
+    SYSTEM_U1,
     Area,
+    AssignmentSet,
     Category,
     Corpus,
     Document,
     Journal,
     Scheme,
     SynParams,
+    flow_matrix,
     generate_corpus,
 )
 
@@ -90,6 +94,21 @@ def assert_vec_close(a, b, tol=1e-12):
     assert set(a) == set(b), f"supports differ: {sorted(a)} vs {sorted(b)}"
     for k in a:
         assert abs(a[k] - b[k]) <= tol, f"{k}: {a[k]} vs {b[k]}"
+
+
+def one_doc_flow(a, b):
+    """The flow matrix of one document whose vectors are a and b."""
+    return flow_matrix(AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", a)]),
+                       AssignmentSet.from_rows(SYSTEM_U1, [("D1", b)]))
+
+
+def plain_collapse(vec, scheme):
+    """A vector's category weights summed into their areas, in code order."""
+    out = {}
+    for code, w in vec.items():
+        area = scheme.cat_to_area[code]
+        out[area] = out.get(area, 0.0) + w
+    return dict(sorted(out.items()))
 
 
 def partitions(items):

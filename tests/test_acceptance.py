@@ -44,7 +44,6 @@ from citeclass import (
     classify_u1f08_all,
     collapse_to_areas,
     detect_communities,
-    document_flow,
     excellence_flags,
     excellence_thresholds,
     flow_matrix,
@@ -56,7 +55,7 @@ from citeclass import (
     oracle_flow,
 )
 from citeclass.cli import main
-from conftest import partitions
+from conftest import one_doc_flow, partitions, plain_collapse
 from citeclass.netgraph import GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
 from citeclass.syngen import SplitMix64, planted_journal_categories
 
@@ -197,14 +196,14 @@ def test_c04_oracle_equivalence(syn200, syn2000):
             raw = {c: rng.uniform() + 1e-3 for c in picks}
             total = sum(raw.values())
             pair.append({c: v / total for c, v in raw.items()})
-        got = document_flow(pair[0], pair[1])
-        expected = oracle_flow(pair[0], pair[1])
-        assert set(got.moves) == set(expected.moves)
-        assert set(got.common) == set(expected.common)
-        for key, w in got.moves.items():
-            assert abs(w - expected.moves[key]) <= 1e-9
+        got = one_doc_flow(pair[0], pair[1])
+        common, moves = oracle_flow(pair[0], pair[1])
+        assert set(got.flow) == set(moves)
+        assert set(got.common) == set(common)
+        for key, w in got.flow.items():
+            assert abs(w - moves[key]) <= 1e-9
         for key, w in got.common.items():
-            assert abs(w - expected.common[key]) <= 1e-9
+            assert abs(w - common[key]) <= 1e-9
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(4, "oracle equivalence")
@@ -253,7 +252,7 @@ def test_c06_flow_balance(syn2000):
 
     for d in corpus.documents:
         a, b = asjc.get(d.doc_id), u1.get(d.doc_id)
-        moves = document_flow(a, b).moves
+        moves = one_doc_flow(a, b).flow
         out = {}
         inn = {}
         for (i, j), w in moves.items():
@@ -285,7 +284,7 @@ def test_c07_ni_self_normalization(syn200):
     u1 = classify_u1f08_all(corpus, asjc)
 
     for aset in (asjc, u1):
-        baselines = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
+        baselines = category_baselines(WeightColumns(corpus, aset), index)
         contrib = {}
         weight = {}
         for d, cit in zip(corpus.documents, index):
@@ -300,7 +299,7 @@ def test_c07_ni_self_normalization(syn200):
         for cell, total in contrib.items():
             assert abs(total / weight[cell] - 1.0) <= 1e-9, cell
 
-    cats = WeightColumns.of(corpus, asjc, scheme)
+    cats = WeightColumns(corpus, asjc)
     baselines = category_baselines(cats, index)
     doubled = 2 * index
     baselines2 = category_baselines(cats, doubled)
@@ -329,12 +328,12 @@ def test_c08_excellence_cap(syn200):
 
     for aset in (asjc, u1):
         for p in (0.10, 0.01):
-            areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+            areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
             thresholds = excellence_thresholds(areas, index, p)
             excellent = {}
             total = {}
             for d, cit in zip(corpus.documents, index):
-                for area, w in collapse_to_areas(aset.get(d.doc_id), scheme).items():
+                for area, w in plain_collapse(aset.get(d.doc_id), scheme).items():
                     cell = (d.doc_type, d.year, area)
                     total[cell] = total.get(cell, 0.0) + w
                     if cit >= thresholds[cell]:
@@ -344,7 +343,7 @@ def test_c08_excellence_cap(syn200):
 
     scheme1, corpus1 = _unit_weight_corpus(list(range(1000)))
     index1 = build_citation_index(corpus1)
-    areas1 = WeightColumns.of(corpus1, classify_asjc(corpus1, scheme1), scheme1).to_areas(scheme1)
+    areas1 = WeightColumns(corpus1, collapse_to_areas(classify_asjc(corpus1, scheme1), scheme1))
     for p in (0.10, 0.01):
         thresholds = excellence_thresholds(areas1, index1, p)
         flags = excellence_flags(areas1, thresholds, index1)
@@ -353,7 +352,7 @@ def test_c08_excellence_cap(syn200):
 
     scheme2, corpus2 = _unit_weight_corpus([5] * 100)
     index2 = build_citation_index(corpus2)
-    areas2 = WeightColumns.of(corpus2, classify_asjc(corpus2, scheme2), scheme2).to_areas(scheme2)
+    areas2 = WeightColumns(corpus2, collapse_to_areas(classify_asjc(corpus2, scheme2), scheme2))
     for p in (0.10, 0.01):
         thresholds = excellence_thresholds(areas2, index2, p)
         flags = excellence_flags(areas2, thresholds, index2)

@@ -400,12 +400,25 @@ def test_asjc_set_must_match_the_corpus(pipeline_dir, case, argv):
     assert_stage_fails(pipeline_dir, argv, 1)
 
 
+def to_u1_record(records):
+    mid = len(records) // 2
+    return records[:mid] + [dict(records[mid], system="U1-F-0.8")] + records[mid + 1:]
+
+
+@pytest.mark.parametrize("name, edit", [
+    (U1, drop_first), (U1, add_outside_doc), (ASJC, to_u1_record),
+], ids=["u1-missing-first", "u1-extra-doc", "asjc-holds-u1-record"])
+def test_compare_refuses_misaligned_assignments(pipeline_dir, name, edit):
+    rewrite_records(pipeline_dir / name, edit)
+    assert_stage_fails(pipeline_dir, ["compare"], 1)
+
+
 def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
     # bench/trace_shim.py patches these names by import path, so renaming one
     # in src/ must fail here too
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    names = {}
+    names, calls = {}, {}
     for label, argv, out in (
         ("ingest", ingest_argv(tmp_path / "syn"), tmp_path / "traced_ingest"),
         ("asjc-frac", ["classify", "--system", "asjc-frac"], pipeline_dir),
@@ -423,6 +436,9 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         data = json.loads(trace.read_text())
         names[label] = {r[1] for r in data["spans"] + data["rollups"]}
+        calls[label] = {}
+        for _, name, _, n, _ in data["rollups"]:
+            calls[label][name] = calls[label].get(name, 0) + n
     assert {"corpus.load_corpus", "corpus.write_corpus", "corpus.validate"} <= names["ingest"]
     # parse once: only ingest reads the corpus JSONL
     for label in ("asjc-frac", "u1f08", "indicators"):
@@ -433,6 +449,10 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
             "netgraph.communities", "netgraph.layout",
             "asjc.classify_asjc", "citer.classify_u1f08_all",
             "assignments.read_assignments", "assignments.write_assignments"} <= set().union(*names.values())
+    # no per-document path: one flow kernel call per level, one area collapse per system
+    assert calls["compare"]["flow.add"] == 2
+    for label in ("compare", "indicators"):
+        assert 0 < calls[label].get("weights.collapse_to_areas", 0) <= 2, label
 
 
 NPZ = Path("corpus") / "corpus.npz"
@@ -541,6 +561,20 @@ def test_network_bad_format_exits_2(pipeline_dir):
     out = pipeline_dir
     run(["compare", "--out", str(out)])
     assert run(["network", "--out", str(out), "--format", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("value, code", [("inf", 2), ("nan", 2), ("-5.0", 1)])
+@pytest.mark.parametrize("name, column", [("flows_area.csv", "weight"), ("class_stats_area.csv", "size_b")])
+def test_network_refuses_bad_numbers(pipeline_dir, name, column, value, code):
+    # a weight or size that is not a finite number is malformed, a negative one invalid
+    assert run(["compare", "--out", str(pipeline_dir)]) == 0
+    rows = read_csv(pipeline_dir / name)
+    rows[1][rows[0].index(column)] = value
+    with open(pipeline_dir / name, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    before = snapshot(pipeline_dir)
+    assert run(["network", "--level", "area", "--out", str(pipeline_dir)]) == code
+    assert snapshot(pipeline_dir) == before
 
 
 def test_report_summarizes(pipeline_dir):

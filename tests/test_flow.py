@@ -9,46 +9,44 @@ from citeclass import (
     SYSTEM_U1,
     ValidationError,
     class_flow_stats,
-    collapse_to_areas,
-    document_flow,
     flow_matrix,
     summary_stats,
     top_links,
 )
 from citeclass.flow import (
-    FlowAccumulator,
     read_class_stats_csv,
     read_flow_csv,
     write_class_stats_csv,
     write_flow_csv,
 )
-from conftest import assert_vec_close
+from citeclass.syngen import oracle_flow
+from conftest import assert_vec_close, one_doc_flow, plain_collapse
 
 
 def test_document_flow_worked_example():
-    df = document_flow({"X": 0.6, "Y": 0.4}, {"X": 0.2, "Y": 0.3, "Z": 0.5})
-    assert_vec_close(df.common, {"X": 0.2, "Y": 0.3})
-    assert set(df.moves) == {("X", "Z"), ("Y", "Z")}
-    assert abs(df.moves[("X", "Z")] - 0.4) <= 1e-12
-    assert abs(df.moves[("Y", "Z")] - 0.1) <= 1e-12
+    m = one_doc_flow({"X": 0.6, "Y": 0.4}, {"X": 0.2, "Y": 0.3, "Z": 0.5})
+    assert_vec_close(m.common, {"X": 0.2, "Y": 0.3})
+    assert set(m.flow) == {("X", "Z"), ("Y", "Z")}
+    assert abs(m.flow[("X", "Z")] - 0.4) <= 1e-12
+    assert abs(m.flow[("Y", "Z")] - 0.1) <= 1e-12
 
 
 def test_document_flow_identity_is_empty():
-    df = document_flow({"X": 0.5, "Y": 0.5}, {"X": 0.5, "Y": 0.5})
-    assert_vec_close(df.common, {"X": 0.5, "Y": 0.5})
-    assert df.moves == {}
+    m = one_doc_flow({"X": 0.5, "Y": 0.5}, {"X": 0.5, "Y": 0.5})
+    assert_vec_close(m.common, {"X": 0.5, "Y": 0.5})
+    assert m.flow == {}
 
 
 def test_document_flow_disjoint_supports():
-    df = document_flow({"X": 1.0}, {"Y": 0.5, "Z": 0.5})
-    assert df.common == {}
-    assert_vec_close(dict((f"{i}->{j}", w) for (i, j), w in df.moves.items()),
+    m = one_doc_flow({"X": 1.0}, {"Y": 0.5, "Z": 0.5})
+    assert m.common == {}
+    assert_vec_close(dict((f"{i}->{j}", w) for (i, j), w in m.flow.items()),
                      {"X->Y": 0.5, "X->Z": 0.5})
 
 
 def test_document_flow_rejects_unnormalized():
     with pytest.raises(ValidationError):
-        document_flow({"X": 0.9}, {"X": 1.0})
+        one_doc_flow({"X": 0.9}, {"X": 1.0})
 
 
 normalized_vec = st.dictionaries(
@@ -62,15 +60,15 @@ normalized_vec = st.dictionaries(
 @given(a=normalized_vec, b=normalized_vec)
 @settings(max_examples=120, deadline=None)
 def test_document_flow_mass_balance(a, b):
-    df = document_flow(a, b)
-    out_total = math.fsum(df.moves.values())
+    moves = one_doc_flow(a, b).flow
+    out_total = math.fsum(moves.values())
     # total moved equals the total deficit
     deficit = math.fsum(max(a.get(k, 0) - b.get(k, 0), 0) for k in set(a) | set(b))
     assert abs(out_total - deficit) <= 1e-9
     # per-class conservation: size_a - moved_out + moved_in == size_b
     for k in set(a) | set(b):
-        moved_out = math.fsum(w for (i, _), w in df.moves.items() if i == k)
-        moved_in = math.fsum(w for (_, j), w in df.moves.items() if j == k)
+        moved_out = math.fsum(w for (i, _), w in moves.items() if i == k)
+        moved_in = math.fsum(w for (_, j), w in moves.items() if j == k)
         assert abs(a.get(k, 0.0) - moved_out + moved_in - b.get(k, 0.0)) <= 1e-9
 
 
@@ -121,18 +119,22 @@ def test_accumulator_matches_flow_matrix(syn200):
     set_b = classify_u1f08_all(corpus, set_a)
     for level, to_level in (
         ("category", lambda vec: vec),
-        ("area", lambda vec: collapse_to_areas(vec, scheme)),
+        ("area", lambda vec: plain_collapse(vec, scheme)),
     ):
         direct = flow_matrix(set_a, set_b, level, scheme)
-        acc = FlowAccumulator(level)
+        # the oracle's flows of each document, summed in document order
+        size_a, size_b, common, flow = {}, {}, {}, {}
         for doc_id in set_a.doc_ids:
-            acc.add(to_level(set_a.get(doc_id)), to_level(set_b.get(doc_id)))
-        streamed = acc.finish()
-        assert streamed.n_docs == direct.n_docs == len(corpus)
-        assert streamed.size_a == direct.size_a
-        assert streamed.size_b == direct.size_b
-        assert streamed.common == direct.common
-        assert streamed.flow == direct.flow
+            vec_a, vec_b = to_level(set_a.get(doc_id)), to_level(set_b.get(doc_id))
+            doc_common, moves = oracle_flow(vec_a, vec_b)
+            for total, part in ((size_a, vec_a), (size_b, vec_b), (common, doc_common), (flow, moves)):
+                for k, w in part.items():
+                    total[k] = total.get(k, 0.0) + w
+        assert direct.n_docs == len(corpus)
+        assert direct.size_a == dict(sorted(size_a.items()))
+        assert direct.size_b == dict(sorted(size_b.items()))
+        assert direct.common == dict(sorted(common.items()))
+        assert direct.flow == dict(sorted(flow.items()))
 
 
 def test_class_flow_stats_balance(syn200):

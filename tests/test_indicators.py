@@ -15,6 +15,7 @@ from citeclass import (
     category_baselines,
     classify_asjc,
     classify_u1f08_all,
+    collapse_to_areas,
     excellence_flags,
     excellence_overlap,
     excellence_thresholds,
@@ -24,8 +25,7 @@ from citeclass import (
 )
 from citeclass.indicators import _cell_cut
 from citeclass.syngen import oracle_baselines, oracle_excellence
-from citeclass.weights import collapse_to_areas
-from conftest import make_corpus
+from conftest import make_corpus, plain_collapse
 
 
 def single_cat_corpus(scheme, citations, year=2015, doc_type="article"):
@@ -42,7 +42,7 @@ def single_cat_corpus(scheme, citations, year=2015, doc_type="article"):
 def test_baselines_weighted_mean(scheme):
     corpus, aset = single_cat_corpus(scheme, [0, 10, 20])
     index = build_citation_index(corpus)
-    b = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
+    b = category_baselines(WeightColumns(corpus, aset), index)
     cell = ("article", 2015, "PH01")
     assert b.mean_citations[cell] == pytest.approx(10.0)
     assert b.cell_weight[cell] == pytest.approx(3.0)
@@ -56,7 +56,7 @@ def test_baselines_split_by_type_and_year(scheme):
     ]
     corpus = make_corpus(scheme, docs)
     aset = classify_asjc(corpus, scheme)
-    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus))
+    b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus))
     assert b.mean_citations[("article", 2015, "PH01")] == pytest.approx(10.0)
     assert b.mean_citations[("review", 2015, "PH01")] == pytest.approx(30.0)
     assert b.mean_citations[("article", 2016, "PH01")] == pytest.approx(50.0)
@@ -65,7 +65,7 @@ def test_baselines_split_by_type_and_year(scheme):
 def test_ni_is_one_for_constant_citations(scheme):
     corpus, aset = single_cat_corpus(scheme, [7, 7, 7, 7])
     index = build_citation_index(corpus)
-    cats = WeightColumns.of(corpus, aset, scheme)
+    cats = WeightColumns(corpus, aset)
     b = category_baselines(cats, index)
     ni, zero_mean_hits = ni_table(cats, b, index)
     assert all(v == pytest.approx(1.0) for v in ni)
@@ -76,7 +76,7 @@ def test_ni_weighted_cell_mean_is_one(syn200):
     scheme, corpus = syn200
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
-    b = category_baselines(WeightColumns.of(corpus, aset, scheme), index)
+    b = category_baselines(WeightColumns(corpus, aset), index)
     # per cell: weighted mean of cit/mean over member docs equals 1
     sums = {}
     for d, cit in zip(corpus.documents, index):
@@ -97,7 +97,7 @@ def test_ni_zero_mean_cell_contributes_zero(scheme):
         Document("D0000", "J-PH", 2015, "article", (), 0),
         Document("D0001", "J-CH", 2015, "article", (), 3),
     ])
-    cats = WeightColumns.of(corpus, classify_asjc(corpus, scheme), scheme)
+    cats = WeightColumns(corpus, classify_asjc(corpus, scheme))
     index = build_citation_index(corpus)
     ni, zero_mean_hits = ni_table(cats, category_baselines(cats, index), index)
     assert ni[0] == 0.0
@@ -107,11 +107,11 @@ def test_ni_zero_mean_cell_contributes_zero(scheme):
 
 def test_ni_missing_cell_errors(scheme):
     corpus, aset = single_cat_corpus(scheme, [1, 2])
-    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus))
+    b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus))
     # a corpus with a document in a cell the baselines do not cover
     stranger = Document("DX", "J-CH", 2015, "article", (), 3)
     corpus2 = make_corpus(scheme, [*corpus.documents, stranger])
-    cats2 = WeightColumns.of(corpus2, classify_asjc(corpus2, scheme), scheme)
+    cats2 = WeightColumns(corpus2, classify_asjc(corpus2, scheme))
     with pytest.raises(ValidationError):
         ni_table(cats2, b, build_citation_index(corpus2))
 
@@ -120,7 +120,7 @@ def test_ni_scale_invariance_under_doubling(scheme):
     cits = [0, 1, 2, 5, 9, 14]
     corpus1, aset = single_cat_corpus(scheme, cits)
     corpus2, _ = single_cat_corpus(scheme, [2 * c for c in cits])
-    cats1, cats2 = WeightColumns.of(corpus1, aset, scheme), WeightColumns.of(corpus2, aset, scheme)
+    cats1, cats2 = WeightColumns(corpus1, aset), WeightColumns(corpus2, aset)
     index1, index2 = build_citation_index(corpus1), build_citation_index(corpus2)
     ni1, _ = ni_table(cats1, category_baselines(cats1, index1), index1)
     ni2, _ = ni_table(cats2, category_baselines(cats2, index2), index2)
@@ -152,7 +152,7 @@ def test_ni_std_by_area_weighted(scheme):
     aset = AssignmentSet.from_rows(SYSTEM_ASJC, vectors.items())
     corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors])
     ni = np.array([2.0, 0.0])
-    out = dict(ni_std_by_area(ni, WeightColumns.of(corpus, aset, scheme).to_areas(scheme)))
+    out = dict(ni_std_by_area(ni, WeightColumns(corpus, collapse_to_areas(aset, scheme))))
     # PH: weights 1.0 and 0.5 on values 2 and 0 -> mean 4/3, var 8/9
     assert out["PH"] == pytest.approx(math.sqrt(8.0 / 9.0))
     # CH: single value 0 with weight .5 -> std 0
@@ -189,11 +189,11 @@ def test_excellence_share_capped(syn200):
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
     for p in (0.10, 0.01):
-        th = excellence_thresholds(WeightColumns.of(corpus, aset, scheme).to_areas(scheme), index, p)
+        th = excellence_thresholds(WeightColumns(corpus, collapse_to_areas(aset, scheme)), index, p)
         # recompute weighted share per cell, must be <= p
         shares = {}
         for d, cit in zip(corpus.documents, index):
-            for a, w in collapse_to_areas(aset.get(d.doc_id), scheme).items():
+            for a, w in plain_collapse(aset.get(d.doc_id), scheme).items():
                 cell = (d.doc_type, d.year, a)
                 tot, exc = shares.get(cell, (0.0, 0.0))
                 shares[cell] = (tot + w, exc + (w if cit >= th[cell] else 0.0))
@@ -204,7 +204,7 @@ def test_excellence_share_capped(syn200):
 def test_excellence_exact_share_with_distinct_citations(scheme):
     corpus, aset = single_cat_corpus(scheme, list(range(1000)))
     index = build_citation_index(corpus)
-    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     th = excellence_thresholds(areas, index, 0.10)
     flags = excellence_flags(areas, th, index)
     share = flags.sum() / len(flags)
@@ -214,7 +214,7 @@ def test_excellence_exact_share_with_distinct_citations(scheme):
 def test_excellence_all_tied_cell_has_no_excellent_docs(scheme):
     corpus, aset = single_cat_corpus(scheme, [5] * 100)
     index = build_citation_index(corpus)
-    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     th = excellence_thresholds(areas, index, 0.10)
     flags = excellence_flags(areas, th, index)
     assert not any(flags)
@@ -222,7 +222,7 @@ def test_excellence_all_tied_cell_has_no_excellent_docs(scheme):
 
 def test_excellence_p1_subset_of_p10(syn200):
     scheme, corpus = syn200
-    areas = WeightColumns.of(corpus, classify_asjc(corpus, scheme), scheme).to_areas(scheme)
+    areas = WeightColumns(corpus, collapse_to_areas(classify_asjc(corpus, scheme), scheme))
     index = build_citation_index(corpus)
     f10 = excellence_flags(areas, excellence_thresholds(areas, index, 0.10), index)
     f1 = excellence_flags(areas, excellence_thresholds(areas, index, 0.01), index)
@@ -234,7 +234,7 @@ def test_excellence_p1_subset_of_p10(syn200):
 def test_excellence_rejects_bad_p(scheme):
     corpus, aset = single_cat_corpus(scheme, [1, 2])
     index = build_citation_index(corpus)
-    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     with pytest.raises(ValidationError):
         excellence_thresholds(areas, index, 0.0)
     with pytest.raises(ValidationError):
@@ -250,7 +250,7 @@ def test_excellence_overlap_percentages(scheme):
     }
     aset_b = AssignmentSet.from_rows(SYSTEM_U1, vectors_b.items())
     corpus = make_corpus(scheme, [Document(d, "J-PH", 2015, "article", (), 0) for d in vectors_b])
-    areas_b = WeightColumns.of(corpus, aset_b, scheme).to_areas(scheme)
+    areas_b = WeightColumns(corpus, collapse_to_areas(aset_b, scheme))
     # flags in corpus order: D1, D2, D3, D4
     flags_a = np.array([True, False, True, False])
     flags_b = np.array([True, True, False, False])
@@ -271,12 +271,12 @@ def test_to_areas_matches_collapse_to_areas(syn200, system):
     aset = classify_asjc(corpus, scheme)
     if system == SYSTEM_U1:
         aset = classify_u1f08_all(corpus, aset)
-    cats = WeightColumns.of(corpus, aset, scheme)
-    areas = cats.to_areas(scheme)
+    cats = WeightColumns(corpus, aset)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     # each document's entries, in order, are its vector, and at area level
-    # its collapsed vector
+    # its vector's weights summed per area in code order
     for cols, expected in ((cats, lambda vec: vec),
-                           (areas, lambda vec: collapse_to_areas(vec, scheme))):
+                           (areas, lambda vec: plain_collapse(vec, scheme))):
         per_doc = [{} for _ in corpus.documents]
         for k in range(len(cols.doc)):
             per_doc[cols.doc[k]][cols.classes[cols.cls[k]]] = cols.weight[k]
@@ -296,7 +296,7 @@ def syn2000_sets(syn2000):
 def test_baselines_match_oracle(syn2000, syn2000_sets, system, window):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
-    b = category_baselines(WeightColumns.of(corpus, aset, scheme), build_citation_index(corpus, window))
+    b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus, window))
     oracle = oracle_baselines(corpus, aset, window)
     assert list(b.mean_citations) == list(oracle)
     for cell, (mean, weight) in oracle.items():
@@ -311,7 +311,7 @@ def test_excellence_matches_oracle(syn2000, syn2000_sets, system, window, p):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
     index = build_citation_index(corpus, window)
-    areas = WeightColumns.of(corpus, aset, scheme).to_areas(scheme)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     th = excellence_thresholds(areas, index, p)
     flags = excellence_flags(areas, th, index)
     cuts, oracle_flags = oracle_excellence(corpus, scheme, aset, p, window)

@@ -11,7 +11,7 @@ from citeclass import (
     oracle_flow,
     write_corpus,
 )
-from citeclass.syngen import SplitMix64, build_scheme, planted_journal_categories
+from citeclass.syngen import ORACLE_MAX_CLASSES, SplitMix64, build_scheme, planted_journal_categories
 from conftest import assert_vec_close
 
 
@@ -129,7 +129,8 @@ def test_oracle_classify_guard():
 
 
 def test_oracle_flow_guard():
-    wa = {f"C{i}": 1.0 / 11 for i in range(11)}
+    n = ORACLE_MAX_CLASSES + 1
+    wa = {f"C{i}": 1.0 / n for i in range(n)}
     with pytest.raises(ValidationError):
         oracle_flow(wa, wa)
 
