@@ -15,7 +15,7 @@ from .assignments import (
     read_assignments,
     write_assignments,
 )
-from .asjc import classify_asjc, journal_vector, redistribute
+from .asjc import classify_asjc
 from .citer import ThresholdPolicy, apply_threshold, classify_u1f08_all
 from .corpus import (
     Area,
@@ -70,7 +70,6 @@ from .netgraph import (
     modularity,
 )
 from .syngen import SynParams, generate_corpus, oracle_classify, oracle_flow
-from .weights import normalize
 
 __version__ = "0.1.0"
 

@@ -1,89 +1,56 @@
-"""Journal-based fractional classification.
+"""Journal-based fractional classification (ASJC-FRAC).
 
 Every document inherits its journal's category profile: each code listed by
 the journal gets weight 1/k. Weight on the multidisciplinary area code is
 split equally over all non-misc categories of the scheme; weight on a misc
-category is split equally over the non-misc categories of its own area. The
-result is normalized and pruned.
+category is split equally over the non-misc categories of its own area. A
+profile that had such weight is renormalized to an exact unit sum and
+pruned; a profile of regular codes only keeps its weights of 1/k as they
+are. The profiles of the journals that hold documents are one group-by
+into a CSR, whose rows the documents pick by journal.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .assignments import AssignmentSet, SYSTEM_ASJC
-from .corpus import Corpus, Journal, Scheme, ValidationError
-from .weights import CategoryVector, PRUNE_EPS, normalize
-
-
-def journal_base_weights(journal: Journal, scheme: Scheme) -> CategoryVector:
-    """Raw journal profile: 1/k to each listed code, before redistribution."""
-    codes = journal.asjc_codes
-    if not codes:
-        raise ValidationError([f"journal {journal.journal_id!r} has no codes"])
-    for code in codes:
-        if not scheme.is_assignable_code(code):
-            raise ValidationError(
-                [f"journal {journal.journal_id!r} carries unknown code {code!r}"]
-            )
-    w = 1.0 / len(codes)
-    return {code: w for code in sorted(codes)}
-
-
-def redistribute(vector: CategoryVector, scheme: Scheme) -> CategoryVector:
-    """Resolve multidisciplinary and misc weight onto regular categories.
-
-    A vector already free of such entries is returned as a pruned sorted
-    copy with values untouched, so the operation is exactly idempotent.
-    """
-    multi_code = scheme.multi_area.code if scheme.multi_area is not None else None
-    special = False
-    for code in vector:
-        if code == multi_code:
-            special = True
-        else:
-            cat = scheme.category_by_code.get(code)
-            if cat is None:
-                raise ValidationError([f"cannot redistribute unknown code {code!r}"])
-            if cat.is_misc:
-                special = True
-    if not special:
-        return {k: v for k, v in sorted(vector.items()) if v >= PRUNE_EPS}
-
-    acc: dict[str, float] = {}
-    for code, w in vector.items():
-        if code == multi_code:
-            targets = scheme.non_misc_codes
-            if not targets:
-                raise ValidationError(["no non-misc categories to receive multidisciplinary weight"])
-        else:
-            cat = scheme.category_by_code[code]
-            if cat.is_misc:
-                targets = scheme.non_misc_by_area[cat.area_code]
-                if not targets:
-                    raise ValidationError(
-                        [f"area {cat.area_code!r} has no non-misc categories for misc weight"]
-                    )
-            else:
-                acc[code] = acc.get(code, 0.0) + w
-                continue
-        share = w / len(targets)
-        for t in targets:
-            acc[t] = acc.get(t, 0.0) + share
-    return normalize(acc)
-
-
-def journal_vector(journal: Journal, scheme: Scheme) -> CategoryVector:
-    return redistribute(journal_base_weights(journal, scheme), scheme)
+from .corpus import Corpus, Scheme, ValidationError
+from .weights import PRUNE_EPS, row_fsum
 
 
 def classify_asjc(corpus: Corpus, scheme: Scheme) -> AssignmentSet:
-    """Classify every document: each gets its journal's vector. The vectors
-    of the journals that hold documents are the rows of one CSR, and the
-    documents' rows are picked from it by journal."""
+    """Classify every document: each gets its journal's vector."""
     present = np.unique(corpus.journal_index)
-    journals = AssignmentSet.from_rows(SYSTEM_ASJC, (
-        (jid, journal_vector(corpus.journals[jid], scheme))
-        for jid in map(corpus.journal_ids.__getitem__, present.tolist())))
-    rows = journals.weights[np.searchsorted(present, corpus.journal_index)]
-    return AssignmentSet(SYSTEM_ASJC, corpus.doc_ids, journals.codes, rows)
+    # the categories each assignable code sends its weight to
+    to = {c.code: scheme.non_misc_by_area[c.area_code] if c.is_misc else (c.code,) for c in scheme.categories}
+    if scheme.multi_area is not None:
+        to[scheme.multi_area.code] = scheme.non_misc_codes
+    # one (journal row, target code, share) triple per share a code sends
+    rows, targets, shares = [], [], []
+    special = np.zeros(len(present), dtype=bool)
+    for r, jid in enumerate(map(corpus.journal_ids.__getitem__, present.tolist())):
+        codes = corpus.journals[jid].asjc_codes
+        if not codes:
+            raise ValidationError([f"journal {jid!r} has no codes"])
+        for code in sorted(codes):
+            if not to.get(code):
+                raise ValidationError([f"journal {jid!r} carries code {code!r}, which the scheme cannot assign"])
+            special[r] |= to[code] != (code,)
+            rows += [r] * len(to[code])
+            targets += to[code]
+            shares += [1.0 / len(codes) / len(to[code])] * len(to[code])
+    columns, cols = np.unique(np.array(targets, dtype=str), return_inverse=True)
+    m = len(columns)
+    # each cell adds its shares in the order above: codes in order, targets in scheme order
+    cells, inv = np.unique(np.array(rows, dtype=np.int64) * m + cols, return_inverse=True)
+    w = np.bincount(inv, weights=shares).astype(np.float64)  # an empty bincount is int
+    row, col = np.divmod(cells, m)
+    # a regular-only profile is left as it is: math.fsum([1/49] * 49) is not 1
+    norm = special[row]
+    w[norm] /= row_fsum(row[norm], w[norm], len(present))[row[norm]]
+    keep = w >= PRUNE_EPS
+    journals = sparse.csr_matrix((w[keep], (row[keep], col[keep])), shape=(len(present), m))
+    rows_of_docs = journals[np.searchsorted(present, corpus.journal_index)]
+    return AssignmentSet(SYSTEM_ASJC, corpus.doc_ids, tuple(columns.tolist()), rows_of_docs)

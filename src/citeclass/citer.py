@@ -26,7 +26,7 @@ from scipy import sparse
 
 from .assignments import AssignmentSet, SYSTEM_U1
 from .corpus import Corpus, ValidationError
-from .weights import CategoryVector, normalize
+from .weights import PRUNE_EPS, row_fsum
 
 CHUNK_SIZE = 65536  # documents per dense aggregate block in classify_u1f08_all
 
@@ -48,26 +48,36 @@ class ThresholdPolicy:
             raise ValidationError(errors)
 
 
-def apply_threshold(vec: CategoryVector, policy: ThresholdPolicy) -> CategoryVector:
-    """Keep categories with weight >= theta * max weight, cap the support at
-    max_categories heaviest, renormalize. Both the cut and the cap compare
-    each weight's ratio to the max weight rounded to 12 decimals, so weights
-    that differ only by float noise fall on the same side of the cut and tie
-    under the cap, where the category code decides. The rule is
-    scale-invariant, so the input need not be normalized."""
-    if not vec:
-        raise ValidationError(["cannot threshold an empty vector"])
-    wmax = max(vec.values())
-    if wmax <= 0.0:
-        raise ValidationError(["cannot threshold a vector with no positive weight"])
+def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> sparse.csr_matrix:
+    """Cut each row of the dense aggregate block agg to the categories with
+    weight >= theta * the row's max weight, cap the support at the
+    max_categories heaviest, and renormalize; a row with no entry above
+    1e-15 comes back empty. Both the cut and the cap compare each weight's
+    ratio to the max weight rounded to 12 decimals, so weights that differ
+    only by float noise fall on the same side of the cut and tie under the
+    cap, where the column (the code order) decides. The rule is
+    scale-invariant, so the rows need not be normalized."""
+    n = agg.shape[0]
+    wmax = agg.max(axis=1, initial=0.0)
     theta = round(policy.theta, 12)
-    # weights below this raw bound cannot round up to theta; skip rounding them
-    floor = (theta - 1e-9) * wmax
-    level = {k: r for k, w in vec.items() if w >= floor and (r := round(w / wmax, 12)) >= theta}
-    kept = list(level)
-    if len(kept) > policy.max_categories:
-        kept = sorted(kept, key=lambda k: (-level[k], k))[: policy.max_categories]
-    return normalize({k: vec[k] for k in kept})
+    # weights below this raw bound cannot round up to theta
+    row, col = np.nonzero((agg > 1e-15) & (agg >= ((theta - 1e-9) * wmax)[:, None]))
+    ratio = agg[row, col] / wmax[row]
+    kept = ratio >= theta
+    # only a ratio this close to theta can land on the other side once rounded
+    near = np.flatnonzero(np.abs(ratio - theta) <= 1e-9)
+    kept[near] = [round(x, 12) >= theta for x in ratio[near].tolist()]
+    row, col, ratio = row[kept], col[kept], ratio[kept]
+    # the cap ranks only the rows over it, by (-rounded ratio, column)
+    over = np.flatnonzero(np.bincount(row, minlength=n)[row] > policy.max_categories)
+    level = np.array([round(x, 12) for x in ratio[over].tolist()])
+    order = over[np.lexsort((col[over], -level, row[over]))]
+    drop = order[np.arange(len(over)) - np.searchsorted(row[over], row[over]) >= policy.max_categories]
+    row, col = np.delete(row, drop), np.delete(col, drop)
+    w = agg[row, col]
+    w /= row_fsum(row, w, n)[row]
+    keep = w >= PRUNE_EPS
+    return sparse.csr_matrix((w[keep], (row[keep], col[keep])), shape=agg.shape)
 
 
 def classify_u1f08_all(
@@ -116,41 +126,37 @@ def classify_u1f08_all(
     fallback_edge = (in_window & (ncr == 1)) | (~in_window & (ncr == 0))
     reclassified = (corpus.n_references >= policy.min_references) & (k_internal > 0)
 
-    def rows():
-        for i0 in range(0, n, CHUNK_SIZE):
-            i1 = min(i0 + CHUNK_SIZE, n)
-            cn = i1 - i0
-            lo, hi = np.searchsorted(citing, (i0, i1))
-            ld = citing[lo:hi] - i0
-            e_r = cited[lo:hi]
-            e_alpha = alpha[lo:hi]
-            e_fall = fallback_edge[lo:hi]
-            e_sub = subtract[lo:hi]
+    blocks = []
+    for i0 in range(0, n, CHUNK_SIZE):
+        i1 = min(i0 + CHUNK_SIZE, n)
+        cn = i1 - i0
+        lo, hi = np.searchsorted(citing, (i0, i1))
+        ld = citing[lo:hi] - i0
+        e_r = cited[lo:hi]
+        e_alpha = alpha[lo:hi]
+        e_fall = fallback_edge[lo:hi]
+        e_sub = subtract[lo:hi]
 
-            keep = ~e_fall
-            Magg = sparse.csr_matrix((e_alpha[keep], (ld[keep], e_r[keep])), shape=(cn, n))
-            dense = (Magg @ S).toarray()
-            csub = np.bincount(ld[e_sub], weights=e_alpha[e_sub], minlength=cn)
-            if csub.any():
-                dense -= csub[:, None] * A[i0:i1].toarray()
-            if e_fall.any():
-                Mf = sparse.csr_matrix(
-                    (np.ones(int(e_fall.sum())), (ld[e_fall], u[e_r[e_fall]])),
-                    shape=(cn, V.shape[0]),
-                )
-                dense += (Mf @ V).toarray()
-            kc = k_internal[i0:i1].astype(np.float64)
-            np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
-            np.maximum(dense, 0.0, out=dense)
+        keep = ~e_fall
+        Magg = sparse.csr_matrix((e_alpha[keep], (ld[keep], e_r[keep])), shape=(cn, n))
+        dense = (Magg @ S).toarray()
+        csub = np.bincount(ld[e_sub], weights=e_alpha[e_sub], minlength=cn)
+        if csub.any():
+            dense -= csub[:, None] * A[i0:i1].toarray()
+        if e_fall.any():
+            Mf = sparse.csr_matrix(
+                (np.ones(int(e_fall.sum())), (ld[e_fall], u[e_r[e_fall]])),
+                shape=(cn, V.shape[0]),
+            )
+            dense += (Mf @ V).toarray()
+        kc = k_internal[i0:i1].astype(np.float64)
+        np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
+        np.maximum(dense, 0.0, out=dense)
+        dense[~reclassified[i0:i1]] = 0.0
 
-            for j, (doc_id, own) in enumerate(zip(corpus.doc_ids[i0:i1], reclassified[i0:i1].tolist())):
-                if own:
-                    row = dense[j]
-                    nz = np.nonzero(row > 1e-15)[0]
-                    if nz.size:
-                        agg = dict(zip(map(codes.__getitem__, nz.tolist()), row[nz].tolist()))
-                        yield doc_id, apply_threshold(agg, policy)
-                        continue
-                yield doc_id, asjc_set.row(i0 + j)
-
-    return AssignmentSet.from_rows(SYSTEM_U1, rows())
+        cut = apply_threshold(dense, policy)
+        # a row left empty keeps its journal-based vector bit for bit
+        empty = sparse.diags((np.diff(cut.indptr) == 0).astype(np.float64), format="csr")
+        blocks.append((cut + empty @ A[i0:i1]).sorted_indices())
+    W = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, len(codes)))
+    return AssignmentSet(SYSTEM_U1, corpus.doc_ids, codes, W)

@@ -40,6 +40,7 @@ MANIFEST_FILE = "manifest.json"
 REPORT_FILE = "report.json"
 
 SYSTEM_TOKENS = {"asjc-frac": SYSTEM_ASJC, "u1f08": SYSTEM_U1}
+STATS_KEYS = ("n_documents", "n_journals", "year_min", "year_max", "doc_types")
 
 FIG1 = "fig1_low_reference_share.csv"
 FIG2 = "fig2_area_common_unique.csv"
@@ -85,6 +86,21 @@ def _read_manifest(out_dir: str) -> dict[str, str]:
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return manifest
+
+
+def _read_stats(out_dir: str) -> dict:
+    """corpus_stats.json, checked for the STATS_KEYS that report copies and,
+    per year, a positive document count and a histogram of reference counts."""
+    path = os.path.join(out_dir, STATS_FILE)
+    stats = _read_json(path)
+    if not (isinstance(stats, dict) and isinstance(stats.get("years"), dict) and set(STATS_KEYS) <= stats.keys()):
+        raise ParseError(f"{path}: expected an object with keys {', '.join(STATS_KEYS)} and years")
+    for year, info in stats["years"].items():
+        hist = info.get("reference_count_hist") if isinstance(info, dict) else None
+        if not (isinstance(hist, dict) and type(info.get("documents")) is int and info["documents"] > 0
+                and all(k.isdecimal() and type(v) is int for k, v in [(year, 0), *hist.items()])):
+            raise ParseError(f"{path}: year {year!r}: expected a positive document count and a reference histogram")
+    return stats
 
 
 def _require_artifacts(out_dir: str, names: list[str]) -> None:
@@ -154,7 +170,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, STATS_FILE, ASJC_FILE, U1_FILE])
     manifest = _read_manifest(cfg.out)
-    stats = _read_json(os.path.join(cfg.out, STATS_FILE))
+    fig1 = [[y, fmt(pct)] for y, pct in low_reference_share(_read_stats(cfg.out), cfg.min_references)]
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
     set_a = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
@@ -182,8 +198,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
             write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"],
                       [[r.class_code, fmt(r.pct_incoming), fmt(r.pct_outgoing)] for r in rows])
 
-    write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"],
-              [[y, fmt(pct)] for y, pct in low_reference_share(stats, cfg.min_references)])
+    write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"], fig1)
 
     write_json(os.path.join(out, MANIFEST_FILE), manifest | {
         "figure_1": FIG1, "figure_2": FIG2, "figure_4": FIG4, "figure_5": FIG5,
@@ -273,14 +288,10 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [STATS_FILE])
-    stats = _read_json(os.path.join(cfg.out, STATS_FILE))
+    stats = _read_stats(cfg.out)
     manifest = _read_manifest(cfg.out)
     write_json(os.path.join(cfg.out, REPORT_FILE), {
-        "n_documents": stats["n_documents"],
-        "n_journals": stats["n_journals"],
-        "year_min": stats["year_min"],
-        "year_max": stats["year_max"],
-        "doc_types": stats["doc_types"],
+        **{k: stats[k] for k in STATS_KEYS},
         "min_references": cfg.min_references,
         "low_reference_share": [
             {"year": y, "pct_below_min_refs": pct}
@@ -395,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "syngen":
             return cmd_syngen(build_config(syngen.SynParams, file_map, vars(args)), cfg)
         return COMMANDS[args.command](args, cfg)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValidationError as e:

@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .assignments import AssignmentSet, collapse_to_areas
 from .corpus import ParseError, Scheme, ValidationError, fmt, write_csv
-from .weights import NORMALIZATION_TOL, SUPPORT_EPS
+from .weights import NORMALIZATION_TOL, SUPPORT_EPS, row_fsum
 
 LEVELS = ("category", "area")
 
@@ -97,12 +97,7 @@ class FlowAccumulator:
         is_d, is_s = diff.data > 0.0, diff.data < 0.0
         d, row_d, col_d = diff.data[is_d], row[is_d], diff.indices[is_d]
         s, row_s, col_s = -diff.data[is_s], row[is_s], diff.indices[is_s]
-        # the total deficit T of each row, exact as math.fsum: a sum of two terms is
-        # rounded once, so only rows with three or more deficits need fsum
-        T = np.bincount(row_d, weights=d, minlength=n)
-        bounds = np.searchsorted(row_d, np.arange(n + 1))
-        for r in np.flatnonzero(np.diff(bounds) > 2).tolist():
-            T[r] = math.fsum(d[bounds[r]:bounds[r + 1]].tolist())
+        T = row_fsum(row_d, d, n)  # the total deficit of each row
         # one move d * s / T per (deficit, surplus) entry pair of a row with T > 1e-15,
         # summed into cell i * m + j of the class pair (i, j)
         reps = np.where(T[row_d] > 1e-15, np.bincount(row_s, minlength=n)[row_d], 0)

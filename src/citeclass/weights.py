@@ -1,15 +1,13 @@
-"""Sparse category-weight vectors, represented as dict[str, float].
-
-All helpers return plain dicts with keys in sorted order; entries below
-PRUNE_EPS are dropped so vectors stay sparse.
+"""Category-weight constants and the exact per-row sum that the classifiers
+and the flow kernel share. A single vector outside an AssignmentSet is a
+CategoryVector, a dict from category code to weight.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
-from .corpus import ValidationError
+import numpy as np
 
 CategoryVector = dict[str, float]
 
@@ -21,14 +19,12 @@ PRUNE_EPS = 1e-12
 NORMALIZATION_TOL = 1e-6
 
 
-def normalize(vec: Mapping[str, float]) -> CategoryVector:
-    """Scale to unit sum, prune, return keys sorted. Errors on empty or
-    non-positive total."""
-    total = math.fsum(vec.values())
-    if not vec or total <= 0.0:
-        raise ValidationError([f"cannot normalize vector with total {total}"])
-    out = {k: v / total for k, v in sorted(vec.items()) if v / total >= PRUNE_EPS}
-    if not out:
-        raise ValidationError(["normalization left an empty vector"])
-    return out
-
+def row_fsum(row: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The sums of values grouped by row, for rows 0..n-1 and row sorted
+    ascending, each equal to math.fsum of its row's values. A sum of two
+    terms is rounded once, so only rows with three or more terms need fsum."""
+    total = np.bincount(row, weights=values, minlength=n)
+    bounds = np.searchsorted(row, np.arange(n + 1))
+    for r in np.flatnonzero(np.diff(bounds) > 2).tolist():
+        total[r] = math.fsum(values[bounds[r]:bounds[r + 1]].tolist())
+    return total

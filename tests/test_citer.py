@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from citeclass import (
@@ -95,38 +98,68 @@ def test_aggregate_all_empty(scheme):
     assert classify_u1f08_all(corpus, asjc_set, no_min).get("D2") == asjc_set.get("D2")
 
 
+def cut_rows(rows, policy=ThresholdPolicy()):
+    """apply_threshold of a block whose columns are the codes A, B, ... as
+    one {code: weight} dict per row."""
+    out = apply_threshold(np.array(rows, dtype=np.float64), policy)
+    return [{"ABCDEFG"[c]: w for c, w in zip(out.indices[lo:hi].tolist(), out.data[lo:hi].tolist())}
+            for lo, hi in zip(out.indptr[:-1].tolist(), out.indptr[1:].tolist())]
+
+
 def test_apply_threshold_keeps_relative_08():
-    policy = ThresholdPolicy()
-    vec = {"A": 0.50, "B": 0.41, "C": 0.39}
-    out = apply_threshold(vec, policy)
+    [out] = cut_rows([[0.50, 0.41, 0.39]])
     # 0.39 < 0.8 * 0.50 = 0.40 -> dropped; kept renormalized
     assert set(out) == {"A", "B"}
     assert_vec_close(out, {"A": 0.50 / 0.91, "B": 0.41 / 0.91}, tol=1e-12)
 
 
 def test_apply_threshold_boundary_kept():
-    policy = ThresholdPolicy()
     # 0.4 == 0.8 * 0.5 exactly: kept; a ratio of 0.8 short by float noise
     # is kept too
-    for vec in ({"A": 0.5, "B": 0.4}, {"A": 1.0, "B": 0.7999999999999998}):
-        out = apply_threshold(vec, policy)
+    for out in cut_rows([[0.5, 0.4], [1.0, 0.7999999999999998]]):
         assert set(out) == {"A", "B"}
 
 
+def test_apply_threshold_ratios_around_theta():
+    # one ulp either side of 0.8 rounds to 0.8 at 12 decimals and is kept;
+    # 0.7999999999994 rounds below it, 0.7999999999996 does not
+    below, above = math.nextafter(0.8, 0.0), math.nextafter(0.8, 1.0)
+    out = cut_rows([[1.0, below, above, 0.7999999999994, 0.7999999999996, 0.7]])
+    assert [sorted(row) for row in out] == [["A", "B", "C", "E"]]
+
+
 def test_apply_threshold_caps_at_five_by_weight_then_code():
-    policy = ThresholdPolicy()
-    vec = {c: 1.0 for c in ["F", "E", "D", "C", "B", "A"]}
-    # A one ulp short of the others still ties: float noise does not rank
-    for a_weight in (1.0, 1.0 - 2.0 ** -52):
-        out = apply_threshold({**vec, "A": a_weight}, policy)
-        # all tied: lexicographically smallest five survive
-        assert sorted(out) == ["A", "B", "C", "D", "E"]
-        assert_vec_close(out, {c: 0.2 for c in "ABCDE"})
+    # six tied weights; A one ulp short of the others still ties: float
+    # noise does not rank
+    out = cut_rows([[a_weight] + [1.0] * 5 for a_weight in (1.0, 1.0 - 2.0 ** -52)])
+    for row in out:
+        # all tied: the first five codes survive
+        assert sorted(row) == ["A", "B", "C", "D", "E"]
+        assert_vec_close(row, {c: 0.2 for c in "ABCDE"})
 
 
-def test_apply_threshold_empty_errors():
-    with pytest.raises(ValidationError):
-        apply_threshold({}, ThresholdPolicy())
+def test_apply_threshold_cap_ranks_each_row():
+    # exact ties under the cap go by code; the heavier weight ranks first
+    # wherever it sits, and a row under the cap is not ranked
+    policy = ThresholdPolicy(theta=0.5, max_categories=3)
+    out = cut_rows([[0.9, 0.9, 0.9, 0.9, 1.0, 0.9, 0.9],
+                    [0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6],
+                    [0.0, 1.0, 0.0, 0.9, 0.0, 0.0, 0.2]], policy)
+    assert [sorted(row) for row in out] == [["A", "B", "E"], ["A", "B", "C"], ["B", "D"]]
+
+
+def test_apply_threshold_divides_by_exact_sum():
+    # the kept weights 0.1, 0.2, 0.3 sum to 0.6000000000000001 in order but
+    # to 0.6 exactly
+    kept = [0.1, 0.2, 0.3]
+    assert sum(kept) != math.fsum(kept)
+    [out] = cut_rows([[0.1, 0.2, 0.3, 0.0]], ThresholdPolicy(theta=0.3))
+    assert out == {c: w / math.fsum(kept) for c, w in zip("ABC", kept)}
+
+
+def test_apply_threshold_empty_row():
+    out = cut_rows([[0.0, 0.0, 0.0], [0.0, 1e-16, 0.0], [0.0, 2.0, 0.0]])
+    assert out == [{}, {}, {"B": 1.0}]
 
 
 def test_classify_few_references_falls_back(scheme):

@@ -322,6 +322,48 @@ ASJC = "assignments_asjc-frac.jsonl"
 U1 = "assignments_u1-f-0.8.jsonl"
 
 
+# a file given a byte that is not UTF-8 -> the stage that reads it
+NON_UTF8 = {
+    "syn/scheme.csv": lambda root: ingest_argv(root / "syn"),
+    "syn/documents.jsonl": lambda root: ingest_argv(root / "syn"),
+    f"out/{U1}": lambda root: ["compare"],
+    "run.cfg": lambda root: ["compare", "--config", str(root / "run.cfg")],
+    "out/corpus_stats.json": lambda root: ["report"],
+}
+
+
+@pytest.mark.parametrize("name", list(NON_UTF8))
+def test_non_utf8_input_exits_2(pipeline_dir, capsys, name):
+    root = pipeline_dir.parent
+    (root / "run.cfg").write_text("min_references = 3\n")
+    path = root / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    before = snapshot(pipeline_dir)
+    capsys.readouterr()
+    assert run([*NON_UTF8[name](root), "--out", str(pipeline_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert snapshot(pipeline_dir) == before
+
+
+def zero_document_year(stats):
+    stats["years"][min(stats["years"])]["documents"] = 0
+    return stats
+
+
+BAD_STATS = {"empty-object": lambda stats: {}, "list": lambda stats: [], "zero-document-year": zero_document_year}
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("spoil", list(BAD_STATS))
+def test_bad_corpus_stats_exits_2(pipeline_dir, command, spoil):
+    path = pipeline_dir / "corpus_stats.json"
+    path.write_text(json.dumps(BAD_STATS[spoil](json.loads(path.read_text()))))
+    before = snapshot(pipeline_dir)
+    assert run([command, "--out", str(pipeline_dir)]) == 2
+    assert snapshot(pipeline_dir) == before
+
+
 def rewrite_records(path, edit):
     """Replace the assignment file's records by edit(records)."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
