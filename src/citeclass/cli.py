@@ -10,7 +10,6 @@ figure/table dataset to its file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,7 +23,7 @@ from .config import (
 )
 from .corpus import (
     Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary, fmt,
-    load_corpus, load_corpus_npz, load_scheme, low_reference_share, save_corpus_npz,
+    load_corpus, load_corpus_npz, load_scheme, low_reference_share, read_json, save_corpus_npz,
     write_corpus, write_csv, write_json, write_scheme,
 )
 
@@ -70,19 +69,11 @@ LEVEL_FILES = {
 }
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON: {e.msg} (line {e.lineno})") from None
-
-
 def _read_manifest(out_dir: str) -> dict[str, str]:
     """The manifest so far. Stages read it before they write anything, so a
     bad manifest fails a stage while --out is as it was."""
     path = os.path.join(out_dir, MANIFEST_FILE)
-    manifest = _read_json(path) if os.path.exists(path) else {}
+    manifest = read_json(path) if os.path.exists(path) else {}
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return manifest
@@ -92,7 +83,7 @@ def _read_stats(out_dir: str) -> dict:
     """corpus_stats.json, checked for the STATS_KEYS that report copies and,
     per year, a positive document count and a histogram of reference counts."""
     path = os.path.join(out_dir, STATS_FILE)
-    stats = _read_json(path)
+    stats = read_json(path)
     if not (isinstance(stats, dict) and isinstance(stats.get("years"), dict) and set(STATS_KEYS) <= stats.keys()):
         raise ParseError(f"{path}: expected an object with keys {', '.join(STATS_KEYS)} and years")
     for year, info in stats["years"].items():
@@ -179,9 +170,7 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
     results = []
     for level, sets in (("category", (set_a, set_b)),
                         ("area", (collapse_to_areas(set_a, scheme), collapse_to_areas(set_b, scheme)))):
-        acc = flow.FlowAccumulator(level)
-        acc.add(*sets)
-        results.append((acc.finish(), *map(flow.SupportStats, sets)))
+        results.append((flow.FlowAccumulator(level).add(*sets), *map(flow.SupportStats, sets)))
 
     out = cfg.out
     for side, (matrix, st_a, st_b) in enumerate(results):
@@ -406,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "syngen":
             return cmd_syngen(build_config(syngen.SynParams, file_map, vars(args)), cfg)
         return COMMANDS[args.command](args, cfg)
-    except (ParseError, OSError, UnicodeDecodeError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValidationError as e:

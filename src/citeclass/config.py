@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .citer import ThresholdPolicy
-from .corpus import ParseError, ValidationError
+from .corpus import ParseError, ValidationError, read_lines
 from .flow import LEVELS
 from .netgraph import FORMATS, VARIANTS, LayoutParams
 
@@ -84,15 +84,14 @@ class RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

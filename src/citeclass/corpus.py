@@ -34,6 +34,7 @@ import json
 import os
 import zipfile
 from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from operator import attrgetter, lt
@@ -95,6 +96,24 @@ def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_lines(path: str, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are consumed. A byte
+    that is not UTF-8 raises ParseError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+
+
+def read_json(path: str):
+    """A JSON file; text that is not JSON raises ParseError naming the file."""
+    try:
+        return json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON: {e.msg} (line {e.lineno})") from None
 
 
 def write_json(path: str, obj) -> None:
@@ -395,22 +414,19 @@ def low_reference_share(stats: dict, min_references: int) -> list[tuple[int, flo
 def corpus_summary(corpus: Corpus) -> dict:
     """JSON-ready corpus statistics: document counts and reference-count
     histograms per year, plus document-type counts."""
-    years: dict[int, dict] = {}
-    type_counts: dict[str, int] = {}
-    for d in corpus.documents:
-        y = years.setdefault(d.year, {"documents": 0, "reference_count_hist": {}})
-        y["documents"] += 1
-        hist = y["reference_count_hist"]
-        k = str(len(d.references))
-        hist[k] = hist.get(k, 0) + 1
-        type_counts[d.doc_type] = type_counts.get(d.doc_type, 0) + 1
+    years = {y: {"documents": 0, "reference_count_hist": {}} for y in np.unique(corpus.year).tolist()}
+    types = np.bincount(corpus.type_index, minlength=len(corpus.doc_types)).tolist()
+    # a Counter keeps the pairs in order of first appearance, and so each histogram
+    for (y, k), count in Counter(zip(corpus.year.tolist(), corpus.n_references.tolist())).items():
+        years[y]["documents"] += count
+        years[y]["reference_count_hist"][str(k)] = count
     return {
-        "n_documents": len(corpus.documents),
+        "n_documents": len(corpus),
         "n_journals": len(corpus.journals),
-        "year_min": min((d.year for d in corpus.documents), default=None),
-        "year_max": max((d.year for d in corpus.documents), default=None),
-        "doc_types": dict(sorted(type_counts.items())),
-        "years": {str(y): years[y] for y in sorted(years)},
+        "year_min": min(years, default=None),
+        "year_max": max(years, default=None),
+        "doc_types": dict(zip(corpus.doc_types, types)),
+        "years": {str(y): info for y, info in years.items()},
     }
 
 
@@ -432,48 +448,46 @@ def load_scheme(path: str) -> Scheme:
     area_multi: dict[str, bool] = {}
     referenced: dict[str, int] = {}
     errors: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != SCHEME_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(SCHEME_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCHEME_HEADER):
-                raise ParseError(f"{path}: line {line_no}: expected {len(SCHEME_HEADER)} fields, got {len(row)}")
-            code, name, area_code, area_name, raw_misc, raw_multi = (f.strip() for f in row)
-            is_misc = _parse_bool(raw_misc, path, line_no, "is_misc")
-            is_multi = _parse_bool(raw_multi, path, line_no, "is_multidisciplinary")
-            if not area_code:
-                raise ParseError(f"{path}: line {line_no}, column area_code: must not be empty")
-            if area_name:
-                seen_name = area_names.get(area_code)
-                if seen_name is not None and seen_name != area_name:
-                    errors.append(
-                        f"area {area_code!r} named both {seen_name!r} and {area_name!r}"
-                    )
-                area_names.setdefault(area_code, area_name)
-                # an area-definition row is authoritative for the multi flag;
-                # category rows only set it when nothing else has
-                if not code:
-                    area_multi[area_code] = is_multi
-                elif area_code not in area_multi:
-                    area_multi[area_code] = is_multi
-            else:
-                referenced.setdefault(area_code, line_no)
-            if code:
-                categories.append(Category(code, name, area_code, is_misc))
-            else:
-                if is_misc:
-                    errors.append(f"multidisciplinary area row {area_code!r} flagged is_misc")
-                if not is_multi:
-                    errors.append(
-                        f"line {line_no}: row with empty code must be the multidisciplinary area"
-                    )
+    reader = csv.reader(read_lines(path, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if header != SCHEME_HEADER:
+        raise ParseError(f"{path}: line 1: expected header {','.join(SCHEME_HEADER)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(SCHEME_HEADER):
+            raise ParseError(f"{path}: line {line_no}: expected {len(SCHEME_HEADER)} fields, got {len(row)}")
+        code, name, area_code, area_name, raw_misc, raw_multi = (f.strip() for f in row)
+        is_misc = _parse_bool(raw_misc, path, line_no, "is_misc")
+        is_multi = _parse_bool(raw_multi, path, line_no, "is_multidisciplinary")
+        if not area_code:
+            raise ParseError(f"{path}: line {line_no}, column area_code: must not be empty")
+        if area_name:
+            seen_name = area_names.get(area_code)
+            if seen_name is not None and seen_name != area_name:
+                errors.append(
+                    f"area {area_code!r} named both {seen_name!r} and {area_name!r}"
+                )
+            area_names.setdefault(area_code, area_name)
+            # an area-definition row is authoritative for the multi flag;
+            # category rows only set it when nothing else has
+            if not code:
+                area_multi[area_code] = is_multi
+            elif area_code not in area_multi:
+                area_multi[area_code] = is_multi
+        else:
+            referenced.setdefault(area_code, line_no)
+        if code:
+            categories.append(Category(code, name, area_code, is_misc))
+        else:
+            if is_misc:
+                errors.append(f"multidisciplinary area row {area_code!r} flagged is_misc")
+            if not is_multi:
+                errors.append(
+                    f"line {line_no}: row with empty code must be the multidisciplinary area"
+                )
     for area_code, line_no in referenced.items():
         if area_code not in area_names:
             errors.append(
@@ -502,17 +516,16 @@ def write_scheme(scheme: Scheme, path: str) -> None:
 
 
 def _load_jsonl(path: str) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: record {line_no}: invalid JSON: {e.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}: record {line_no}: expected an object")
-            yield line_no, obj
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: record {line_no}: invalid JSON: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: record {line_no}: expected an object")
+        yield line_no, obj
 
 
 def _req(obj: dict, key: str, kind: type, path: str, line_no: int):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .assignments import AssignmentSet, collapse_to_areas
-from .corpus import ParseError, Scheme, ValidationError, fmt, write_csv
+from .corpus import ParseError, Scheme, ValidationError, fmt, read_lines, write_csv
 from .weights import NORMALIZATION_TOL, SUPPORT_EPS, row_fsum
 
 LEVELS = ("category", "area")
@@ -71,17 +71,17 @@ def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> sparse.csr_matrix:
 
 
 class FlowAccumulator:
-    """Sums the flows of pairs of assignment sets at one level into a FlowMatrix."""
+    """The flow kernel at one level. It is a class only so that
+    bench/trace_shim.py can patch add by name."""
 
     def __init__(self, level: str):
         if level not in LEVELS:
             raise ValidationError([f"unknown flow level {level!r}"])
-        # Counter.update adds each value to the key's running sum
-        self.sums = FlowMatrix(level, 0, Counter(), Counter(), Counter(), Counter())
+        self.level = level
 
-    def add(self, set_a: AssignmentSet, set_b: AssignmentSet) -> None:
-        """Add the flows from set_a to set_b, two sets of the same documents
-        with vectors already at this level."""
+    def add(self, set_a: AssignmentSet, set_b: AssignmentSet) -> FlowMatrix:
+        """The flows from set_a to set_b, two sets of the same documents with
+        vectors already at this level. Each dict is in key order."""
         set_b.require_docs(set_a.doc_ids)
         codes = sorted(set(set_a.codes) | set(set_b.codes))
         col = {c: i for i, c in enumerate(codes)}
@@ -107,19 +107,15 @@ class FlowAccumulator:
         used = np.flatnonzero(np.bincount(cell, minlength=m * m))
         moved = np.bincount(cell, weights=d[pair_d] * s[pair_s] / T[row_d[pair_d]], minlength=m * m)[used]
 
-        sums = self.sums
-        sums.n_docs += n
-        for into, W in ((sums.size_a, A), (sums.size_b, B), (sums.common, A.minimum(B))):
+        def by_code(W: sparse.csr_matrix) -> dict[str, float]:
+            """Each held code's column sum; codes are sorted, so held is in key order."""
             held = np.flatnonzero(np.bincount(W.indices, minlength=m))
-            into.update(dict(zip([codes[k] for k in held.tolist()],
-                                 np.bincount(W.indices, weights=W.data, minlength=m)[held].tolist())))
-        sums.flow.update(dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist())))
+            return dict(zip([codes[k] for k in held.tolist()],
+                            np.bincount(W.indices, weights=W.data, minlength=m)[held].tolist()))
 
-    def finish(self) -> FlowMatrix:
-        """The sums so far, each dict in key order."""
-        s = self.sums
-        parts = (s.size_a, s.size_b, s.common, s.flow)
-        return FlowMatrix(s.level, s.n_docs, *(dict(sorted(d.items())) for d in parts))
+        # cell k is the class pair (k // m, k % m), so used is in key order too
+        flow = dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist()))
+        return FlowMatrix(self.level, n, by_code(A), by_code(B), by_code(A.minimum(B)), flow)
 
 
 def flow_matrix(
@@ -135,8 +131,7 @@ def flow_matrix(
         if scheme is None:
             raise ValidationError(["area-level flows require a scheme"])
         set_a, set_b = collapse_to_areas(set_a, scheme), collapse_to_areas(set_b, scheme)
-    acc.add(set_a, set_b)
-    return acc.finish()
+    return acc.add(set_a, set_b)
 
 
 def class_flow_stats(matrix: FlowMatrix) -> list[ClassFlowStats]:
@@ -266,16 +261,20 @@ CLASS_STATS_HEADER = ["class", "size_a", "size_b", "common",
                       "incoming", "outgoing", "pct_incoming", "pct_outgoing"]
 
 
-def _csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The line number and fields of each row of a CSV with this header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ParseError(f"{path}: expected the header {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields")
-            yield line_no, row
+def _csv_rows(path: str, header: list[str], n_key: int) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each row of a CSV with this header,
+    whose first n_key fields name no other row."""
+    reader = csv.reader(read_lines(path, newline=""))
+    if next(reader, None) != header:
+        raise ParseError(f"{path}: expected the header {','.join(header)}")
+    seen = set()
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields")
+        if (key := tuple(row[:n_key])) in seen:
+            raise ParseError(f"{path}: line {line_no}: repeats the row of {','.join(key)}")
+        seen.add(key)
+        yield line_no, row
 
 
 def _csv_number(path: str, line_no: int, text: str) -> float:
@@ -298,7 +297,7 @@ def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
 
 def read_flow_csv(path: str, level: str) -> FlowMatrix:
     """Rebuild a flow matrix (flows only; sizes must come from class stats)."""
-    rows = _csv_rows(path, FLOW_HEADER)
+    rows = _csv_rows(path, FLOW_HEADER, 2)
     flow = {(row[0], row[1]): _csv_number(path, line_no, row[2]) for line_no, row in rows}
     return FlowMatrix(level, 0, {}, {}, {}, dict(sorted(flow.items())))
 
@@ -314,4 +313,4 @@ def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
 def read_class_stats_csv(path: str) -> list[ClassFlowStats]:
     return [ClassFlowStats(row[0], *(
         None if i >= 6 and row[i] == "NA" else _csv_number(path, line_no, row[i]) for i in range(1, 8)))
-        for line_no, row in _csv_rows(path, CLASS_STATS_HEADER)]
+        for line_no, row in _csv_rows(path, CLASS_STATS_HEADER, 1)]

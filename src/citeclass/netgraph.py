@@ -21,7 +21,6 @@ nodes.
 
 from __future__ import annotations
 
-import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -29,11 +28,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import ParseError, ValidationError, atomic_open, write_json
+from .corpus import ParseError, ValidationError, atomic_open, read_json, write_json
 from .flow import FlowMatrix
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 FORMATS = ("json", "graphml")
+# the record fields GraphML holds as <data>: (key, element, attr.type), which
+# also gives its <key> lines; and those it holds as attributes: {attribute: field}
+GRAPHML_DATA = (("size", "node", "double"), ("community", "node", "int"), ("x", "node", "double"),
+                ("y", "node", "double"), ("weight", "edge", "double"))
+GRAPHML_ATTRS = {"node": {"id": "id"}, "edge": {"source": "from", "target": "to"}}
 VARIANTS = ("node", "edge")
 
 
@@ -97,6 +101,8 @@ def build_flow_graph(matrix: FlowMatrix, epsilon: float = 1e-6) -> FlowGraph:
     classes = matrix.classes()
     if not classes:
         raise ValidationError(["cannot build a graph from an empty flow matrix"])
+    if strays := sorted({c for pair in matrix.flow for c in pair}.difference(classes)):
+        raise ValidationError([f"flow endpoint {c!r} is not a class of the graph" for c in strays])
     nodes = [GraphNode(c, matrix.size_b.get(c, 0.0)) for c in classes]
     edges = [
         GraphEdge(i, j, w)
@@ -132,18 +138,17 @@ def modularity(graph: FlowGraph, partition: dict[str, int] | Partition) -> float
     if two_m <= 0.0:
         return 0.0
     comm_of = [community[c] for c in codes]
-    e_cc: dict[int, float] = {}
-    a: dict[int, float] = {}
+    e_cc = dict.fromkeys(comm_of, 0.0)
+    a = dict.fromkeys(comm_of, 0.0)
     for (i, j), w in sym.items():
         ci, cj = comm_of[i], comm_of[j]
-        a[ci] = a.get(ci, 0.0) + w / two_m
-        a[cj] = a.get(cj, 0.0) + w / two_m
+        a[ci] += w / two_m
+        a[cj] += w / two_m
         if ci == cj:
-            e_cc[ci] = e_cc.get(ci, 0.0) + 2.0 * w / two_m
+            e_cc[ci] += 2.0 * w / two_m
     q = 0.0
     for c in set(comm_of):
-        ac = a.get(c, 0.0)
-        q += e_cc.get(c, 0.0) - ac * ac
+        q += e_cc[c] - a[c] * a[c]
     return q
 
 
@@ -296,92 +301,60 @@ def export_graph(
     fmt: str,
     path: str,
 ) -> None:
-    """Write plot-ready graph data; byte-deterministic given inputs."""
+    """Write the same node and edge records in either format; byte-deterministic given inputs."""
     codes = graph.node_codes()
     if set(partition.community) != set(codes) or set(layout.positions) != set(codes):
         raise ValidationError(["graph, partition, and layout cover different node sets"])
-    if fmt == "json":
-        obj = {
-            "nodes": [
-                {
-                    "id": node.class_code,
-                    "size": node.size,
-                    "community": partition.community[node.class_code],
-                    "x": layout.positions[node.class_code][0],
-                    "y": layout.positions[node.class_code][1],
-                }
-                for node in sorted(graph.nodes, key=lambda n: n.class_code)
-            ],
-            "edges": [
-                {"from": e.source, "to": e.target, "weight": e.weight}
-                for e in sorted(graph.edges, key=lambda e: (e.source, e.target))
-            ],
-        }
-        write_json(path, obj)
-    elif fmt == "graphml":
-        lines = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<graphml xmlns="{GRAPHML_NS}">',
-            '  <key id="size" for="node" attr.name="size" attr.type="double"/>',
-            '  <key id="community" for="node" attr.name="community" attr.type="int"/>',
-            '  <key id="x" for="node" attr.name="x" attr.type="double"/>',
-            '  <key id="y" for="node" attr.name="y" attr.type="double"/>',
-            '  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>',
-            '  <graph id="G" edgedefault="directed">',
-        ]
-        for node in sorted(graph.nodes, key=lambda n: n.class_code):
-            px, py = layout.positions[node.class_code]
-            lines.append(f'    <node id="{escape(node.class_code, {chr(34): "&quot;"})}">')
-            lines.append(f'      <data key="size">{node.size!r}</data>')
-            lines.append(f'      <data key="community">{partition.community[node.class_code]}</data>')
-            lines.append(f'      <data key="x">{px!r}</data>')
-            lines.append(f'      <data key="y">{py!r}</data>')
-            lines.append("    </node>")
-        for e in sorted(graph.edges, key=lambda e: (e.source, e.target)):
-            src = escape(e.source, {chr(34): "&quot;"})
-            tgt = escape(e.target, {chr(34): "&quot;"})
-            lines.append(f'    <edge source="{src}" target="{tgt}">')
-            lines.append(f'      <data key="weight">{e.weight!r}</data>')
-            lines.append("    </edge>")
-        lines.append("  </graph>")
-        lines.append("</graphml>")
-        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-    else:
+    if fmt not in FORMATS:
         raise ValidationError([f"unknown graph format {fmt!r}"])
+    nodes = [{"id": n.class_code, "size": n.size, "community": partition.community[n.class_code],
+              "x": layout.positions[n.class_code][0], "y": layout.positions[n.class_code][1]}
+             for n in sorted(graph.nodes, key=lambda n: n.class_code)]
+    edges = [{"from": e.source, "to": e.target, "weight": e.weight}
+             for e in sorted(graph.edges, key=lambda e: (e.source, e.target))]
+    if fmt == "json":
+        write_json(path, {"nodes": nodes, "edges": edges})
+        return
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<graphml xmlns="{GRAPHML_NS}">',
+        *(f'  <key id="{key}" for="{el}" attr.name="{key}" attr.type="{kind}"/>' for key, el, kind in GRAPHML_DATA),
+        '  <graph id="G" edgedefault="directed">',
+    ]
+    for el, records in (("node", nodes), ("edge", edges)):
+        for rec in records:
+            quoted = (f'{a}="{escape(rec[field], {chr(34): "&quot;"})}"' for a, field in GRAPHML_ATTRS[el].items())
+            lines.append(f"    <{el} {' '.join(quoted)}>")
+            lines.extend(f'      <data key="{key}">{rec[key]!r}</data>' for key, e, _ in GRAPHML_DATA if e == el)
+            lines.append(f"    </{el}>")
+    lines += ["  </graph>", "</graphml>", ""]
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
 
 
 def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str, tuple[float, float]]]:
-    """Read back an exported graph: (graph, community map, positions)."""
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        nodes = [GraphNode(rec["id"], float(rec["size"])) for rec in obj["nodes"]]
-        edges = [GraphEdge(rec["from"], rec["to"], float(rec["weight"])) for rec in obj["edges"]]
-        community = {rec["id"]: int(rec["community"]) for rec in obj["nodes"]}
-        positions = {rec["id"]: (float(rec["x"]), float(rec["y"])) for rec in obj["nodes"]}
-        return FlowGraph(nodes, edges), community, positions
-    if fmt == "graphml":
-        ns = {"g": GRAPHML_NS}
-        try:
+    """Read back an exported graph: (graph, community map, positions). Bad
+    text, a missing field or a non-numeric value raises ParseError."""
+    if fmt not in FORMATS:
+        raise ValidationError([f"unknown graph format {fmt!r}"])
+    try:
+        if fmt == "json":
+            records = read_json(path)
+        else:
             root = ET.parse(path).getroot()
-        except ET.ParseError as e:
-            raise ParseError(f"{path}: invalid GraphML: {e}") from None
-        nodes, community, positions = [], {}, {}
-        for el in root.findall(".//g:node", ns):
-            data = {d.get("key"): d.text or "" for d in el.findall("g:data", ns)}
-            code = el.get("id") or ""
-            nodes.append(GraphNode(code, float(data["size"])))
-            community[code] = int(data["community"])
-            positions[code] = (float(data["x"]), float(data["y"]))
-        edges = [
-            GraphEdge(
-                el.get("source") or "",
-                el.get("target") or "",
-                float({d.get("key"): d.text or "" for d in el.findall("g:data", ns)}["weight"]),
-            )
-            for el in root.findall(".//g:edge", ns)
-        ]
-        return FlowGraph(nodes, edges), community, positions
-    raise ValidationError([f"unknown graph format {fmt!r}"])
+            # the record of an element: its attributes under their field names, and its data
+            records = {f"{el}s": [
+                {field: item.attrib[a] for a, field in attrs.items()}
+                | {d.get("key"): d.text or "" for d in item.iter(f"{{{GRAPHML_NS}}}data")}
+                for item in root.iter(f"{{{GRAPHML_NS}}}{el}")
+            ] for el, attrs in GRAPHML_ATTRS.items()}
+        nodes, edges = records["nodes"], records["edges"]
+        graph = FlowGraph([GraphNode(rec["id"], float(rec["size"])) for rec in nodes],
+                          [GraphEdge(rec["from"], rec["to"], float(rec["weight"])) for rec in edges])
+        community = {rec["id"]: int(rec["community"]) for rec in nodes}
+        positions = {rec["id"]: (float(rec["x"]), float(rec["y"])) for rec in nodes}
+    except ET.ParseError as e:
+        raise ParseError(f"{path}: invalid GraphML: {e}") from None
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: a node or edge record lacks a field or holds a bad value: {e!r}") from None
+    return graph, community, positions

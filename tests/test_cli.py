@@ -342,7 +342,7 @@ def test_non_utf8_input_exits_2(pipeline_dir, capsys, name):
     capsys.readouterr()
     assert run([*NON_UTF8[name](root), "--out", str(pipeline_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
     assert snapshot(pipeline_dir) == before
 
 
@@ -617,6 +617,38 @@ def test_network_refuses_bad_numbers(pipeline_dir, name, column, value, code):
     before = snapshot(pipeline_dir)
     assert run(["network", "--level", "area", "--out", str(pipeline_dir)]) == code
     assert snapshot(pipeline_dir) == before
+
+
+def network_refuses_rows(out, capsys, name, edit, code):
+    """network after compare and an edit of one of its input CSVs: exit
+    code, one error line, and --out unchanged. Returns the error line."""
+    assert run(["compare", "--out", str(out)]) == 0
+    rows = read_csv(out / name)
+    with open(out / name, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run(["network", "--level", "area", "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert snapshot(out) == before
+    return err[0]
+
+
+def test_network_refuses_a_flow_outside_the_classes(pipeline_dir, capsys):
+    err = network_refuses_rows(pipeline_dir, capsys, "flows_area.csv",
+                               lambda rows: [*rows, ["ZZ", rows[1][0], "1.0"]], 1)
+    assert "'ZZ'" in err
+
+
+@pytest.mark.parametrize("name, repeat", [
+    ("flows_area.csv", lambda row: [row[0], row[1], "999.0"]),
+    ("class_stats_area.csv", lambda row: [row[0], row[1], "999.0", *row[3:]]),
+])
+def test_network_refuses_repeated_rows(pipeline_dir, capsys, name, repeat):
+    # compare writes each flow and each class once; a repeat is malformed
+    err = network_refuses_rows(pipeline_dir, capsys, name, lambda rows: [*rows, repeat(rows[1])], 2)
+    assert f"line {len(read_csv(pipeline_dir / name))}" in err
 
 
 def test_report_summarizes(pipeline_dir):

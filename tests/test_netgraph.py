@@ -1,11 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citeclass import (
     FlowMatrix,
+    Layout,
     LayoutParams,
+    ParseError,
+    Partition,
     ValidationError,
     build_flow_graph,
     detect_communities,
@@ -321,6 +326,72 @@ def test_export_bytes_stable(tmp_path):
     export_graph(g, part, layout, "json", str(p1))
     export_graph(g, part, layout, "json", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# class codes with XML-special and non-ASCII characters; left out are control
+# characters (XML 1.0 forbids most, and reads a tab or newline in an attribute
+# as a space), surrogates (not UTF-8) and unassigned code points (U+FFFE, U+FFFF)
+CODES = st.text(st.one_of(st.sampled_from("\"<>&'"), st.characters(blacklist_categories=("Cc", "Cs", "Cn"))),
+                min_size=1, max_size=6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def exported_graphs(draw):
+    """A graph with its partition and layout, drawn with awkward codes and
+    finite numbers, and nodes and edges in any order."""
+    codes = draw(st.lists(CODES, min_size=1, max_size=6, unique=True))
+    nodes = [GraphNode(c, draw(FINITE)) for c in codes]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(codes), st.sampled_from(codes)), max_size=10, unique=True))
+    edges = [GraphEdge(i, j, draw(FINITE)) for i, j in pairs]
+    community = {c: draw(st.integers(0, 5)) for c in codes}
+    positions = {c: (draw(FINITE), draw(FINITE)) for c in codes}
+    return FlowGraph(draw(st.permutations(nodes)), edges), Partition(community, 0.0), Layout(positions, 0.0, ())
+
+
+@given(case=exported_graphs(), fmt=st.sampled_from(["json", "graphml"]))
+@settings(max_examples=100, deadline=None)
+def test_export_load_round_trip(tmp_path_factory, case, fmt):
+    g, part, layout = case
+    tmp = tmp_path_factory.mktemp("graph")
+    first, second = tmp / f"a.{fmt}", tmp / f"b.{fmt}"
+    export_graph(g, part, layout, fmt, str(first))
+    export_graph(g, part, layout, fmt, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    g2, comm, pos = load_graph(str(first), fmt)
+    assert g2.nodes == sorted(g.nodes, key=lambda n: n.class_code)
+    assert g2.edges == sorted(g.edges, key=lambda e: (e.source, e.target))
+    assert comm == part.community
+    assert pos == layout.positions
+
+
+# a spoiled export -> the format it is in
+BAD_EXPORTS = {
+    "json-missing-field": ("json", lambda text: text.replace('"size"', '"sise"', 1)),
+    "json-non-numeric": ("json", lambda text: re.sub(r'"x": [^,\n]+', '"x": "east"', text, count=1)),
+    "json-truncated": ("json", lambda text: text[: len(text) // 2]),
+    "graphml-missing-field": ("graphml", lambda text: text.replace('<data key="size">', '<data key="sise">', 1)),
+    "graphml-non-numeric": ("graphml", lambda text: text.replace('<data key="x">', '<data key="x">east', 1)),
+    "graphml-truncated": ("graphml", lambda text: text[: len(text) // 2]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_EXPORTS))
+def test_load_graph_refuses_bad_records(tmp_path, case):
+    fmt, spoil = BAD_EXPORTS[case]
+    g = two_triangles()
+    layout = linlog_layout(g, LayoutParams(iterations=10, step=0.1, seed=9))
+    p = tmp_path / f"g.{fmt}"
+    export_graph(g, detect_communities(g), layout, fmt, str(p))
+    p.write_text(spoil(p.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(str(p))):
+        load_graph(str(p), fmt)
+
+
+def test_flow_endpoint_outside_the_classes_is_refused():
+    m = FlowMatrix("area", 0, {}, {"A": 1.0, "B": 2.0}, {}, {("A", "B"): 1.0, ("ZZ", "A"): 1.0, ("B", "YY"): 2.0})
+    with pytest.raises(ValidationError, match="'YY'.*'ZZ'"):
+        build_flow_graph(m)
 
 
 def test_detect_edgeless_graph_all_singletons():
