@@ -7,7 +7,6 @@ same result always serializes to the same bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -137,18 +136,16 @@ def iter_assignments(path: str) -> Iterator[tuple[str, str, CategoryVector]]:
         yield doc_id, system, vec
 
 
-def read_assignments(path: str, expect_system: str | None = None) -> AssignmentSet:
+def read_assignments(path: str, system: str) -> AssignmentSet:
     """Load a whole assignment file of one system."""
-    records = iter_assignments(path)
-    first = next(records, None)
-    if first is None:
-        raise ValidationError([f"{path}: no assignments found"])
-    system = expect_system or first[1]
 
     def rows() -> Iterator[tuple[str, CategoryVector]]:
-        for doc_id, other, vec in itertools.chain((first,), records):
+        for doc_id, other, vec in iter_assignments(path):
             if other != system:
                 raise ValidationError([f"{path}: mixed systems {system!r} and {other!r}"])
             yield doc_id, vec
 
-    return AssignmentSet.from_rows(system, rows())
+    aset = AssignmentSet.from_rows(system, rows())
+    if not len(aset):
+        raise ValidationError([f"{path}: no assignments found"])
+    return aset

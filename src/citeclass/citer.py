@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from . import asjc
 from .assignments import AssignmentSet, SYSTEM_U1
-from .corpus import Corpus, ValidationError
+from .corpus import Corpus, Scheme, ValidationError
 from .weights import PRUNE_EPS, row_fsum
 
 CHUNK_SIZE = 65536  # documents per dense aggregate block in classify_u1f08_all
@@ -82,25 +83,21 @@ def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> sparse.csr_matr
 
 def classify_u1f08_all(
     corpus: Corpus,
-    asjc_set: AssignmentSet,
+    scheme: Scheme,
     policy: ThresholdPolicy = ThresholdPolicy(),
     citer_window: int | None = None,
 ) -> AssignmentSet:
-    """Classify every document of a corpus. asjc_set must hold exactly the
-    documents of the corpus, with one vector per journal."""
+    """Classify every document of a corpus from the ASJC-FRAC vectors of
+    its citers' journals, split from the scheme as classify_asjc does."""
     n = len(corpus)
-    asjc_set.require_docs(corpus.doc_ids)
+    asjc_set = asjc.classify_asjc(corpus, scheme)
     A, codes = asjc_set.weights, asjc_set.codes
     # V holds one row per journal in order of first appearance, which fixes
     # the summation order of the fallback product Mf @ V; u maps documents to rows
-    present, first, inv = np.unique(corpus.journal_index, return_index=True, return_inverse=True)
+    _, first, inv = np.unique(corpus.journal_index, return_index=True, return_inverse=True)
     by_appearance = np.argsort(first)
     u = np.argsort(by_appearance)[inv]
     V = A[first[by_appearance]]
-    journals = [corpus.journal_ids[j] for j in present[by_appearance].tolist()]
-    varying = [journals[r] for r in np.unique(u[(A != V[u]).nonzero()[0]])]
-    if varying:
-        raise ValidationError([f"journal-based assignments vary within journal {j!r}" for j in varying])
 
     citing, cited = corpus.ref_edges()
     ne = len(citing)

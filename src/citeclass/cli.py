@@ -149,9 +149,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
         aset = asjc.classify_asjc(corpus, scheme)
         out_path = os.path.join(cfg.out, ASJC_FILE)
     else:
-        _require_artifacts(cfg.out, [ASJC_FILE])
-        asjc_set = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
-        aset = citer.classify_u1f08_all(corpus, asjc_set, cfg.threshold_policy(), cfg.citer_window)
+        aset = citer.classify_u1f08_all(corpus, scheme, cfg.threshold_policy(), cfg.citer_window)
         out_path = os.path.join(cfg.out, U1_FILE)
     write_assignments(out_path, aset)
     print(f"classified {len(aset)} documents under {system}")

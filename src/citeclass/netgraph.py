@@ -21,7 +21,9 @@ nodes.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
@@ -38,6 +40,12 @@ FORMATS = ("json", "graphml")
 GRAPHML_DATA = (("size", "node", "double"), ("community", "node", "int"), ("x", "node", "double"),
                 ("y", "node", "double"), ("weight", "edge", "double"))
 GRAPHML_ATTRS = {"node": {"id": "id"}, "edge": {"source": "from", "target": "to"}}
+# GraphML attributes escape the quote, and the three C0 controls XML would
+# read back as spaces; XML 1.0 cannot hold the other C0 controls (CONTROL)
+ATTR_ESCAPES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+# GraphML <data> text reads as a number, as JSON reads it, only if it is a JSON number literal
+NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 VARIANTS = ("node", "edge")
 
 
@@ -307,6 +315,9 @@ def export_graph(
         raise ValidationError(["graph, partition, and layout cover different node sets"])
     if fmt not in FORMATS:
         raise ValidationError([f"unknown graph format {fmt!r}"])
+    names = set(codes).union(*((e.source, e.target) for e in graph.edges))
+    if bad := sorted(c for c in names if CONTROL.search(c)):
+        raise ValidationError([f"class code {c!r} holds a control character" for c in bad])
     nodes = [{"id": n.class_code, "size": n.size, "community": partition.community[n.class_code],
               "x": layout.positions[n.class_code][0], "y": layout.positions[n.class_code][1]}
              for n in sorted(graph.nodes, key=lambda n: n.class_code)]
@@ -323,7 +334,7 @@ def export_graph(
     ]
     for el, records in (("node", nodes), ("edge", edges)):
         for rec in records:
-            quoted = (f'{a}="{escape(rec[field], {chr(34): "&quot;"})}"' for a, field in GRAPHML_ATTRS[el].items())
+            quoted = (f'{a}="{escape(rec[field], ATTR_ESCAPES)}"' for a, field in GRAPHML_ATTRS[el].items())
             lines.append(f"    <{el} {' '.join(quoted)}>")
             lines.extend(f'      <data key="{key}">{rec[key]!r}</data>' for key, e, _ in GRAPHML_DATA if e == el)
             lines.append(f"    </{el}>")
@@ -332,9 +343,16 @@ def export_graph(
         fh.write("\n".join(lines))
 
 
+def _field(value, kind: type):
+    """value as a str code, an int community or a finite float (given as an int or a float, never a bool)."""
+    if type(value) not in ((int, float) if kind is float else (kind,)) or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str, tuple[float, float]]]:
     """Read back an exported graph: (graph, community map, positions). Bad
-    text, a missing field or a non-numeric value raises ParseError."""
+    text, a missing field or a value of the wrong type (see _field) raises ParseError."""
     if fmt not in FORMATS:
         raise ValidationError([f"unknown graph format {fmt!r}"])
     try:
@@ -345,16 +363,18 @@ def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str
             # the record of an element: its attributes under their field names, and its data
             records = {f"{el}s": [
                 {field: item.attrib[a] for a, field in attrs.items()}
-                | {d.get("key"): d.text or "" for d in item.iter(f"{{{GRAPHML_NS}}}data")}
+                | {d.get("key"): json.loads(t) if NUMBER.fullmatch(t := d.text or "") else t
+                   for d in item.iter(f"{{{GRAPHML_NS}}}data")}
                 for item in root.iter(f"{{{GRAPHML_NS}}}{el}")
             ] for el, attrs in GRAPHML_ATTRS.items()}
         nodes, edges = records["nodes"], records["edges"]
-        graph = FlowGraph([GraphNode(rec["id"], float(rec["size"])) for rec in nodes],
-                          [GraphEdge(rec["from"], rec["to"], float(rec["weight"])) for rec in edges])
-        community = {rec["id"]: int(rec["community"]) for rec in nodes}
-        positions = {rec["id"]: (float(rec["x"]), float(rec["y"])) for rec in nodes}
+        graph = FlowGraph([GraphNode(_field(rec["id"], str), _field(rec["size"], float)) for rec in nodes],
+                          [GraphEdge(_field(rec["from"], str), _field(rec["to"], str), _field(rec["weight"], float))
+                           for rec in edges])
+        community = {rec["id"]: _field(rec["community"], int) for rec in nodes}
+        positions = {rec["id"]: (_field(rec["x"], float), _field(rec["y"], float)) for rec in nodes}
     except ET.ParseError as e:
         raise ParseError(f"{path}: invalid GraphML: {e}") from None
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{path}: a node or edge record lacks a field or holds a bad value: {e!r}") from None
     return graph, community, positions

@@ -107,7 +107,7 @@ def test_c01_mass_conservation():
         scheme, corpus = generate_corpus(SynParams(n_docs=1000, seed=seed))
         banned = _banned_codes(scheme)
         asjc = classify_asjc(corpus, scheme)
-        u1 = classify_u1f08_all(corpus, asjc)
+        u1 = classify_u1f08_all(corpus, scheme)
         for aset in (asjc, u1):
             assert set(aset.doc_ids) == {d.doc_id for d in corpus.documents}
             for vec in map(aset.get, aset.doc_ids):
@@ -138,7 +138,7 @@ def test_c02_multidisciplinary_split(scheme285):
 def test_c03_citer_system_contract(syn200):
     scheme, corpus = syn200
     asjc = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc)
+    u1 = classify_u1f08_all(corpus, scheme)
     internal = {d.doc_id for d in corpus.documents}
     citers = {}
     for d in corpus.documents:
@@ -176,8 +176,7 @@ def test_c03_citer_system_contract(syn200):
 def test_c04_oracle_equivalence(syn200, syn2000):
     started = time.perf_counter()
     for scheme, corpus in (syn200, syn2000):
-        asjc = classify_asjc(corpus, scheme)
-        u1 = classify_u1f08_all(corpus, asjc)
+        u1 = classify_u1f08_all(corpus, scheme)
         oracle = oracle_classify(corpus, scheme, ThresholdPolicy())
         assert set(u1.doc_ids) == set(oracle.doc_ids)
         for doc_id in u1.doc_ids:
@@ -217,8 +216,7 @@ def _planted_accuracy(prob: float, seed: int) -> float:
     )
     scheme, corpus = generate_corpus(params)
     planted = planted_journal_categories(params)
-    asjc = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc)
+    u1 = classify_u1f08_all(corpus, scheme)
     hits = eligible = 0
     for d in corpus.documents:
         # the written fallback rule: these documents keep their ASJC-FRAC vector
@@ -248,7 +246,7 @@ def test_c05_planted_recovery():
 def test_c06_flow_balance(syn2000):
     scheme, corpus = syn2000
     asjc = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc)
+    u1 = classify_u1f08_all(corpus, scheme)
 
     for d in corpus.documents:
         a, b = asjc.get(d.doc_id), u1.get(d.doc_id)
@@ -281,7 +279,7 @@ def test_c07_ni_self_normalization(syn200):
     scheme, corpus = syn200
     index = build_citation_index(corpus)
     asjc = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc)
+    u1 = classify_u1f08_all(corpus, scheme)
 
     for aset in (asjc, u1):
         baselines = category_baselines(WeightColumns(corpus, aset), index)
@@ -324,7 +322,7 @@ def test_c08_excellence_cap(syn200):
     scheme, corpus = syn200
     index = build_citation_index(corpus)
     asjc = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc)
+    u1 = classify_u1f08_all(corpus, scheme)
 
     for aset in (asjc, u1):
         for p in (0.10, 0.01):

@@ -69,3 +69,14 @@ def test_require_docs_names_missing_and_extra():
         aset.require_docs(["D1", "D2"])
     assert e.value.errors == [f"no {SYSTEM_ASJC} assignment for 'D2'",
                               f"unexpected {SYSTEM_ASJC} assignment for 'D3'"]
+
+
+def test_read_assignments_refuses_an_empty_file_and_another_system(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text("")
+    with pytest.raises(ValidationError, match="no assignments found"):
+        read_assignments(str(path), SYSTEM_ASJC)
+    write_assignments(str(path), AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"A": 1.0})]))
+    with pytest.raises(ValidationError) as e:
+        read_assignments(str(path), SYSTEM_ASJC)
+    assert e.value.errors == [f"{path}: mixed systems {SYSTEM_ASJC!r} and {SYSTEM_U1!r}"]

@@ -43,8 +43,8 @@ def test_reference_profile_averages_citers(scheme):
         Document("C2", "J-MIX", 2012, "article", ("R",), 0),
         Document("D", "J-CH", 2013, "article", ("R",), 0),
     ]
-    corpus, asjc_set = u1_setup(scheme, docs)
-    prof = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
+    corpus = make_corpus(scheme, docs)
+    prof = classify_u1f08_all(corpus, scheme, KEEP_ALL).get("D")
     assert_vec_close(prof, {"PH01": 0.75, "CH01": 0.25})
 
 
@@ -53,9 +53,9 @@ def test_reference_profile_excludes_classified_doc(scheme):
         Document("R", "J-PH2", 2010, "article", (), 0),
         Document("D", "J-CH", 2013, "article", ("R",), 0),
     ]
-    corpus, asjc_set = u1_setup(scheme, docs)
+    corpus = make_corpus(scheme, docs)
     # D is R's only citer; excluding D leaves none -> R's own journal vector
-    prof = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
+    prof = classify_u1f08_all(corpus, scheme, KEEP_ALL).get("D")
     assert_vec_close(prof, {"PH02": 1.0})
 
 
@@ -64,7 +64,7 @@ def test_reference_profile_external_is_empty(scheme):
     # journal vector
     docs = [Document("D", "J-CH", 2013, "article", ("X9",), 0)]
     corpus, asjc_set = u1_setup(scheme, docs)
-    assert classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D") == asjc_set.get("D")
+    assert classify_u1f08_all(corpus, scheme, KEEP_ALL).get("D") == asjc_set.get("D")
 
 
 def test_aggregate_skips_empty_profiles(scheme):
@@ -80,8 +80,8 @@ def test_aggregate_skips_empty_profiles(scheme):
             Document("C3", "J-CH", 2012, "article", ("R3",), 0),
             Document("D", "J-PH2", 2013, "article", refs, 0),
         ]
-        corpus, asjc_set = u1_setup(scheme, docs)
-        agg = classify_u1f08_all(corpus, asjc_set, KEEP_ALL).get("D")
+        corpus = make_corpus(scheme, docs)
+        agg = classify_u1f08_all(corpus, scheme, KEEP_ALL).get("D")
         assert_vec_close(agg, {"PH01": 0.5, "CH01": 0.5})
 
 
@@ -92,10 +92,10 @@ def test_aggregate_all_empty(scheme):
         Document("D2", "J-PH", 2013, "article", (), 0),
     ]
     corpus, asjc_set = u1_setup(scheme, docs)
-    u1 = classify_u1f08_all(corpus, asjc_set, KEEP_ALL)
+    u1 = classify_u1f08_all(corpus, scheme, KEEP_ALL)
     assert u1.get("D1") == asjc_set.get("D1")
     no_min = ThresholdPolicy(theta=1e-9, min_references=0)
-    assert classify_u1f08_all(corpus, asjc_set, no_min).get("D2") == asjc_set.get("D2")
+    assert classify_u1f08_all(corpus, scheme, no_min).get("D2") == asjc_set.get("D2")
 
 
 def cut_rows(rows, policy=ThresholdPolicy()):
@@ -169,14 +169,14 @@ def test_classify_few_references_falls_back(scheme):
         Document("D", "J-CH", 2013, "article", ("R1", "R2"), 0),
     ]
     corpus, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08_all(corpus, asjc_set)
+    a = classify_u1f08_all(corpus, scheme)
     assert a.get("D") == asjc_set.get("D")
 
 
 def test_classify_all_external_falls_back(scheme):
     docs = [Document("D", "J-CH", 2013, "article", ("X1", "X2", "X3"), 0)]
     corpus, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08_all(corpus, asjc_set)
+    a = classify_u1f08_all(corpus, scheme)
     assert a.get("D") == asjc_set.get("D")
 
 
@@ -191,8 +191,8 @@ def test_classify_uses_citer_origin_not_own_journal(scheme):
         Document("C2", "J-PH", 2012, "article", ("R1", "R2", "R3"), 0),
         Document("D", "J-CH", 2013, "article", ("R1", "R2", "R3"), 0),
     ]
-    corpus, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08_all(corpus, asjc_set)
+    corpus = make_corpus(scheme, docs)
+    a = classify_u1f08_all(corpus, scheme)
     assert_vec_close(a.get("D"), {"PH01": 1.0})
 
 
@@ -205,8 +205,8 @@ def test_classify_excludes_self_from_citer_pools(scheme):
         Document("R3", "J-PH", 2010, "article", (), 0),
         Document("D", "J-CH", 2013, "article", ("R1", "R2", "R3"), 0),
     ]
-    corpus, asjc_set = u1_setup(scheme, docs)
-    a = classify_u1f08_all(corpus, asjc_set)
+    corpus = make_corpus(scheme, docs)
+    a = classify_u1f08_all(corpus, scheme)
     # mean of {PH01:1}, {PH02:1}, {PH01:1} = {PH01:2/3, PH02:1/3};
     # 1/3 < 0.8 * 2/3 -> only PH01 kept
     assert_vec_close(a.get("D"), {"PH01": 1.0})
@@ -221,10 +221,10 @@ def test_citer_window_masks_old_citers(scheme):
         Document("C1", "J-PH", 2015, "article", ("R0",), 0),
         Document("D", "J-CH", 2013, "article", ("R0", "X1", "X2"), 0),
     ]
-    corpus, asjc_set = u1_setup(scheme, docs)
-    full = classify_u1f08_all(corpus, asjc_set).get("D")
+    corpus = make_corpus(scheme, docs)
+    full = classify_u1f08_all(corpus, scheme).get("D")
     assert_vec_close(full, {"CH01": 0.5, "PH01": 0.5})
-    cut = classify_u1f08_all(corpus, asjc_set, citer_window=1).get("D")
+    cut = classify_u1f08_all(corpus, scheme, citer_window=1).get("D")
     # only C0 (2011 - 2010 <= 1) remains a citer of R0
     assert_vec_close(cut, {"CH01": 1.0})
 
@@ -232,9 +232,8 @@ def test_citer_window_masks_old_citers(scheme):
 @pytest.mark.parametrize("citer_window", [None, 1, 2])
 def test_batch_matches_oracle(syn2000, citer_window):
     scheme, corpus = syn2000
-    asjc_set = classify_asjc(corpus, scheme)
     policy = ThresholdPolicy()
-    batch = classify_u1f08_all(corpus, asjc_set, policy, citer_window)
+    batch = classify_u1f08_all(corpus, scheme, policy, citer_window)
     oracle = oracle_classify(corpus, scheme, policy, citer_window)
     for d in corpus.documents:
         assert_vec_close(oracle.get(d.doc_id), batch.get(d.doc_id), tol=1e-9)
@@ -242,9 +241,8 @@ def test_batch_matches_oracle(syn2000, citer_window):
 
 def test_support_bounds_and_threshold(syn2000):
     scheme, corpus = syn2000
-    asjc_set = classify_asjc(corpus, scheme)
     policy = ThresholdPolicy()
-    u1 = classify_u1f08_all(corpus, asjc_set, policy)
+    u1 = classify_u1f08_all(corpus, scheme, policy)
     thresholded = 0
     for d in corpus.documents:
         vec = u1.get(d.doc_id)

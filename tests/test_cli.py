@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citeclass import Corpus
+from citeclass import Corpus, classify_u1f08_all, load_corpus, load_scheme, write_assignments
 from citeclass.cli import build_parser, main
 from citeclass.config import RunConfig, field_types
 from citeclass.syngen import SynParams
@@ -232,11 +232,39 @@ def test_bool_flags_pass_no_type_or_choices(monkeypatch):
     build_parser()
 
 
-def test_u1_requires_asjc_first(pipeline_dir, tmp_path):
-    # removing the journal-based assignments breaks the citer-origin run
+def library_u1_bytes(out, tmp_path):
+    """The U1-F-0.8 file the library writes for the corpus ingested in out."""
+    scheme = load_scheme(str(out / "corpus" / "scheme.csv"))
+    corpus = load_corpus(str(out / "corpus" / "journals.jsonl"), str(out / "corpus" / "documents.jsonl"), scheme)
+    write_assignments(str(tmp_path / "library_u1.jsonl"), classify_u1f08_all(corpus, scheme))
+    return (tmp_path / "library_u1.jsonl").read_bytes()
+
+
+def test_u1_reads_no_asjc_file(pipeline_dir, tmp_path):
+    # the citer-origin run splits the journals itself: it needs only the corpus
     out = pipeline_dir
     os.remove(out / "assignments_asjc-frac.jsonl")
-    assert run(["classify", "--system", "u1f08", "--out", str(out)]) == 1
+    os.remove(out / "assignments_u1-f-0.8.jsonl")
+    assert run(["classify", "--system", "u1f08", "--out", str(out)]) == 0
+    assert not (out / "assignments_asjc-frac.jsonl").exists()
+    assert (out / "assignments_u1-f-0.8.jsonl").read_bytes() == library_u1_bytes(out, tmp_path)
+
+
+def test_u1_settles_exact_ties_on_exact_weights(tmp_path):
+    # Six categories of D0000706's aggregate weigh exactly 1/16, below its two
+    # heaviest, so the cap of five keeps the first three of them by code. The
+    # 12-digit text of the ASJC-FRAC file breaks that tie and keeps another
+    # set (A02C12, A06C06, A10C16, A10C17, A11C04).
+    syn, out = tmp_path / "syn", tmp_path / "out"
+    assert run(["syngen", "--out", str(syn), "--n-docs", "1000", "--n-journals", "60", "--n-areas", "15",
+                "--cats-per-area", "19", "--multi-share", "0.1", "--journal-codes-max", "4", "--seed", "2"]) == 0
+    assert run([*ingest_argv(syn), "--out", str(out)]) == 0
+    assert run(["classify", "--system", "asjc-frac", "--out", str(out)]) == 0
+    assert run(["classify", "--system", "u1f08", "--out", str(out)]) == 0
+    u1 = (out / "assignments_u1-f-0.8.jsonl").read_bytes()
+    rec = next(json.loads(line) for line in u1.splitlines() if b'"D0000706"' in line)
+    assert sorted(rec["weights"]) == ["A01C04", "A02C12", "A05C10", "A06C06", "A11C04"]
+    assert u1 == library_u1_bytes(out, tmp_path)
 
 
 def test_unknown_system_exits_2(pipeline_dir):
@@ -371,9 +399,6 @@ def rewrite_records(path, edit):
 
 
 def assert_stage_fails(out, argv, code):
-    # the stage's own output is removed first, so a write before the failure shows
-    if argv[0] == "classify":
-        os.remove(out / U1)
     before = snapshot(out)
     assert run([*argv, "--out", str(out)]) == code
     assert snapshot(out) == before
@@ -382,7 +407,6 @@ def assert_stage_fails(out, argv, code):
 STAGES_READING = {
     "compare": (["compare"], U1),
     "indicators": (["indicators"], U1),
-    "classify-u1f08": (["classify", "--system", "u1f08"], ASJC),
 }
 
 
@@ -415,30 +439,12 @@ def add_outside_doc(records):
     return records + [dict(records[-1], doc_id="ZZZ-outside")]
 
 
-def vary_within_journal(pipeline_dir):
-    docs = [json.loads(line) for line in (pipeline_dir / "corpus" / "documents.jsonl").read_text().splitlines()]
-    by_journal = {}
-    for d in docs:
-        by_journal.setdefault(d["journal_id"], []).append(d["doc_id"])
-    target = next(ids[1] for ids in by_journal.values() if len(ids) > 1)
-
-    def edit(records):
-        weights = {r["doc_id"]: r["weights"] for r in records}
-        other = next(w for w in weights.values() if w != weights[target])
-        return [dict(r, weights=other) if r["doc_id"] == target else r for r in records]
-    return edit
-
-
 @pytest.mark.parametrize("case, argv", [
-    ("missing", ["classify", "--system", "u1f08"]),
     ("missing", ["indicators"]),
-    ("outside", ["classify", "--system", "u1f08"]),
     ("outside", ["indicators"]),
-    ("varying", ["classify", "--system", "u1f08"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_asjc_set_must_match_the_corpus(pipeline_dir, case, argv):
-    edit = {"missing": drop_first, "outside": add_outside_doc}.get(case) or vary_within_journal(pipeline_dir)
-    rewrite_records(pipeline_dir / ASJC, edit)
+    rewrite_records(pipeline_dir / ASJC, {"missing": drop_first, "outside": add_outside_doc}[case])
     assert_stage_fails(pipeline_dir, argv, 1)
 
 
@@ -448,8 +454,8 @@ def to_u1_record(records):
 
 
 @pytest.mark.parametrize("name, edit", [
-    (U1, drop_first), (U1, add_outside_doc), (ASJC, to_u1_record),
-], ids=["u1-missing-first", "u1-extra-doc", "asjc-holds-u1-record"])
+    (U1, drop_first), (U1, add_outside_doc), (ASJC, to_u1_record), (U1, lambda records: []),
+], ids=["u1-missing-first", "u1-extra-doc", "asjc-holds-u1-record", "u1-empty"])
 def test_compare_refuses_misaligned_assignments(pipeline_dir, name, edit):
     rewrite_records(pipeline_dir / name, edit)
     assert_stage_fails(pipeline_dir, ["compare"], 1)
@@ -491,6 +497,9 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
             "netgraph.communities", "netgraph.layout",
             "asjc.classify_asjc", "citer.classify_u1f08_all",
             "assignments.read_assignments", "assignments.write_assignments"} <= set().union(*names.values())
+    # U1-F-0.8 splits the journals itself and parses no assignment file
+    assert "asjc.classify_asjc" in names["u1f08"]
+    assert "assignments.read_assignments" not in names["u1f08"]
     # no per-document path: one flow kernel call per level, one area collapse per system
     assert calls["compare"]["flow.add"] == 2
     for label in ("compare", "indicators"):
@@ -709,6 +718,19 @@ def test_bad_layout_knob_fails_before_layout(pipeline_dir, monkeypatch, flag, va
     out = pipeline_dir
     assert run(["compare", "--out", str(out)]) == 0
     assert run(["network", flag, value, "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--bin-width", "inf"), ("--bin-width", "nan"), ("--bin-width", "0"),
+    ("--min-link-area", "nan"), ("--min-link-area", "inf"), ("--min-link-area", "-1"),
+    ("--min-link-category", "nan"), ("--min-link-category", "inf"), ("--min-link-category", "-5"),
+])
+def test_bad_compare_knob_fails_before_writing(pipeline_dir, flag, value):
+    # a bin width of inf writes a nan bin, a link cut of nan keeps no link
+    # and a negative one keeps every flow
+    before = snapshot(pipeline_dir)
+    assert run(["compare", flag, value, "--out", str(pipeline_dir)]) == 1
+    assert snapshot(pipeline_dir) == before
 
 
 def test_package_exports_resolve():

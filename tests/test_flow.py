@@ -116,7 +116,7 @@ def test_accumulator_matches_flow_matrix(syn200):
 
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
-    set_b = classify_u1f08_all(corpus, set_a)
+    set_b = classify_u1f08_all(corpus, scheme)
     for level, to_level in (
         ("category", lambda vec: vec),
         ("area", lambda vec: plain_collapse(vec, scheme)),
@@ -142,7 +142,7 @@ def test_class_flow_stats_balance(syn200):
 
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
-    set_b = classify_u1f08_all(corpus, set_a)
+    set_b = classify_u1f08_all(corpus, scheme)
     m = flow_matrix(set_a, set_b, "category")
     rows = class_flow_stats(m)
     # global: both sizes sum to the document count
@@ -192,7 +192,7 @@ def test_flow_csv_roundtrip(tmp_path, syn200):
 
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
-    set_b = classify_u1f08_all(corpus, set_a)
+    set_b = classify_u1f08_all(corpus, scheme)
     m = flow_matrix(set_a, set_b, "area", scheme)
     p = tmp_path / "flows.csv"
     write_flow_csv(m, str(p))

@@ -270,7 +270,7 @@ def test_to_areas_matches_collapse_to_areas(syn200, system):
     scheme, corpus = syn200
     aset = classify_asjc(corpus, scheme)
     if system == SYSTEM_U1:
-        aset = classify_u1f08_all(corpus, aset)
+        aset = classify_u1f08_all(corpus, scheme)
     cats = WeightColumns(corpus, aset)
     areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     # each document's entries, in order, are its vector, and at area level
@@ -288,7 +288,7 @@ def test_to_areas_matches_collapse_to_areas(syn200, system):
 def syn2000_sets(syn2000):
     scheme, corpus = syn2000
     asjc = classify_asjc(corpus, scheme)
-    return {SYSTEM_ASJC: asjc, SYSTEM_U1: classify_u1f08_all(corpus, asjc)}
+    return {SYSTEM_ASJC: asjc, SYSTEM_U1: classify_u1f08_all(corpus, scheme)}
 
 
 @pytest.mark.parametrize("window", [None, 3])

@@ -19,7 +19,7 @@ from citeclass import (
     load_graph,
     modularity,
 )
-from citeclass.netgraph import FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
+from citeclass.netgraph import FORMATS, FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
 from conftest import partitions
 
 
@@ -328,11 +328,11 @@ def test_export_bytes_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# class codes with XML-special and non-ASCII characters; left out are control
-# characters (XML 1.0 forbids most, and reads a tab or newline in an attribute
-# as a space), surrogates (not UTF-8) and unassigned code points (U+FFFE, U+FFFF)
-CODES = st.text(st.one_of(st.sampled_from("\"<>&'"), st.characters(blacklist_categories=("Cc", "Cs", "Cn"))),
-                min_size=1, max_size=6)
+# class codes with XML-special, non-ASCII and the three whitespace control
+# characters; left out are the other control characters (XML 1.0 forbids the
+# C0 ones), surrogates (not UTF-8) and unassigned code points (U+FFFE, U+FFFF)
+CODES = st.text(st.one_of(st.sampled_from("\"<>&'\t\n\r"),
+                          st.characters(blacklist_categories=("Cc", "Cs", "Cn"))), min_size=1, max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -373,6 +373,23 @@ BAD_EXPORTS = {
     "graphml-missing-field": ("graphml", lambda text: text.replace('<data key="size">', '<data key="sise">', 1)),
     "graphml-non-numeric": ("graphml", lambda text: text.replace('<data key="x">', '<data key="x">east', 1)),
     "graphml-truncated": ("graphml", lambda text: text[: len(text) // 2]),
+    # both formats hold str codes, int communities and finite numbers, never bools
+    "json-int-code": ("json", lambda text: text.replace('"id": "a1"', '"id": 5', 1)),
+    "json-bool-size": ("json", lambda text: re.sub(r'"size": [^,\n]+', '"size": true', text, count=1)),
+    "json-float-community": ("json", lambda text: re.sub(r'"community": \d+', '"community": 2.7', text, count=1)),
+    "json-nan-x": ("json", lambda text: re.sub(r'"x": [^,\n]+', '"x": NaN', text, count=1)),
+    "json-huge-weight": ("json", lambda text: re.sub(r'"weight": [^,\n]+', '"weight": 1%s' % ("0" * 400), text,
+                                                     count=1)),
+    "graphml-underscore-community": ("graphml", lambda text: re.sub(
+        r'<data key="community">\d+', '<data key="community">1_0', text, count=1)),
+    "graphml-float-community": ("graphml", lambda text: re.sub(
+        r'<data key="community">\d+', '<data key="community">2.7', text, count=1)),
+    "graphml-inf-size": ("graphml", lambda text: re.sub(r'<data key="size">[^<]+', '<data key="size">inf', text,
+                                                         count=1)),
+    "graphml-overflow-y": ("graphml", lambda text: re.sub(r'<data key="y">[^<]+', '<data key="y">1e999', text,
+                                                           count=1)),
+    "graphml-padded-weight": ("graphml", lambda text: re.sub(r'<data key="weight">([^<]+)',
+                                                              r'<data key="weight"> \1', text, count=1)),
 }
 
 
@@ -386,6 +403,17 @@ def test_load_graph_refuses_bad_records(tmp_path, case):
     p.write_text(spoil(p.read_text(encoding="utf-8")), encoding="utf-8")
     with pytest.raises(ParseError, match=re.escape(str(p))):
         load_graph(str(p), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_refuses_control_characters(tmp_path, fmt):
+    # XML 1.0 cannot hold a C0 control other than tab, newline and carriage
+    # return, so neither format writes one
+    g = graph_from_edges([("a", "c\x01d", 1.0)])
+    layout = linlog_layout(g, LayoutParams(iterations=5, seed=1))
+    with pytest.raises(ValidationError, match=re.escape("'c\\x01d'")):
+        export_graph(g, detect_communities(g), layout, fmt, str(tmp_path / f"g.{fmt}"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_flow_endpoint_outside_the_classes_is_refused():

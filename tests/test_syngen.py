@@ -4,7 +4,6 @@ from citeclass import (
     SynParams,
     ThresholdPolicy,
     ValidationError,
-    classify_asjc,
     classify_u1f08_all,
     generate_corpus,
     oracle_classify,
@@ -138,8 +137,7 @@ def test_oracle_flow_guard():
 def test_oracle_matches_production_u1(syn200):
     scheme, corpus = syn200
     policy = ThresholdPolicy()
-    asjc_set = classify_asjc(corpus, scheme)
-    prod = classify_u1f08_all(corpus, asjc_set, policy)
+    prod = classify_u1f08_all(corpus, scheme, policy)
     oracle = oracle_classify(corpus, scheme, policy)
     assert set(oracle.doc_ids) == set(prod.doc_ids)
     for doc_id in oracle.doc_ids:
@@ -157,8 +155,7 @@ def test_planted_recovery_pure_setup():
     )
     scheme, corpus = generate_corpus(params)
     planted = planted_journal_categories(params)
-    asjc_set = classify_asjc(corpus, scheme)
-    u1 = classify_u1f08_all(corpus, asjc_set)
+    u1 = classify_u1f08_all(corpus, scheme)
     checked = 0
     for d in corpus.documents:
         internal = [r for r in d.references if r in corpus]
