@@ -79,12 +79,14 @@ class AssignmentSet:
         return len(self.doc_ids)
 
     def require_docs(self, doc_ids: list[str]) -> None:
-        """Check that the set holds exactly these sorted doc ids."""
+        """Check that the set holds exactly these sorted doc ids, in order."""
         if self.doc_ids != doc_ids:
             held, wanted = set(self.doc_ids), set(doc_ids)
+            at = next((i for i, (a, b) in enumerate(zip(self.doc_ids, doc_ids)) if a != b), len(doc_ids))
             raise ValidationError(
                 [f"no {self.system} assignment for {d!r}" for d in sorted(wanted - held)]
-                + [f"unexpected {self.system} assignment for {d!r}" for d in sorted(held - wanted)])
+                + [f"unexpected {self.system} assignment for {d!r}" for d in sorted(held - wanted)]
+                or [f"{self.system} assignments out of order at position {at}"])
 
 
 def collapse_to_areas(aset: AssignmentSet, scheme: Scheme) -> AssignmentSet:

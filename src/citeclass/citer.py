@@ -10,11 +10,15 @@ support size, and renormalized. Documents with too few references, or with
 an empty aggregate, keep their journal-based vector bit for bit.
 
 With a citer window w, only citers published at most w years after the
-reference count. classify_u1f08_all classifies a whole corpus through
-sparse matrix products: for every reference r with n_r windowed citers whose
-vectors sum to S_r, the profile seen by a citing document d is
-(S_r - A_d) / (n_r - 1) when d is one of those citers and S_r / n_r when the
-window leaves d out.
+reference count (Corpus.in_window). classify_u1f08_all classifies a whole
+corpus through sparse matrix products over the citation CSR the corpus
+stores. For every reference r with n_r windowed citers whose vectors sum to
+S_r, a citing document d sees o = n_r - 1 other citers when it is one of
+them and o = n_r when the window leaves it out. With o > 0 its profile of r
+is (S_r - A_d) / o or S_r / o; with o = 0 it is the row of A at r, which is
+r's own journal vector, summed in reference order. The documents are taken
+CHUNK_SIZE at a time, and every per-edge array is built from the chunk's
+slice of the citation CSR alone.
 """
 
 from __future__ import annotations
@@ -81,6 +85,12 @@ def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> sparse.csr_matr
     return sparse.csr_matrix((w[keep], (row[keep], col[keep])), shape=agg.shape)
 
 
+def _kept(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, data, n_cols: int) -> sparse.csr_matrix:
+    """The CSR of the entries of (indptr, indices) that mask keeps, in order, holding data."""
+    kept_ptr = np.concatenate(([0], np.cumsum(mask)))[indptr]
+    return sparse.csr_matrix((data, indices[mask], kept_ptr), shape=(len(indptr) - 1, n_cols))
+
+
 def classify_u1f08_all(
     corpus: Corpus,
     scheme: Scheme,
@@ -92,61 +102,31 @@ def classify_u1f08_all(
     n = len(corpus)
     asjc_set = asjc.classify_asjc(corpus, scheme)
     A, codes = asjc_set.weights, asjc_set.codes
-    # V holds one row per journal in order of first appearance, which fixes
-    # the summation order of the fallback product Mf @ V; u maps documents to rows
-    _, first, inv = np.unique(corpus.journal_index, return_index=True, return_inverse=True)
-    by_appearance = np.argsort(first)
-    u = np.argsort(by_appearance)[inv]
-    V = A[first[by_appearance]]
-
-    citing, cited = corpus.ref_edges()
-    ne = len(citing)
-    k_internal = np.bincount(citing, minlength=n)
-    if citer_window is not None:
-        in_window = (corpus.year[citing] - corpus.year[cited]) <= citer_window
-    else:
-        in_window = np.ones(ne, dtype=bool)
-    n_cit = np.bincount(cited[in_window], minlength=n)
-
-    Cw = sparse.csr_matrix(
-        (np.ones(int(in_window.sum())), (cited[in_window], citing[in_window])),
-        shape=(n, n),
-    )
-    S = Cw @ A  # S[r] = sum of windowed citer vectors of reference r
-
-    ncr = n_cit[cited] if ne else np.zeros(0, dtype=np.int64)
-    alpha = np.zeros(ne)
-    subtract = in_window & (ncr >= 2)
-    alpha[subtract] = 1.0 / (ncr[subtract] - 1)
-    outside = ~in_window & (ncr >= 1)
-    alpha[outside] = 1.0 / ncr[outside]
-    fallback_edge = (in_window & (ncr == 1)) | (~in_window & (ncr == 0))
-    reclassified = (corpus.n_references >= policy.min_references) & (k_internal > 0)
+    ptr, cited = corpus.cited_indptr, corpus.cited
+    window = corpus.in_window(citer_window)
+    n_cit = np.bincount(cited[window], minlength=n)
+    # transposed once to CSR, so no chunk product converts it again
+    S = _kept(ptr, cited, window, np.ones(np.count_nonzero(window)), n).T.tocsr() @ A
+    reclassified = (corpus.n_references >= policy.min_references) & (np.diff(ptr) > 0)
 
     blocks = []
     for i0 in range(0, n, CHUNK_SIZE):
         i1 = min(i0 + CHUNK_SIZE, n)
-        cn = i1 - i0
-        lo, hi = np.searchsorted(citing, (i0, i1))
-        ld = citing[lo:hi] - i0
-        e_r = cited[lo:hi]
-        e_alpha = alpha[lo:hi]
-        e_fall = fallback_edge[lo:hi]
-        e_sub = subtract[lo:hi]
-
-        keep = ~e_fall
-        Magg = sparse.csr_matrix((e_alpha[keep], (ld[keep], e_r[keep])), shape=(cn, n))
-        dense = (Magg @ S).toarray()
-        csub = np.bincount(ld[e_sub], weights=e_alpha[e_sub], minlength=cn)
-        if csub.any():
-            dense -= csub[:, None] * A[i0:i1].toarray()
-        if e_fall.any():
-            Mf = sparse.csr_matrix(
-                (np.ones(int(e_fall.sum())), (ld[e_fall], u[e_r[e_fall]])),
-                shape=(cn, V.shape[0]),
-            )
-            dense += (Mf @ V).toarray()
-        kc = k_internal[i0:i1].astype(np.float64)
+        local = ptr[i0:i1 + 1] - ptr[i0]
+        refs, win = cited[ptr[i0]:ptr[i1]], window[ptr[i0]:ptr[i1]]
+        # each reference's windowed citers other than the citing document
+        others = n_cit[refs] - win
+        profiled = others > 0
+        weight = 1.0 / others[profiled]
+        dense = (_kept(local, refs, profiled, weight, n) @ S).toarray()
+        # a citing document inside the window is one of the citers S summed
+        sub = win[profiled]
+        row = np.repeat(np.arange(i1 - i0), np.diff(local))[profiled]
+        csub = np.bincount(row[sub], weights=weight[sub], minlength=i1 - i0)
+        Ac = A[i0:i1]
+        dense -= (sparse.diags(csub, dtype=np.float64) @ Ac).toarray()
+        dense += (_kept(local, refs, ~profiled, np.ones(len(refs) - len(weight)), n) @ A).toarray()
+        kc = np.diff(local).astype(np.float64)
         np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
         np.maximum(dense, 0.0, out=dense)
         dense[~reclassified[i0:i1]] = 0.0
@@ -154,6 +134,6 @@ def classify_u1f08_all(
         cut = apply_threshold(dense, policy)
         # a row left empty keeps its journal-based vector bit for bit
         empty = sparse.diags((np.diff(cut.indptr) == 0).astype(np.float64), format="csr")
-        blocks.append((cut + empty @ A[i0:i1]).sorted_indices())
+        blocks.append((cut + empty @ Ac).sorted_indices())
     W = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, len(codes)))
     return AssignmentSet(SYSTEM_U1, corpus.doc_ids, codes, W)

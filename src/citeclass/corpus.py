@@ -64,6 +64,12 @@ class ValidationError(Exception):
         super().__init__("; ".join(shown))
 
 
+def _carriage_returns(kind: str, objs: list | tuple, fields: tuple[str, ...]) -> list[str]:
+    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader; fields[0] is the id."""
+    return [f"{kind} {getattr(o, fields[0])!r}: {f} holds a carriage return"
+            for f in fields for o, text in zip(objs, map(attrgetter(f), objs)) if "\r" in text]
+
+
 def fmt(v: float | None) -> str:
     """The artifact number format: six decimals, with float noise just
     below zero printed as zero and a missing value as NA."""
@@ -182,6 +188,8 @@ class Scheme:
             elif area.is_multidisciplinary:
                 errors.append(f"category {c.code!r} assigned to multidisciplinary area {area.code!r}")
 
+        errors += _carriage_returns("area", self.areas, ("code", "name"))
+        errors += _carriage_returns("category", self.categories, ("code", "name"))
         self.cat_to_area: dict[str, str] = {c.code: c.area_code for c in self.categories}
         by_area: dict[str, list[Category]] = {a.code: [] for a in self.areas}
         for c in self.categories:
@@ -297,6 +305,7 @@ class Corpus:
                 errors.append(f"document {d.doc_id!r} cites itself")
             if d.external_citations < 0:
                 errors.append(f"document {d.doc_id!r} has negative external_citations")
+        errors += _carriage_returns("document", docs, ("doc_id", "doc_type"))
         if errors:
             raise ValidationError(errors)
         # Defensive: references must be sorted and duplicate-free for the
@@ -383,19 +392,21 @@ class Corpus:
         citing = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.cited_indptr))
         return citing, self.cited
 
+    def in_window(self, window_years: int | None) -> np.ndarray:
+        """For each entry of cited, whether the citation is in-window:
+        year(citing) - year(cited) <= window_years. With no window every
+        citation is; a negative window raises ValidationError."""
+        if window_years is None:
+            return np.ones(len(self.cited), dtype=bool)
+        if window_years < 0:
+            raise ValidationError([f"window_years must be >= 0, got {window_years}"])
+        return np.repeat(self.year, np.diff(self.cited_indptr)) - self.year[self.cited] <= window_years
+
 
 def build_citation_index(corpus: Corpus, window_years: int | None = None) -> np.ndarray:
-    """Citations of every document, as an int64 array aligned with
-    corpus.doc_ids: in-window internal citations plus external_citations.
-
-    A citation is in-window when year(citing) - year(cited) <= window_years;
-    with no window every internal citation counts.
-    """
-    if window_years is not None and window_years < 0:
-        raise ValidationError([f"window_years must be >= 0, got {window_years}"])
-    citing, cited = corpus.ref_edges()
-    if window_years is not None:
-        cited = cited[(corpus.year[citing] - corpus.year[cited]) <= window_years]
+    """Each document's in-window internal citations (Corpus.in_window) plus
+    its external_citations, as an int64 array aligned with corpus.doc_ids."""
+    cited = corpus.cited[corpus.in_window(window_years)]
     return np.bincount(cited, minlength=len(corpus)) + corpus.external_citations
 
 
@@ -651,8 +662,8 @@ def save_corpus_npz(corpus: Corpus, path: str, journal_path: str, document_path:
 
 def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path: str) -> Corpus:
     """Read a corpus saved by save_corpus_npz. An unreadable file, or arrays
-    of the wrong type, length or range, raise ParseError; a file whose
-    digests do not match the two JSONL files is stale: ValidationError."""
+    of the wrong type, length, range or order, raise ParseError; a file
+    whose digests do not match the two JSONL files is stale: ValidationError."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             a = {name: npz[name] for name in npz.files}
@@ -685,6 +696,8 @@ def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path:
     for name in NPZ_STRINGS:
         ptr = a[f"{name}_ptr"].tolist()
         a[name] = [text[name][i:j] for i, j in zip(ptr, ptr[1:])]
+    if not all(map(lt, a["doc_ids"], a["doc_ids"][1:])):
+        raise ParseError(f"{path}: doc_ids are not strictly increasing")
     codes, ptr = a["journal_codes"], a["code_indptr"].tolist()
     corpus = Corpus.__new__(Corpus)
     corpus.scheme, corpus.year_min, corpus.year_max = scheme, None, None

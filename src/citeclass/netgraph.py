@@ -323,6 +323,10 @@ def export_graph(
              for n in sorted(graph.nodes, key=lambda n: n.class_code)]
     edges = [{"from": e.source, "to": e.target, "weight": e.weight}
              for e in sorted(graph.edges, key=lambda e: (e.source, e.target))]
+    bad = [f"node {r['id']!r} {k} {r[k]}" for r in nodes for k in ("size", "x", "y") if not math.isfinite(r[k])]
+    bad += [f"edge {e['from']!r}->{e['to']!r} weight {e['weight']}" for e in edges if not math.isfinite(e["weight"])]
+    if bad:
+        raise ValidationError(bad)
     if fmt == "json":
         write_json(path, {"nodes": nodes, "edges": edges})
         return

@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 import citeclass
 from citeclass import (
@@ -475,6 +476,7 @@ def _run_cli(argv, cwd):
         f"citeclass {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
 
 
+@pytest.mark.slow
 def test_c11_throughput_and_determinism():
     base = tempfile.mkdtemp(prefix="citeclass-1m-")
     try:

@@ -69,6 +69,10 @@ def test_require_docs_names_missing_and_extra():
         aset.require_docs(["D1", "D2"])
     assert e.value.errors == [f"no {SYSTEM_ASJC} assignment for 'D2'",
                               f"unexpected {SYSTEM_ASJC} assignment for 'D3'"]
+    # the same ids in another order
+    with pytest.raises(ValidationError) as e:
+        aset.require_docs(["D3", "D1"])
+    assert e.value.errors == [f"{SYSTEM_ASJC} assignments out of order at position 0"]
 
 
 def test_read_assignments_refuses_an_empty_file_and_another_system(tmp_path):

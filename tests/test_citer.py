@@ -8,6 +8,7 @@ from citeclass import (
     ThresholdPolicy,
     ValidationError,
     apply_threshold,
+    citer,
     classify_asjc,
     classify_u1f08_all,
     oracle_classify,
@@ -227,6 +228,18 @@ def test_citer_window_masks_old_citers(scheme):
     cut = classify_u1f08_all(corpus, scheme, citer_window=1).get("D")
     # only C0 (2011 - 2010 <= 1) remains a citer of R0
     assert_vec_close(cut, {"CH01": 1.0})
+
+
+@pytest.mark.parametrize("citer_window", [None, 2])
+def test_chunks_give_the_one_chunk_weights(syn2000, monkeypatch, citer_window):
+    # 286 chunks of 7 documents, some holding no in-corpus reference
+    scheme, corpus = syn2000
+    whole = classify_u1f08_all(corpus, scheme, ThresholdPolicy(), citer_window).weights
+    monkeypatch.setattr(citer, "CHUNK_SIZE", 7)
+    chunked = classify_u1f08_all(corpus, scheme, ThresholdPolicy(), citer_window).weights
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(whole, part), getattr(chunked, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
 
 
 @pytest.mark.parametrize("citer_window", [None, 1, 2])

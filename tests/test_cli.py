@@ -112,6 +112,36 @@ def test_ingest_rejects_year_out_of_range(tmp_path, year):
     assert not (out / "corpus").exists()
 
 
+def spoil_scheme_name(syn):
+    path = syn / "scheme.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = 'A01C00,"Mech\ranics",A01,Area 01,true,false\n'
+    path.write_bytes("".join(lines).encode())
+    return "category 'A01C00': name holds a carriage return"
+
+
+def spoil_doc_id(syn):
+    path = syn / "documents.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps(dict(json.loads(lines[0]), doc_id="D\r0")) + "\n"
+    path.write_text("".join(lines))
+    return "document 'D\\r0': doc_id holds a carriage return"
+
+
+@pytest.mark.parametrize("spoil", [spoil_scheme_name, spoil_doc_id], ids=["scheme-name", "doc-id"])
+def test_ingest_refuses_carriage_returns(tmp_path, spoil):
+    # a CSV artifact that carried the text would split its line at the \r
+    syn = tmp_path / "syn"
+    assert run(["syngen", "--out", str(syn), "--n-docs", "30", "--n-journals", "5", "--seed", "1"]) == 0
+    error = spoil(syn)
+    out = tmp_path / "out"
+    assert run([*ingest_argv(syn), "--out", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["status"] == "invalid"
+    assert error in report["errors"]
+    assert not (out / "corpus").exists()
+
+
 def test_classify_requires_ingest(tmp_path):
     rc = run(["classify", "--system", "asjc-frac", "--out", str(tmp_path / "fresh")])
     assert rc == 1
@@ -534,6 +564,17 @@ def shorten_year(out):
     np.savez(out / NPZ, **arrays)
 
 
+def swap_first_doc_ids(out):
+    # ids of equal length, so the offsets and the JSONL digests still match
+    with np.load(out / NPZ) as npz:
+        arrays = dict(npz)
+    ids, ptr = arrays["doc_ids"], arrays["doc_ids_ptr"]
+    first, second = ids[ptr[0]:ptr[1]].copy(), ids[ptr[1]:ptr[2]].copy()
+    assert len(first) == len(second) and (first != second).any()
+    ids[ptr[0]:ptr[1]], ids[ptr[1]:ptr[2]] = second, first
+    np.savez(out / NPZ, **arrays)
+
+
 # spoiler -> (edit of --out, exit code): stale and missing arrays are invalid
 # state, unreadable or inconsistent ones malformed input
 NPZ_SPOILERS = {
@@ -541,6 +582,7 @@ NPZ_SPOILERS = {
     "missing": (lambda out: os.remove(out / NPZ), 1),
     "truncated": (truncate_npz, 2),
     "short-year": (shorten_year, 2),
+    "out-of-order": (swap_first_doc_ids, 2),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -271,14 +272,18 @@ def test_fmt_is_the_artifact_number_format():
 
 # the journals of make_corpus
 JOURNAL_IDS = ["J-PH", "J-PH2", "J-CH", "J-MIX", "J-MD", "J-MISC"]
-IDS = st.text(min_size=1, max_size=6)
+# characters that CSV quotes or JSON escapes, drawn often
+TRICKY = ',"\n\r'
+IDS = st.text(st.one_of(st.sampled_from(TRICKY), st.characters()), min_size=1, max_size=6)
+# a doc id reaches indicators.csv, which cannot carry a carriage return
+DOC_IDS = IDS.filter(lambda s: "\r" not in s)
 
 
 @st.composite
 def documents(draw):
     """Documents that cite each other and ids outside the corpus, with
     references in any order."""
-    doc_ids = draw(st.lists(IDS, max_size=8, unique=True))
+    doc_ids = draw(st.lists(DOC_IDS, max_size=8, unique=True))
     external = [x for x in draw(st.lists(IDS, max_size=6, unique=True)) if x not in doc_ids]
     docs = []
     for doc_id in doc_ids:
@@ -286,7 +291,7 @@ def documents(draw):
         refs = draw(st.lists(st.sampled_from(pool), max_size=5, unique=True)) if pool else []
         docs.append(Document(
             doc_id, draw(st.sampled_from(JOURNAL_IDS)), draw(st.integers(0, 9999)),
-            draw(st.sampled_from(["article", "review", "lettre é"])), tuple(refs),
+            draw(st.sampled_from(["article", "review", "lettre é", 'a,"b\n'])), tuple(refs),
             draw(st.integers(0, 2**53))))
     return docs
 
@@ -327,6 +332,85 @@ def test_npz_round_trip(tmp_path_factory, docs):
         else:
             assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert loaded.documents == parsed.documents
+
+
+@given(docs=documents(), extra=st.lists(IDS, max_size=3, unique=True),
+       spoil=st.sampled_from(["doc_id", "doc_type"]))
+@example(docs=EDGE_CASES, extra=["J\r,\"\n"], spoil="doc_id")
+@settings(max_examples=100, deadline=None)
+def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil):
+    # Corpus -> JSONL -> Corpus gives the same columns, and the same bytes once written again
+    d = tmp_path_factory.mktemp("jsonl")
+    scheme = make_scheme()
+    journals = [*make_corpus(scheme, []).journals.values(),
+                *(Journal(j, ("MD", "CH02")) for j in extra if j not in JOURNAL_IDS)]
+    corpus = make_corpus(scheme, docs, journals)
+    first = [str(d / "journals.jsonl"), str(d / "documents.jsonl")]
+    again = [str(d / "journals2.jsonl"), str(d / "documents2.jsonl")]
+    write_corpus(corpus, *first)
+    loaded = load_corpus(*first, scheme)
+    write_corpus(loaded, *again)
+    for a, b in zip(first, again):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert loaded.journals == corpus.journals
+    for name in COLUMNS:
+        x, y = getattr(corpus, name), getattr(loaded, name)
+        if isinstance(x, list):
+            assert x == y, name
+        else:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    # a carriage return where a CSV artifact would carry it is refused, not round-tripped
+    if docs:
+        bad = dataclasses.replace(docs[0], **{spoil: getattr(docs[0], spoil) + "\r"})
+        with pytest.raises(ValidationError, match=f"{spoil} holds a carriage return"):
+            make_corpus(scheme, [bad, *docs[1:]], journals)
+
+
+# load_scheme strips each field, so a canonical code or name has no white space at its ends
+SCHEME_TEXT = st.text(st.one_of(st.sampled_from(TRICKY.replace("\r", "")),
+                                st.characters(exclude_characters="\r")), max_size=6).filter(
+    lambda s: s == s.strip())
+CODES = SCHEME_TEXT.filter(bool)
+
+
+@st.composite
+def scheme_parts(draw):
+    """The categories and areas of a valid scheme: 1-3 regular areas of 1-2
+    regular categories and at most one misc category each, and maybe a
+    multidisciplinary area."""
+    n_areas = draw(st.integers(1, 3))
+    multi = draw(st.booleans())
+    area_codes = draw(st.lists(CODES, min_size=n_areas + multi, max_size=n_areas + multi, unique=True))
+    areas = [Area(code, draw(CODES), i == n_areas) for i, code in enumerate(area_codes)]
+    kinds = [(a.code, misc) for a in areas[:n_areas]
+             for misc in [False] * draw(st.integers(1, 2)) + [True] * draw(st.integers(0, 1))]
+    codes = draw(st.lists(CODES, min_size=len(kinds), max_size=len(kinds), unique=True))
+    return [Category(c, draw(SCHEME_TEXT), a, misc) for c, (a, misc) in zip(codes, kinds)], areas
+
+
+@given(parts=scheme_parts(), spoil=st.sampled_from([None, "category code", "category name",
+                                                    "area code", "area name"]))
+@settings(max_examples=100, deadline=None)
+def test_scheme_round_trip(tmp_path_factory, parts, spoil):
+    categories, areas = parts
+    if spoil:
+        kind, field = spoil.split()
+        objs = categories if kind == "category" else areas
+        objs[0] = dataclasses.replace(objs[0], **{field: getattr(objs[0], field) + "\rx"})
+        with pytest.raises(ValidationError, match=f"{field} holds a carriage return"):
+            Scheme(categories, areas)
+        return
+    # Scheme -> CSV -> Scheme gives the same lookup tables, and the same bytes once written again
+    d = tmp_path_factory.mktemp("scheme")
+    scheme = Scheme(categories, areas)
+    write_scheme(scheme, str(d / "scheme.csv"))
+    loaded = load_scheme(str(d / "scheme.csv"))
+    write_scheme(loaded, str(d / "scheme2.csv"))
+    assert (d / "scheme.csv").read_bytes() == (d / "scheme2.csv").read_bytes()
+    for name in ("categories", "areas", "area_by_code", "category_by_code", "multi_area", "cat_to_area",
+                 "non_misc_by_area", "misc_by_area", "non_misc_codes"):
+        assert getattr(loaded, name) == getattr(scheme, name), name
 
 
 def test_columns_of_small_corpus(small_corpus):

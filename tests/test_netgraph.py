@@ -416,6 +416,17 @@ def test_export_refuses_control_characters(tmp_path, fmt):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_refuses_non_finite_numbers(tmp_path, fmt):
+    # load_graph refuses a number that is not finite, so neither format writes one
+    g = FlowGraph([GraphNode("a", math.nan), GraphNode("b", 1.0)], [GraphEdge("a", "b", math.inf)])
+    layout = Layout({"a": (0.0, 1.0), "b": (2.0, -math.inf)}, 0.0, ())
+    with pytest.raises(ValidationError) as e:
+        export_graph(g, Partition({"a": 0, "b": 0}, 0.0), layout, fmt, str(tmp_path / f"g.{fmt}"))
+    assert e.value.errors == ["node 'a' size nan", "node 'b' y -inf", "edge 'a'->'b' weight inf"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_flow_endpoint_outside_the_classes_is_refused():
     m = FlowMatrix("area", 0, {}, {"A": 1.0, "B": 2.0}, {}, {("A", "B"): 1.0, ("ZZ", "A"): 1.0, ("B", "YY"): 2.0})
     with pytest.raises(ValidationError, match="'YY'.*'ZZ'"):
