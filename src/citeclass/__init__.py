@@ -7,12 +7,15 @@ force-directed layout, and a seeded synthetic corpus generator.
 import types
 
 from .assignments import (
+    CSR,
     AssignmentSet,
     SYSTEM_ASJC,
     SYSTEM_U1,
     collapse_to_areas,
     iter_assignments,
+    load_assignments_npz,
     read_assignments,
+    save_assignments_npz,
     write_assignments,
 )
 from .asjc import classify_asjc

@@ -13,9 +13,8 @@ into a CSR, whose rows the documents pick by journal.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from .assignments import AssignmentSet, SYSTEM_ASJC
+from .assignments import CSR, AssignmentSet, SYSTEM_ASJC
 from .corpus import Corpus, Scheme, ValidationError
 from .weights import PRUNE_EPS, row_fsum
 
@@ -51,6 +50,7 @@ def classify_asjc(corpus: Corpus, scheme: Scheme) -> AssignmentSet:
     norm = special[row]
     w[norm] /= row_fsum(row[norm], w[norm], len(present))[row[norm]]
     keep = w >= PRUNE_EPS
-    journals = sparse.csr_matrix((w[keep], (row[keep], col[keep])), shape=(len(present), m))
-    rows_of_docs = journals[np.searchsorted(present, corpus.journal_index)]
+    # the cells are unique and in (row, column) order, so they are the CSR's entries as they stand
+    journals = CSR.from_entries(row[keep], col[keep], w[keep], len(present))
+    rows_of_docs = journals.take(np.searchsorted(present, corpus.journal_index))
     return AssignmentSet(SYSTEM_ASJC, corpus.doc_ids, tuple(columns.tolist()), rows_of_docs)

@@ -1,8 +1,9 @@
-"""Classification results and their JSONL serialization.
+"""Classification results, their JSONL serialization and its npz sidecar.
 
 One line per document: {"doc_id": ..., "system": ..., "weights": {code: w}}.
 Weight keys are sorted and values formatted at 12 significant digits so the
-same result always serializes to the same bytes.
+same result always serializes to the same bytes. The stages after classify
+load the set from the sidecar beside the JSONL instead of parsing it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping
+from operator import lt
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
-from .corpus import ParseError, Scheme, ValidationError, _load_jsonl, atomic_open
+from .corpus import ParseError, Scheme, ValidationError, _load_jsonl, atomic_open, load_npz, save_npz, sha256_of
 from .weights import NORMALIZATION_TOL, CategoryVector
 
 SYSTEM_ASJC = "ASJC-FRAC"
@@ -27,12 +28,37 @@ KNOWN_SYSTEMS = (SYSTEM_ASJC, SYSTEM_U1)
 WRITE_BLOCK = 1024  # rows formatted per block by write_assignments
 
 
-class AssignmentSet:
-    """All assignments of one system: row i of the float64 CSR matrix
-    weights is the vector of doc_ids[i] over codes, entries in code order.
-    doc_ids and codes are sorted."""
+class CSR(NamedTuple):
+    """Compressed sparse rows: row i holds data[indptr[i]:indptr[i + 1]] (float64) in the
+    columns indices[indptr[i]:indptr[i + 1]] (int32), increasing; indptr is int64."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
-    def __init__(self, system: str, doc_ids: list[str], codes: tuple[str, ...], weights: sparse.csr_matrix):
+    @classmethod
+    def from_entries(cls, row: np.ndarray, col: np.ndarray, data: np.ndarray, n: int) -> CSR:
+        """The n rows of the entries (row, col, data), given in (row, col) order."""
+        return cls(np.searchsorted(row, np.arange(n + 1)).astype(np.int64), col.astype(np.int32),
+                   data.astype(np.float64))
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def take(self, rows: np.ndarray) -> CSR:
+        """These rows, in this order."""
+        size = np.diff(self.indptr)[rows]
+        ptr = np.concatenate(([0], np.cumsum(size)))
+        at = np.arange(ptr[-1]) + np.repeat(self.indptr[rows] - ptr[:-1], size)
+        return CSR(ptr, self.indices[at], self.data[at])
+
+
+class AssignmentSet:
+    """All assignments of one system: row i of the CSR weights is the vector
+    of doc_ids[i] over codes, entries in code order. doc_ids and codes are
+    sorted."""
+
+    def __init__(self, system: str, doc_ids: list[str], codes: tuple[str, ...], weights: CSR):
         if system not in KNOWN_SYSTEMS:
             raise ValidationError([f"unknown classification system {system!r}"])
         self.system, self.doc_ids, self.codes, self.weights = system, doc_ids, codes, weights
@@ -51,14 +77,13 @@ class AssignmentSet:
             indptr.append(len(data))
         codes = sorted(col_of)
         # first-appearance column -> sorted column: the inverse permutation
-        rank = np.fromiter((col_of[c] for c in codes), np.int32, len(codes)).argsort()
-        weights = sparse.csr_matrix(
-            (np.frombuffer(data), rank[np.frombuffer(indices, np.int32)], np.frombuffer(indptr, np.int64)),
-            shape=(len(doc_ids), len(codes)))
-        weights.sort_indices()
+        rank = np.fromiter((col_of[c] for c in codes), np.int32, len(codes)).argsort().astype(np.int32)
+        weights = CSR(np.frombuffer(indptr, np.int64), rank[np.frombuffer(indices, np.int32)], np.frombuffer(data))
+        order = np.lexsort((weights.indices, weights.rows()))
+        weights = CSR(weights.indptr, weights.indices[order], weights.data[order])
         if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
             order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-            doc_ids, weights = [doc_ids[i] for i in order], weights[order]
+            doc_ids, weights = [doc_ids[i] for i in order], weights.take(np.array(order, dtype=np.int64))
             if dups := sorted({a for a, b in zip(doc_ids, doc_ids[1:]) if a == b}):
                 raise ValidationError([f"duplicate assignment for {d!r}" for d in dups])
         return cls(system, doc_ids, tuple(codes), weights)
@@ -91,27 +116,31 @@ class AssignmentSet:
 
 def collapse_to_areas(aset: AssignmentSet, scheme: Scheme) -> AssignmentSet:
     """The same documents with each vector's category weights summed into
-    the scheme's areas: one product with the 0/1 category -> area matrix,
-    which adds each area's weights in code order."""
+    the scheme's areas, each area's from 0 in code order."""
     unknown = [c for c in aset.codes if c not in scheme.cat_to_area]
     if unknown:
         raise ValidationError([f"unknown category code {c!r}" for c in unknown])
     areas = tuple(a.code for a in scheme.areas)
     area_of = {a: i for i, a in enumerate(areas)}
-    cols = [area_of[scheme.cat_to_area[c]] for c in aset.codes]
-    to_area = sparse.csr_matrix((np.ones(len(cols)), cols, np.arange(len(cols) + 1)),
-                                shape=(len(aset.codes), len(areas)))
-    return AssignmentSet(aset.system, aset.doc_ids, areas, (aset.weights @ to_area).sorted_indices())
+    cols = np.array([area_of[scheme.cat_to_area[c]] for c in aset.codes], dtype=np.int64)
+    W, m = aset.weights, len(areas)
+    cells, cell = np.unique(W.rows() * m + cols[W.indices], return_inverse=True)
+    row, col = np.divmod(cells, m)
+    return AssignmentSet(aset.system, aset.doc_ids, areas,
+                         CSR.from_entries(row, col, np.bincount(cell, weights=W.data), len(aset)))
 
 
 def write_assignments(path: str, aset: AssignmentSet) -> None:
     codes = [json.dumps(c) for c in aset.codes]
     system = json.dumps(aset.system)
+    W = aset.weights
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for lo in range(0, len(aset), WRITE_BLOCK):
-            block = aset.weights[lo:lo + WRITE_BLOCK]
-            ptr, keys, values = block.indptr.tolist(), block.indices.tolist(), block.data.tolist()
-            for i, doc_id in enumerate(aset.doc_ids[lo:lo + WRITE_BLOCK]):
+            hi = min(lo + WRITE_BLOCK, len(aset))
+            first, last = W.indptr[lo], W.indptr[hi]
+            ptr = (W.indptr[lo:hi + 1] - first).tolist()
+            keys, values = W.indices[first:last].tolist(), W.data[first:last].tolist()
+            for i, doc_id in enumerate(aset.doc_ids[lo:hi]):
                 parts = ",".join(f"{codes[k]}:{w:.12g}" for k, w in
                                  zip(keys[ptr[i]:ptr[i + 1]], values[ptr[i]:ptr[i + 1]]))
                 fh.write(f'{{"doc_id":{json.dumps(doc_id)},"system":{system},"weights":{{{parts}}}}}\n')
@@ -151,3 +180,54 @@ def read_assignments(path: str, system: str) -> AssignmentSet:
     if not len(aset):
         raise ValidationError([f"{path}: no assignments found"])
     return aset
+
+
+# an assignment npz: the CSR, string lists as corpus.npz stores them, and digests
+SIDECAR_STRINGS = ("doc_ids", "codes", "system")
+SIDECAR_DTYPES = {"indptr": np.int64, "indices": np.int32, "data": np.float64, "jsonl_sha256": np.uint8,
+                  "corpus_sha256": np.uint8, **{name: np.uint8 for name in SIDECAR_STRINGS},
+                  **{f"{name}_ptr": np.int64 for name in SIDECAR_STRINGS}}
+
+
+def save_assignments_npz(aset: AssignmentSet, path: str, jsonl_path: str, corpus_path: str) -> None:
+    """Write the set as read_assignments reads it back from jsonl_path (weights at 12
+    significant digits, only the codes it holds), with the sha256 of that JSONL and of
+    the corpus npz it was classified from. Equal sets give equal bytes."""
+    W = aset.weights
+    values, at = np.unique(W.data, return_inverse=True)
+    held = np.bincount(W.indices, minlength=len(aset.codes)) > 0
+    save_npz(path, {"indptr": W.indptr, "indices": (np.cumsum(held) - 1).astype(np.int32)[W.indices],
+                    "data": np.array([float(f"{w:.12g}") for w in values.tolist()])[at],
+                    "jsonl_sha256": sha256_of(jsonl_path), "corpus_sha256": sha256_of(corpus_path)},
+             {"doc_ids": aset.doc_ids, "codes": [c for c, h in zip(aset.codes, held) if h],
+              "system": [aset.system]})
+
+
+def load_assignments_npz(path: str, system: str, jsonl_path: str, corpus_sha256: bytes | None = None,
+                         doc_ids: list[str] | None = None) -> tuple[AssignmentSet, bytes]:
+    """The set that save_assignments_npz wrote, and the sha256 of its corpus npz, which
+    must be corpus_sha256 when given; a set of the doc_ids given holds that very list.
+    As in iter_assignments, a weight that is not finite is malformed (ParseError, as are
+    bad arrays and columns or rows out of order); a row that is not positive weights
+    summing to 1 is invalid (ValidationError, as are another system, no rows, a changed
+    JSONL and another corpus)."""
+    a = load_npz(path, "assignment", SIDECAR_DTYPES, SIDECAR_STRINGS, lambda a, size: [
+        ("corpus_sha256", 32, 256), ("indptr", size["doc_ids"] + 1, len(a["data"])),
+        ("indices", len(a["data"]), size["codes"])], {"jsonl_sha256": (jsonl_path,)}, {"doc_ids": doc_ids})
+    W, doc_ids, n = CSR(a["indptr"], a["indices"], a["data"]), a["doc_ids"], len(a["doc_ids"])
+    row = W.rows()
+    # rows in order with increasing columns: the row-major cells increase
+    if not (np.isfinite(W.data).all() and (np.diff(row * len(a["codes"]) + W.indices) > 0).all()
+            and all(map(lt, doc_ids, doc_ids[1:])) and all(map(lt, a["codes"], a["codes"][1:]))):
+        raise ParseError(f"{path}: weights not finite or not in code order, or rows not in doc_id order")
+    off = (np.abs(np.bincount(row, weights=W.data, minlength=n) - 1.0) > NORMALIZATION_TOL) \
+        | (np.bincount(row, weights=W.data <= 0.0, minlength=n) > 0)
+    errors = [f"{path}: {doc_ids[i]!r}: weights must be positive and sum to 1" for i in np.flatnonzero(off)]
+    if a["system"] != [system]:
+        errors.append(f"{path}: holds {a['system']!r}, not {system!r} assignments")
+    if errors or not n:
+        raise ValidationError(errors or [f"{path}: no assignments found"])
+    stored = a["corpus_sha256"].tobytes()
+    if corpus_sha256 not in (None, stored):
+        raise ValidationError([f"{path} was classified from another corpus"])
+    return AssignmentSet(system, doc_ids, tuple(a["codes"]), W), stored

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import asjc
-from .assignments import AssignmentSet, SYSTEM_U1
+from .assignments import CSR, AssignmentSet, SYSTEM_U1
 from .corpus import Corpus, Scheme, ValidationError
 from .weights import PRUNE_EPS, row_fsum
 
@@ -53,7 +52,7 @@ class ThresholdPolicy:
             raise ValidationError(errors)
 
 
-def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> sparse.csr_matrix:
+def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> CSR:
     """Cut each row of the dense aggregate block agg to the categories with
     weight >= theta * the row's max weight, cap the support at the
     max_categories heaviest, and renormalize; a row with no entry above
@@ -82,13 +81,7 @@ def apply_threshold(agg: np.ndarray, policy: ThresholdPolicy) -> sparse.csr_matr
     w = agg[row, col]
     w /= row_fsum(row, w, n)[row]
     keep = w >= PRUNE_EPS
-    return sparse.csr_matrix((w[keep], (row[keep], col[keep])), shape=agg.shape)
-
-
-def _kept(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, data, n_cols: int) -> sparse.csr_matrix:
-    """The CSR of the entries of (indptr, indices) that mask keeps, in order, holding data."""
-    kept_ptr = np.concatenate(([0], np.cumsum(mask)))[indptr]
-    return sparse.csr_matrix((data, indices[mask], kept_ptr), shape=(len(indptr) - 1, n_cols))
+    return CSR.from_entries(row[keep], col[keep], w[keep], n)
 
 
 def classify_u1f08_all(
@@ -99,14 +92,23 @@ def classify_u1f08_all(
 ) -> AssignmentSet:
     """Classify every document of a corpus from the ASJC-FRAC vectors of
     its citers' journals, split from the scheme as classify_asjc does."""
+    # scipy.sparse serves this kernel alone, so no other stage pays its import
+    from scipy import sparse
+
+    def kept(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, data) -> sparse.csr_matrix:
+        """The n columns of the entries of (indptr, indices) that mask keeps, in order, holding data."""
+        kept_ptr = np.concatenate(([0], np.cumsum(mask)))[indptr]
+        return sparse.csr_matrix((data, indices[mask], kept_ptr), shape=(len(indptr) - 1, n))
+
     n = len(corpus)
     asjc_set = asjc.classify_asjc(corpus, scheme)
-    A, codes = asjc_set.weights, asjc_set.codes
+    J, codes = asjc_set.weights, asjc_set.codes
+    A = sparse.csr_matrix((J.data, J.indices, J.indptr), shape=(n, len(codes)))
     ptr, cited = corpus.cited_indptr, corpus.cited
     window = corpus.in_window(citer_window)
     n_cit = np.bincount(cited[window], minlength=n)
     # transposed once to CSR, so no chunk product converts it again
-    S = _kept(ptr, cited, window, np.ones(np.count_nonzero(window)), n).T.tocsr() @ A
+    S = kept(ptr, cited, window, np.ones(np.count_nonzero(window))).T.tocsr() @ A
     reclassified = (corpus.n_references >= policy.min_references) & (np.diff(ptr) > 0)
 
     blocks = []
@@ -118,22 +120,24 @@ def classify_u1f08_all(
         others = n_cit[refs] - win
         profiled = others > 0
         weight = 1.0 / others[profiled]
-        dense = (_kept(local, refs, profiled, weight, n) @ S).toarray()
+        dense = (kept(local, refs, profiled, weight) @ S).toarray()
         # a citing document inside the window is one of the citers S summed
         sub = win[profiled]
         row = np.repeat(np.arange(i1 - i0), np.diff(local))[profiled]
         csub = np.bincount(row[sub], weights=weight[sub], minlength=i1 - i0)
         Ac = A[i0:i1]
         dense -= (sparse.diags(csub, dtype=np.float64) @ Ac).toarray()
-        dense += (_kept(local, refs, ~profiled, np.ones(len(refs) - len(weight)), n) @ A).toarray()
+        dense += (kept(local, refs, ~profiled, np.ones(len(refs) - len(weight))) @ A).toarray()
         kc = np.diff(local).astype(np.float64)
         np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
         np.maximum(dense, 0.0, out=dense)
         dense[~reclassified[i0:i1]] = 0.0
 
-        cut = apply_threshold(dense, policy)
+        c = apply_threshold(dense, policy)
+        cut = sparse.csr_matrix((c.data, c.indices, c.indptr), shape=dense.shape)
         # a row left empty keeps its journal-based vector bit for bit
-        empty = sparse.diags((np.diff(cut.indptr) == 0).astype(np.float64), format="csr")
+        empty = sparse.diags((np.diff(c.indptr) == 0).astype(np.float64), format="csr")
         blocks.append((cut + empty @ Ac).sorted_indices())
     W = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, len(codes)))
-    return AssignmentSet(SYSTEM_U1, corpus.doc_ids, codes, W)
+    return AssignmentSet(SYSTEM_U1, corpus.doc_ids, codes,
+                         CSR(W.indptr.astype(np.int64), W.indices.astype(np.int32), W.data))

@@ -15,16 +15,17 @@ import sys
 
 from . import asjc, citer, flow, indicators as ind, netgraph, syngen
 from .assignments import (
-    SYSTEM_ASJC, SYSTEM_U1, collapse_to_areas, read_assignments, write_assignments,
+    SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, collapse_to_areas, load_assignments_npz, save_assignments_npz,
+    write_assignments,
 )
-from .assignments import iter_assignments  # noqa: F401 (bench/trace_shim.py patches this name)
+from .assignments import iter_assignments, read_assignments  # noqa: F401 (bench/trace_shim.py patches these names)
 from .config import (
     FIELD_CHOICES, FIELD_PARSERS, RunConfig, build_config, field_types, parse_config_file,
 )
 from .corpus import (
     Corpus, ParseError, Scheme, ValidationError, build_citation_index, corpus_summary, fmt,
     load_corpus, load_corpus_npz, load_scheme, low_reference_share, read_json, save_corpus_npz,
-    write_corpus, write_csv, write_json, write_scheme,
+    sha256_of, write_corpus, write_csv, write_json, write_scheme,
 )
 
 SCHEME_FILE = os.path.join("corpus", "scheme.csv")
@@ -35,6 +36,10 @@ STATS_FILE = "corpus_stats.json"
 VALIDATION_FILE = "validation_report.json"
 ASJC_FILE = "assignments_asjc-frac.jsonl"
 U1_FILE = "assignments_u1-f-0.8.jsonl"
+# each system's assignment JSONL and the CSR sidecar that compare and indicators read
+SYSTEM_FILES = {SYSTEM_ASJC: (ASJC_FILE, "assignments_asjc-frac.npz"),
+                SYSTEM_U1: (U1_FILE, "assignments_u1-f-0.8.npz")}
+SIDECARS = [npz for _, npz in SYSTEM_FILES.values()]
 MANIFEST_FILE = "manifest.json"
 REPORT_FILE = "report.json"
 
@@ -113,6 +118,19 @@ def _load_pipeline_corpus(out_dir: str) -> tuple[Scheme, Corpus]:
     return scheme, corpus
 
 
+def _load_assignment_sets(out_dir: str, corpus: Corpus | None = None) -> list[AssignmentSet]:
+    """Both systems' sets from their sidecars, classified from one corpus: the
+    corpus.npz of corpus when given, whose doc id list they then share."""
+    corpus_sha256, doc_ids = (None, None) if corpus is None else (
+        sha256_of(os.path.join(out_dir, CORPUS_FILE)).tobytes(), corpus.doc_ids)
+    sets = []
+    for system, (jsonl, npz) in SYSTEM_FILES.items():
+        aset, corpus_sha256 = load_assignments_npz(os.path.join(out_dir, npz), system, os.path.join(out_dir, jsonl),
+                                                   corpus_sha256, doc_ids)
+        sets.append(aset)
+    return sets
+
+
 def cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not (cfg.scheme and cfg.journals and cfg.documents):
         print("error: ingest needs --scheme, --journals, and --documents", file=sys.stderr)
@@ -147,23 +165,22 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     scheme, corpus = _load_pipeline_corpus(cfg.out)
     if system == SYSTEM_ASJC:
         aset = asjc.classify_asjc(corpus, scheme)
-        out_path = os.path.join(cfg.out, ASJC_FILE)
     else:
         aset = citer.classify_u1f08_all(corpus, scheme, cfg.threshold_policy(), cfg.citer_window)
-        out_path = os.path.join(cfg.out, U1_FILE)
-    write_assignments(out_path, aset)
+    jsonl, npz = (os.path.join(cfg.out, name) for name in SYSTEM_FILES[system])
+    write_assignments(jsonl, aset)
+    save_assignments_npz(aset, npz, jsonl, os.path.join(cfg.out, CORPUS_FILE))
     print(f"classified {len(aset)} documents under {system}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _require_artifacts(cfg.out, [SCHEME_FILE, STATS_FILE, ASJC_FILE, U1_FILE])
+    _require_artifacts(cfg.out, [SCHEME_FILE, STATS_FILE, ASJC_FILE, U1_FILE, *SIDECARS])
     manifest = _read_manifest(cfg.out)
     fig1 = [[y, fmt(pct)] for y, pct in low_reference_share(_read_stats(cfg.out), cfg.min_references)]
     scheme = load_scheme(os.path.join(cfg.out, SCHEME_FILE))
 
-    set_a = read_assignments(os.path.join(cfg.out, ASJC_FILE), SYSTEM_ASJC)
-    set_b = read_assignments(os.path.join(cfg.out, U1_FILE), SYSTEM_U1)
+    set_a, set_b = _load_assignment_sets(cfg.out)
     # both levels are computed before anything is written
     results = []
     for level, sets in (("category", (set_a, set_b)),
@@ -198,16 +215,16 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, CORPUS_FILE,
-                                 ASJC_FILE, U1_FILE])
+                                 ASJC_FILE, U1_FILE, *SIDECARS])
     manifest = _read_manifest(cfg.out)
     scheme, corpus = _load_pipeline_corpus(cfg.out)
+    sets = _load_assignment_sets(cfg.out, corpus)
     cit = build_citation_index(corpus, cfg.citation_window)
 
     out = cfg.out
     diag_report = {}
     results = {}
-    for name, system in ((ASJC_FILE, SYSTEM_ASJC), (U1_FILE, SYSTEM_U1)):
-        aset = read_assignments(os.path.join(out, name), system)
+    for aset in sets:
         cats = ind.WeightColumns(corpus, aset)
         areas = ind.WeightColumns(corpus, collapse_to_areas(aset, scheme))
         baselines = ind.category_baselines(cats, cit)
@@ -215,8 +232,8 @@ def cmd_indicators(args: argparse.Namespace, cfg: RunConfig) -> int:
         exc = {p: ind.excellence_flags(areas, ind.excellence_thresholds(areas, cit, p), cit)
                for p in (cfg.p10, cfg.p1)}
         std = dict(ind.ni_std_by_area(ni, areas))
-        results[system] = (areas, baselines, ni, exc, std)
-        diag_report[system] = {
+        results[aset.system] = (areas, baselines, ni, exc, std)
+        diag_report[aset.system] = {
             "zero_mean_cells": [
                 {"doc_type": t, "year": y, "class": c, "documents_hit": n}
                 for (t, y, c), n in sorted(zero_mean_hits.items())

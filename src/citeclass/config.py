@@ -83,16 +83,20 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments ignored."""
+    """Flat key = value lines; blank lines and # comments ignored. A key
+    set on two lines is malformed."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"{path}: line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise ParseError(f"{path}: line {line_no}: key {key!r} is already set on line {line_of[key]}")
+        out[key], line_of[key] = value, line_no
     return out
 
 

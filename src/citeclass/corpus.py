@@ -64,10 +64,13 @@ class ValidationError(Exception):
         super().__init__("; ".join(shown))
 
 
-def _carriage_returns(kind: str, objs: list | tuple, fields: tuple[str, ...]) -> list[str]:
-    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader; fields[0] is the id."""
-    return [f"{kind} {getattr(o, fields[0])!r}: {f} holds a carriage return"
-            for f in fields for o, text in zip(objs, map(attrgetter(f), objs)) if "\r" in text]
+def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], padded: bool = False) -> list[str]:
+    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader, and
+    with padded per field with white space at either end, which load_scheme strips; fields[0] is the id."""
+    return [f"{kind} {getattr(o, fields[0])!r}: {f} " + ("holds a carriage return" if "\r" in text else
+                                                         "has white space at either end")
+            for f in fields for o, text in zip(objs, map(attrgetter(f), objs))
+            if "\r" in text or padded and text != text.strip()]
 
 
 def fmt(v: float | None) -> str:
@@ -153,6 +156,7 @@ class Scheme:
       * at most one area is multidisciplinary, and it owns no categories
       * every other area has at least one non-misc category and at most one
         misc category
+      * no code or name holds a carriage return or white space at either end
     """
 
     def __init__(self, categories: Iterable[Category], areas: Iterable[Area]):
@@ -188,8 +192,8 @@ class Scheme:
             elif area.is_multidisciplinary:
                 errors.append(f"category {c.code!r} assigned to multidisciplinary area {area.code!r}")
 
-        errors += _carriage_returns("area", self.areas, ("code", "name"))
-        errors += _carriage_returns("category", self.categories, ("code", "name"))
+        errors += _bad_text("area", self.areas, ("code", "name"), padded=True)
+        errors += _bad_text("category", self.categories, ("code", "name"), padded=True)
         self.cat_to_area: dict[str, str] = {c.code: c.area_code for c in self.categories}
         by_area: dict[str, list[Category]] = {a.code: [] for a in self.areas}
         for c in self.categories:
@@ -305,7 +309,7 @@ class Corpus:
                 errors.append(f"document {d.doc_id!r} cites itself")
             if d.external_citations < 0:
                 errors.append(f"document {d.doc_id!r} has negative external_citations")
-        errors += _carriage_returns("document", docs, ("doc_id", "doc_type"))
+        errors += _bad_text("document", docs, ("doc_id", "doc_type"))
         if errors:
             raise ValidationError(errors)
         # Defensive: references must be sorted and duplicate-free for the
@@ -632,7 +636,7 @@ NPZ_DTYPES = {
 }
 
 
-def _sha256(*paths: str) -> np.ndarray:
+def sha256_of(*paths: str) -> np.ndarray:
     """The sha256 digests of the files, one after the other, as uint8."""
     digests = b""
     for path in paths:
@@ -644,45 +648,36 @@ def _sha256(*paths: str) -> np.ndarray:
     return np.frombuffer(digests, np.uint8)
 
 
-def save_corpus_npz(corpus: Corpus, path: str, journal_path: str, document_path: str) -> None:
-    """Write the columns of corpus as an uncompressed npz, with the digests of
-    the JSONL files it was written next to. Equal corpora give equal bytes."""
-    journals = corpus.journals.values()
-    arrays = {name: getattr(corpus, name) for name in NPZ_COLUMNS}
-    arrays["jsonl_sha256"] = _sha256(journal_path, document_path)
-    arrays["code_indptr"] = np.cumsum([0] + [len(j.asjc_codes) for j in journals], dtype=np.int64)
-    for name, strings in (("doc_ids", corpus.doc_ids), ("doc_types", corpus.doc_types),
-                          ("external_ids", corpus.external_ids), ("journal_ids", corpus.journal_ids),
-                          ("journal_codes", [c for j in journals for c in j.asjc_codes])):
-        arrays[name] = np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8)
-        arrays[f"{name}_ptr"] = np.cumsum([0] + [len(x) for x in strings], dtype=np.int64)
+def save_npz(path: str, arrays: dict[str, np.ndarray], strings: dict[str, list[str]]) -> None:
+    """Write arrays and string lists as an uncompressed npz; a list is stored
+    as the UTF-8 bytes <name> and the offsets <name>_ptr of each string.
+    Equal inputs give equal bytes."""
+    for name, values in strings.items():
+        arrays[name] = np.frombuffer("".join(values).encode("utf-8", "surrogatepass"), np.uint8)
+        arrays[f"{name}_ptr"] = np.cumsum([0] + [len(x) for x in values], dtype=np.int64)
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path: str) -> Corpus:
-    """Read a corpus saved by save_corpus_npz. An unreadable file, or arrays
-    of the wrong type, length, range or order, raise ParseError; a file
-    whose digests do not match the two JSONL files is stale: ValidationError."""
+def load_npz(path: str, what: str, dtypes: dict, strings: tuple[str, ...], bounds, digests: dict,
+             known: dict[str, list[str]] | None = None) -> dict:
+    """The arrays of an npz that save_npz wrote, each string list decoded, or the list
+    known gives it when that is the list stored. An unreadable file, arrays other than
+    the 1-d ones of dtypes, and arrays out of bounds raise ParseError: bounds(arrays, the
+    length of each string list) lists (array, its length or None, the end of its offsets
+    or the bound of its values). A file is stale, a ValidationError, when an array named
+    in digests is not sha256_of its files."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             a = {name: npz[name] for name in npz.files}
-        text = {name: a[name].tobytes().decode("utf-8", "surrogatepass") for name in NPZ_STRINGS}
+        text = {name: a[name].tobytes().decode("utf-8", "surrogatepass") for name in strings}
     except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
-        raise ParseError(f"{path}: unreadable corpus arrays: {e!r}") from None
-    if sorted(a) != sorted(NPZ_DTYPES) or any(a[k].dtype != t or a[k].ndim != 1
-                                               for k, t in NPZ_DTYPES.items()):
-        raise ParseError(f"{path}: not the arrays of a corpus")
-    size = {name: len(a[f"{name}_ptr"]) - 1 for name in NPZ_STRINGS}
-    n = size["doc_ids"]
-    # (array, its length or None, the end of its offsets or the bound of its values)
-    for name, length, end in (
-        ("jsonl_sha256", 64, 256), ("journal_index", n, size["journal_ids"]), ("year", n, YEARS),
-        ("type_index", n, size["doc_types"]), ("external_citations", n, 2**53 + 1),
-        ("ref", None, n + size["external_ids"]), ("ref_indptr", n + 1, len(a["ref"])),
-        ("code_indptr", size["journal_ids"] + 1, size["journal_codes"]),
-        *((f"{name}_ptr", None, len(text[name])) for name in NPZ_STRINGS),
-    ):
+        raise ParseError(f"{path}: unreadable {what} arrays: {e}") from None
+    if sorted(a) != sorted(dtypes) or any(a[k].dtype != t or a[k].ndim != 1 for k, t in dtypes.items()):
+        raise ParseError(f"{path}: not {what} arrays")
+    size = {name: len(a[f"{name}_ptr"]) - 1 for name in strings}
+    for name, length, end in (*bounds(a, size), *((name, 32 * len(files), 256) for name, files in digests.items()),
+                              *((f"{name}_ptr", None, len(text[name])) for name in strings)):
         x = a[name]
         if name.endswith("ptr"):
             ok = len(x) > 0 and x[0] == 0 and x[-1] == end and not (np.diff(x) < 0).any()
@@ -690,12 +685,42 @@ def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path:
             ok = x.size == 0 or (x.min() >= 0 and x.max() < end)
         if not ok or length not in (None, len(x)):
             raise ParseError(f"{path}: array {name!r} has the wrong length or values out of range")
-    if not np.array_equal(a["jsonl_sha256"], _sha256(journal_path, document_path)):
-        raise ValidationError([f"{path} is stale: {journal_path} or {document_path} "
-                               "changed since it was written"])
-    for name in NPZ_STRINGS:
+    for name, files in digests.items():
+        if not np.array_equal(a[name], sha256_of(*files)):
+            raise ValidationError([f"{path} is stale: {' or '.join(files)} changed since it was written"])
+    for name in strings:
+        held = (known or {}).get(name)
+        if held is not None and "".join(held) == text[name] and np.array_equal(
+                np.cumsum(np.fromiter(map(len, held), np.int64, len(held))), a[f"{name}_ptr"][1:]):
+            a[name] = held
+            continue
         ptr = a[f"{name}_ptr"].tolist()
         a[name] = [text[name][i:j] for i, j in zip(ptr, ptr[1:])]
+    return a
+
+
+def save_corpus_npz(corpus: Corpus, path: str, journal_path: str, document_path: str) -> None:
+    """Write the columns of corpus as an uncompressed npz, with the digests of
+    the JSONL files it was written next to. Equal corpora give equal bytes."""
+    journals = corpus.journals.values()
+    arrays = {name: getattr(corpus, name) for name in NPZ_COLUMNS}
+    arrays["jsonl_sha256"] = sha256_of(journal_path, document_path)
+    arrays["code_indptr"] = np.cumsum([0] + [len(j.asjc_codes) for j in journals], dtype=np.int64)
+    save_npz(path, arrays, {
+        "doc_ids": corpus.doc_ids, "doc_types": corpus.doc_types, "external_ids": corpus.external_ids,
+        "journal_ids": corpus.journal_ids, "journal_codes": [c for j in journals for c in j.asjc_codes]})
+
+
+def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path: str) -> Corpus:
+    """Read a corpus saved by save_corpus_npz. An unreadable file, or arrays
+    of the wrong type, length, range or order, raise ParseError; a file
+    whose digests do not match the two JSONL files is stale: ValidationError."""
+    a = load_npz(path, "corpus", NPZ_DTYPES, NPZ_STRINGS, lambda a, size: [
+        ("journal_index", size["doc_ids"], size["journal_ids"]), ("year", size["doc_ids"], YEARS),
+        ("type_index", size["doc_ids"], size["doc_types"]), ("external_citations", size["doc_ids"], 2**53 + 1),
+        ("ref", None, size["doc_ids"] + size["external_ids"]), ("ref_indptr", size["doc_ids"] + 1, len(a["ref"])),
+        ("code_indptr", size["journal_ids"] + 1, size["journal_codes"])],
+        {"jsonl_sha256": (journal_path, document_path)})
     if not all(map(lt, a["doc_ids"], a["doc_ids"][1:])):
         raise ParseError(f"{path}: doc_ids are not strictly increasing")
     codes, ptr = a["journal_codes"], a["code_indptr"].tolist()

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import sparse
 
-from .assignments import AssignmentSet, collapse_to_areas
+from .assignments import CSR, AssignmentSet, collapse_to_areas
 from .corpus import ParseError, Scheme, ValidationError, fmt, read_lines, write_csv
 from .weights import NORMALIZATION_TOL, SUPPORT_EPS, row_fsum
 
@@ -63,11 +62,28 @@ class SummaryStats:
     cv_pct: float | None
 
 
-def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> sparse.csr_matrix:
-    """The set's weights with its codes in the columns col gives them."""
-    W = aset.weights
+def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> CSR:
+    """The set's weights with its codes in the columns col gives them, in the same order."""
     cols = np.array([col[c] for c in aset.codes], dtype=np.int32)
-    return sparse.csr_matrix((W.data, cols[W.indices], W.indptr), shape=(len(aset), len(col)))
+    return aset.weights._replace(indices=cols[aset.weights.indices])
+
+
+def _difference(A: CSR, B: CSR, m: int) -> tuple[np.ndarray, ...]:
+    """A - B on the union of the cells i * m + j that A or B holds, in row-major order,
+    as int32 rows and columns and the values a - b, a or -b, exact zeros dropped; then
+    the column and min(a, b) of each cell both hold, in the same order. Each cell of B
+    is looked up among A's, and those only B holds go in before the next cell of A."""
+    key_a, key_b = A.rows() * m + A.indices, B.rows() * m + B.indices
+    at = np.searchsorted(key_a, key_b)
+    both = at < len(key_a)
+    both[both] = key_a[at[both]] == key_b[both]
+    diff = A.data.copy()
+    diff[at[both]] -= B.data[both]
+    only_b = np.flatnonzero(~both)
+    keys = np.insert(key_a, at[only_b], key_b[only_b])
+    diff = np.insert(diff, at[only_b], -B.data[only_b])
+    row, col = (x.astype(np.int32) for x in np.divmod(keys[diff != 0.0], m))
+    return row, col, diff[diff != 0.0], (key_b[both] % m).astype(np.int32), np.minimum(A.data[at[both]], B.data[both])
 
 
 class FlowAccumulator:
@@ -88,15 +104,15 @@ class FlowAccumulator:
         n, m = len(set_a), len(codes)
         A, B = _on_codes(set_a, col), _on_codes(set_b, col)
         for name, W in (("from", A), ("to", B)):
-            total = np.asarray(W.sum(axis=1)).ravel()
+            total, held = np.zeros(n), np.flatnonzero(np.diff(W.indptr))
+            total[held] = np.add.reduceat(W.data, W.indptr[held])
             bad = np.flatnonzero(np.abs(total - 1.0) > NORMALIZATION_TOL).tolist()
             if bad:
                 raise ValidationError([f"{name} vector of {set_a.doc_ids[i]!r} sums to {total[i]!r}" for i in bad])
-        diff = A - B
-        row = np.repeat(np.arange(n, dtype=np.int32), np.diff(diff.indptr))
-        is_d, is_s = diff.data > 0.0, diff.data < 0.0
-        d, row_d, col_d = diff.data[is_d], row[is_d], diff.indices[is_d]
-        s, row_s, col_s = -diff.data[is_s], row[is_s], diff.indices[is_s]
+        row, col_k, diff, common_col, common = _difference(A, B, m)
+        is_d, is_s = diff > 0.0, diff < 0.0
+        d, row_d, col_d = diff[is_d], row[is_d], col_k[is_d]
+        s, row_s, col_s = -diff[is_s], row[is_s], col_k[is_s]
         T = row_fsum(row_d, d, n)  # the total deficit of each row
         # one move d * s / T per (deficit, surplus) entry pair of a row with T > 1e-15,
         # summed into cell i * m + j of the class pair (i, j)
@@ -107,15 +123,16 @@ class FlowAccumulator:
         used = np.flatnonzero(np.bincount(cell, minlength=m * m))
         moved = np.bincount(cell, weights=d[pair_d] * s[pair_s] / T[row_d[pair_d]], minlength=m * m)[used]
 
-        def by_code(W: sparse.csr_matrix) -> dict[str, float]:
+        def by_code(cols: np.ndarray, data: np.ndarray) -> dict[str, float]:
             """Each held code's column sum; codes are sorted, so held is in key order."""
-            held = np.flatnonzero(np.bincount(W.indices, minlength=m))
+            held = np.flatnonzero(np.bincount(cols, minlength=m))
             return dict(zip([codes[k] for k in held.tolist()],
-                            np.bincount(W.indices, weights=W.data, minlength=m)[held].tolist()))
+                            np.bincount(cols, weights=data, minlength=m)[held].tolist()))
 
         # cell k is the class pair (k // m, k % m), so used is in key order too
         flow = dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist()))
-        return FlowMatrix(self.level, n, by_code(A), by_code(B), by_code(A.minimum(B)), flow)
+        return FlowMatrix(self.level, n, by_code(A.indices, A.data), by_code(B.indices, B.data),
+                          by_code(common_col, common), flow)
 
 
 def flow_matrix(

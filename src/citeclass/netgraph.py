@@ -24,9 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -330,6 +328,9 @@ def export_graph(
     if fmt == "json":
         write_json(path, {"nodes": nodes, "edges": edges})
         return
+    # the xml modules load only here and in load_graph: saxutils alone imports urllib
+    from xml.sax.saxutils import escape
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<graphml xmlns="{GRAPHML_NS}">',
@@ -357,6 +358,8 @@ def _field(value, kind: type):
 def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str, tuple[float, float]]]:
     """Read back an exported graph: (graph, community map, positions). Bad
     text, a missing field or a value of the wrong type (see _field) raises ParseError."""
+    import xml.etree.ElementTree as ET
+
     if fmt not in FORMATS:
         raise ValidationError([f"unknown graph format {fmt!r}"])
     try:

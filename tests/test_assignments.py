@@ -1,10 +1,13 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from citeclass import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, ValidationError
-from citeclass.assignments import read_assignments, write_assignments
+from citeclass.assignments import (
+    load_assignments_npz, read_assignments, save_assignments_npz, write_assignments,
+)
 
 
 @st.composite
@@ -51,7 +54,8 @@ def test_from_rows_sorts_rows_and_codes():
     aset = AssignmentSet.from_rows(SYSTEM_ASJC, [("D2", {"B": 0.25, "A": 0.75}), ("D1", {"C": 1.0})])
     assert aset.doc_ids == ["D1", "D2"]
     assert aset.codes == ("A", "B", "C")
-    assert aset.weights.toarray().tolist() == [[0.0, 0.0, 1.0], [0.75, 0.25, 0.0]]
+    W = aset.weights
+    assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == ([0, 1, 3], [2, 0, 1], [1.0, 0.75, 0.25])
     assert list(aset.get("D2")) == ["A", "B"]
     with pytest.raises(KeyError):
         aset.get("D3")
@@ -84,3 +88,25 @@ def test_read_assignments_refuses_an_empty_file_and_another_system(tmp_path):
     with pytest.raises(ValidationError) as e:
         read_assignments(str(path), SYSTEM_ASJC)
     assert e.value.errors == [f"{path}: mixed systems {SYSTEM_ASJC!r} and {SYSTEM_U1!r}"]
+
+
+@given(rows=assignment_rows(), system=st.sampled_from([SYSTEM_ASJC, SYSTEM_U1]), corpus=st.binary())
+@settings(max_examples=100, deadline=None)
+def test_sidecar_round_trip(tmp_path_factory, rows, system, corpus):
+    # the sidecar holds, bit for bit, the set that read_assignments reads from its JSONL
+    tmp = tmp_path_factory.mktemp("npz")
+    jsonl, npz, corpus_npz = tmp / "a.jsonl", tmp / "a.npz", tmp / "corpus.npz"
+    corpus_npz.write_bytes(corpus)
+    packed = AssignmentSet.from_rows(system, rows)
+    write_assignments(str(jsonl), packed)
+    save_assignments_npz(packed, str(npz), str(jsonl), str(corpus_npz))
+    loaded, digest = load_assignments_npz(str(npz), system, str(jsonl))
+    read = read_assignments(str(jsonl), system)
+    assert digest == hashlib.sha256(corpus).digest()
+    assert (loaded.system, loaded.doc_ids, loaded.codes) == (system, read.doc_ids, read.codes)
+    for mine, theirs in zip(loaded.weights, read.weights):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    # saved again, the loaded set gives the same bytes
+    again = tmp / "b.npz"
+    save_assignments_npz(loaded, str(again), str(jsonl), str(corpus_npz))
+    assert again.read_bytes() == npz.read_bytes()

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citeclass import Corpus, classify_u1f08_all, load_corpus, load_scheme, write_assignments
 from citeclass.cli import build_parser, main
-from citeclass.config import RunConfig, field_types
+from citeclass.config import RunConfig, field_types, parse_config_file
+from citeclass.corpus import ParseError
 from citeclass.syngen import SynParams
 
 
@@ -343,13 +345,6 @@ def test_compare_missing_assignments_exits_1(pipeline_dir):
     assert run(["compare", "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("command", ["compare", "indicators"])
-def test_non_object_assignment_line_exits_2(pipeline_dir, command):
-    with open(pipeline_dir / "assignments_u1-f-0.8.jsonl", "a") as fh:
-        fh.write("[1,2]\n")
-    assert run([command, "--out", str(pipeline_dir)]) == 2
-
-
 def snapshot(out):
     return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
@@ -378,13 +373,14 @@ def test_non_object_manifest_exits_2(pipeline_dir, command):
 
 ASJC = "assignments_asjc-frac.jsonl"
 U1 = "assignments_u1-f-0.8.jsonl"
+ASJC_NPZ = "assignments_asjc-frac.npz"
+U1_NPZ = "assignments_u1-f-0.8.npz"
 
 
 # a file given a byte that is not UTF-8 -> the stage that reads it
 NON_UTF8 = {
     "syn/scheme.csv": lambda root: ingest_argv(root / "syn"),
     "syn/documents.jsonl": lambda root: ingest_argv(root / "syn"),
-    f"out/{U1}": lambda root: ["compare"],
     "run.cfg": lambda root: ["compare", "--config", str(root / "run.cfg")],
     "out/corpus_stats.json": lambda root: ["report"],
 }
@@ -435,9 +431,24 @@ def assert_stage_fails(out, argv, code):
 
 
 STAGES_READING = {
-    "compare": (["compare"], U1),
-    "indicators": (["indicators"], U1),
+    "compare": (["compare"], U1_NPZ),
+    "indicators": (["indicators"], U1_NPZ),
 }
+
+
+def load_sidecar(path):
+    with np.load(path) as npz:
+        return dict(npz)
+
+
+def set_first_row(path, row):
+    """Give the first document of the sidecar at path the entries {column: weight} of row."""
+    a = load_sidecar(path)
+    lo = a["indptr"][1]
+    a["indices"] = np.concatenate([np.array(list(row), np.int32), a["indices"][lo:]])
+    a["data"] = np.concatenate([np.array(list(row.values()), np.float64), a["data"][lo:]])
+    a["indptr"] = np.concatenate([[0], a["indptr"][1:] - lo + len(row)])
+    np.savez(path, **a)
 
 
 @pytest.mark.parametrize("weights, code", [
@@ -448,16 +459,11 @@ STAGES_READING = {
 @pytest.mark.parametrize("stage", list(STAGES_READING))
 def test_bad_weights_fail_before_writing(pipeline_dir, stage, weights, code):
     # a weight that is not a finite number is malformed; a weight <= 0 or a
-    # sum off 1 is invalid. A and B become codes that the file uses.
+    # sum off 1 is invalid. A and B are the sidecar's first two columns, and
+    # each weight is the float64 its JSON text reads as (an overflow as inf)
     argv, name = STAGES_READING[stage]
-    path = pipeline_dir / name
-    lines = path.read_text().splitlines(keepends=True)
-    codes = sorted({c for line in lines for c in json.loads(line)["weights"]})
-    weights = weights.replace('"A"', json.dumps(codes[0])).replace('"B"', json.dumps(codes[1]))
-    first = json.loads(lines[0])
-    lines[0] = '{"doc_id": %s, "system": %s, "weights": %s}\n' % (
-        json.dumps(first["doc_id"]), json.dumps(first["system"]), weights)
-    path.write_text("".join(lines))
+    row = json.loads(weights, parse_int=float)
+    set_first_row(pipeline_dir / name, {"AB".index(k): w for k, w in row.items()})
     assert_stage_fails(pipeline_dir, argv, code)
 
 
@@ -526,10 +532,13 @@ def test_trace_shim_records_patched_names(pipeline_dir, tmp_path):
             "corpus.build_citation_index", "flow.add",
             "netgraph.communities", "netgraph.layout",
             "asjc.classify_asjc", "citer.classify_u1f08_all",
-            "assignments.read_assignments", "assignments.write_assignments"} <= set().union(*names.values())
-    # U1-F-0.8 splits the journals itself and parses no assignment file
+            "assignments.write_assignments"} <= set().union(*names.values())
+    # U1-F-0.8 splits the journals itself, and the stages after classify load
+    # the sidecars: no stage parses an assignment file
     assert "asjc.classify_asjc" in names["u1f08"]
-    assert "assignments.read_assignments" not in names["u1f08"]
+    for label in ("u1f08", "compare", "indicators"):
+        assert "assignments.read_assignments" not in names[label], label
+        assert "assignments.iter_assignments" not in names[label], label
     # no per-document path: one flow kernel call per level, one area collapse per system
     assert calls["compare"]["flow.add"] == 2
     for label in ("compare", "indicators"):
@@ -596,6 +605,106 @@ def test_bad_corpus_npz_fails_before_writing(pipeline_dir, stage, spoiler):
     before = snapshot(pipeline_dir)
     assert run([*argv, "--out", str(pipeline_dir)]) == code
     assert snapshot(pipeline_dir) == before
+
+
+def other_corpus(out):
+    a = load_sidecar(out / ASJC_NPZ)
+    a["corpus_sha256"] = a["corpus_sha256"][::-1].copy()
+    np.savez(out / ASJC_NPZ, **a)
+
+
+def garble_columns(out):
+    # the first document's first two columns in the wrong order
+    a = load_sidecar(out / ASJC_NPZ)
+    assert a["indptr"][1] >= 2
+    a["indices"][[0, 1]] = a["indices"][[1, 0]]
+    np.savez(out / ASJC_NPZ, **a)
+
+
+def non_utf8_doc_id(out):
+    a = load_sidecar(out / U1_NPZ)
+    a["doc_ids"][0] = 0xFF
+    np.savez(out / U1_NPZ, **a)
+
+
+def drop_first_document(out):
+    # a sidecar of one document less, still bound to its JSONL
+    a = load_sidecar(out / U1_NPZ)
+    ids, lo = a["doc_ids"], a["indptr"][1]
+    cut = a["doc_ids_ptr"][1]
+    a.update(doc_ids=ids[cut:], doc_ids_ptr=a["doc_ids_ptr"][1:] - cut, indices=a["indices"][lo:],
+             data=a["data"][lo:], indptr=a["indptr"][1:] - lo)
+    np.savez(out / U1_NPZ, **a)
+
+
+def two_d_data(out):
+    a = load_sidecar(out / U1_NPZ)
+    a["data"] = a["data"].reshape(1, -1)
+    np.savez(out / U1_NPZ, **a)
+
+
+def other_system(out):
+    a = load_sidecar(out / U1_NPZ)
+    a["system"], a["system_ptr"] = np.frombuffer(b"ASJC-FRAC", np.uint8), np.array([0, 9])
+    np.savez(out / U1_NPZ, **a)
+
+
+# spoiler -> (edit of --out, exit code): missing, stale and mismatched sidecars
+# are invalid state, unreadable or inconsistent ones malformed input
+SIDECAR_SPOILERS = {
+    "missing": (lambda out: os.remove(out / U1_NPZ), 1),
+    "stale-jsonl": (lambda out: (out / U1).write_text((out / U1).read_text().replace("}}", "} }", 1)), 1),
+    "other-corpus": (other_corpus, 1),
+    "misaligned": (drop_first_document, 1),
+    "other-system": (other_system, 1),
+    "truncated": (lambda out: (out / U1_NPZ).write_bytes((out / U1_NPZ).read_bytes()[:-100]), 2),
+    "not-1d": (two_d_data, 2),
+    "garbled": (garble_columns, 2),
+    "non-utf8": (non_utf8_doc_id, 2),
+}
+
+
+@pytest.mark.parametrize("spoiler", list(SIDECAR_SPOILERS))
+@pytest.mark.parametrize("stage", ["compare", "indicators"])
+def test_bad_sidecar_fails_before_writing(pipeline_dir, stage, spoiler):
+    spoil, code = SIDECAR_SPOILERS[spoiler]
+    spoil(pipeline_dir)
+    assert_stage_fails(pipeline_dir, [stage], code)
+
+
+def test_stages_refuse_a_sidecar_of_an_older_corpus(pipeline_dir, tmp_path):
+    # a new corpus with the same doc ids, ingested and classified by ASJC-FRAC
+    # only: the U1-F-0.8 files beside it belong to the old one
+    syn = tmp_path / "syn2"
+    assert run(["syngen", "--out", str(syn), "--n-docs", "400", "--n-journals", "40", "--seed", "43"]) == 0
+    assert run([*ingest_argv(syn), "--out", str(pipeline_dir)]) == 0
+    assert run(["classify", "--system", "asjc-frac", "--out", str(pipeline_dir)]) == 0
+    for stage in ("compare", "indicators"):
+        assert_stage_fails(pipeline_dir, [stage], 1)
+    # reclassifying U1-F-0.8 binds both sets to the new corpus again
+    assert run(["classify", "--system", "u1f08", "--out", str(pipeline_dir)]) == 0
+    assert run(["compare", "--out", str(pipeline_dir)]) == 0
+
+
+SCIPY_PROBE = "import sys; from citeclass.cli import main; code = main(sys.argv[1:]); print('scipy' in sys.modules)"
+
+
+def test_only_the_u1_kernel_imports_scipy(pipeline_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def loads_scipy(*argv):
+        proc = subprocess.run([sys.executable, "-c", *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    assert not loads_scipy("import sys, citeclass, citeclass.cli; print('scipy' in sys.modules)")
+    out = ["--out", str(pipeline_dir)]
+    for argv in ([*ingest_argv(tmp_path / "syn"), "--out", str(tmp_path / "again")],
+                 ["classify", "--system", "asjc-frac", *out], ["compare", *out], ["indicators", *out],
+                 ["network", *out]):
+        assert not loads_scipy(SCIPY_PROBE, *argv), argv[0]
+    # the probe sees the one stage that does load it
+    assert loads_scipy(SCIPY_PROBE, "classify", "--system", "u1f08", *out)
 
 
 def test_stages_never_build_the_documents_view(pipeline_dir, monkeypatch):
@@ -822,6 +931,43 @@ def test_malformed_config_exits_2(tmp_path):
     cfgp = tmp_path / "run.cfg"
     cfgp.write_text("just some text without equals\n")
     assert run(["syngen", "--config", str(cfgp), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_repeated_config_key_exits_2(pipeline_dir, tmp_path, capsys):
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("theta = 0.9\n# a comment\n\ntheta = 0.7\n")
+    with pytest.raises(ParseError, match="line 4: key 'theta' is already set on line 1"):
+        parse_config_file(str(cfgp))
+    before = snapshot(pipeline_dir)
+    assert run(["classify", "--system", "u1f08", "--config", str(cfgp), "--out", str(pipeline_dir)]) == 2
+    assert snapshot(pipeline_dir) == before
+
+
+CONFIG_KEYS = st.text(st.characters(codec="utf-8", exclude_characters="=\n\r"), min_size=1, max_size=8).filter(
+    lambda k: k == k.strip() and not k.startswith("#"))
+CONFIG_VALUES = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8).map(str.strip)
+
+
+@given(entries=st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=6),
+       noise=st.lists(st.sampled_from(["", "  ", "\t", "# a = b", "  #x", "#"]), max_size=5),
+       sep=st.sampled_from(["=", " = ", "\t=  ", " ="]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_config_file_round_trip(tmp_path_factory, entries, noise, sep, data):
+    # key = value lines in any order among comments and blank lines read back as written
+    lines = data.draw(st.permutations([f"{k}{sep}{v}" for k, v in entries.items()] + noise))
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert parse_config_file(str(path)) == entries
+
+
+@pytest.mark.parametrize("line", ["no equals sign", "theta = 0.8"])
+def test_malformed_config_leaves_out_unchanged(pipeline_dir, tmp_path, line):
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text(f"# knobs\ntheta = 0.8\n\n{line}\n")
+    before = snapshot(pipeline_dir)
+    for argv in (["classify", "--system", "u1f08"], ["compare"], ["indicators"]):
+        assert run([*argv, "--config", str(cfgp), "--out", str(pipeline_dir)]) == 2
+        assert snapshot(pipeline_dir) == before
 
 
 def test_global_flags_accepted_before_subcommand(tmp_path):

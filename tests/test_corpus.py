@@ -369,7 +369,7 @@ def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil):
 
 # load_scheme strips each field, so a canonical code or name has no white space at its ends
 SCHEME_TEXT = st.text(st.one_of(st.sampled_from(TRICKY.replace("\r", "")),
-                                st.characters(exclude_characters="\r")), max_size=6).filter(
+                                st.characters(codec="utf-8", exclude_characters="\r")), max_size=6).filter(
     lambda s: s == s.strip())
 CODES = SCHEME_TEXT.filter(bool)
 
@@ -390,15 +390,18 @@ def scheme_parts(draw):
 
 
 @given(parts=scheme_parts(), spoil=st.sampled_from([None, "category code", "category name",
-                                                    "area code", "area name"]))
+                                                    "area code", "area name"]),
+       bad=st.sampled_from(["{}\rx", " {}", "{}\n", "\u2003{}\t"]))
 @settings(max_examples=100, deadline=None)
-def test_scheme_round_trip(tmp_path_factory, parts, spoil):
+def test_scheme_round_trip(tmp_path_factory, parts, spoil, bad):
     categories, areas = parts
     if spoil:
+        # a carriage return, or white space that load_scheme would strip
         kind, field = spoil.split()
         objs = categories if kind == "category" else areas
-        objs[0] = dataclasses.replace(objs[0], **{field: getattr(objs[0], field) + "\rx"})
-        with pytest.raises(ValidationError, match=f"{field} holds a carriage return"):
+        objs[0] = dataclasses.replace(objs[0], **{field: bad.format(getattr(objs[0], field))})
+        reason = "holds a carriage return" if "\r" in bad else "has white space at either end"
+        with pytest.raises(ValidationError, match=f"{field} {reason}"):
             Scheme(categories, areas)
         return
     # Scheme -> CSV -> Scheme gives the same lookup tables, and the same bytes once written again
@@ -411,6 +414,14 @@ def test_scheme_round_trip(tmp_path_factory, parts, spoil):
     for name in ("categories", "areas", "area_by_code", "category_by_code", "multi_area", "cat_to_area",
                  "non_misc_by_area", "misc_by_area", "non_misc_codes"):
         assert getattr(loaded, name) == getattr(scheme, name), name
+
+
+def test_scheme_refuses_padded_text():
+    # load_scheme strips every field, so such text would not survive the round trip
+    with pytest.raises(ValidationError) as e:
+        Scheme([Category("C1", " Mech ", "A")], [Area("A", "Area A ")])
+    assert e.value.errors == ["area 'A': name has white space at either end",
+                              "category 'C1': name has white space at either end"]
 
 
 def test_columns_of_small_corpus(small_corpus):
