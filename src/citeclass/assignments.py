@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from array import array
 from bisect import bisect_left
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -56,37 +55,33 @@ class CSR(NamedTuple):
 class AssignmentSet:
     """All assignments of one system: row i of the CSR weights is the vector
     of doc_ids[i] over codes, entries in code order. doc_ids and codes are
-    sorted."""
+    sorted. Each vector is positive weights summing to 1 within
+    NORMALIZATION_TOL, checked here once for every consumer of the set."""
 
     def __init__(self, system: str, doc_ids: list[str], codes: tuple[str, ...], weights: CSR):
         if system not in KNOWN_SYSTEMS:
             raise ValidationError([f"unknown classification system {system!r}"])
+        row = weights.rows()
+        off = ~(np.abs(np.bincount(row, weights=weights.data, minlength=len(doc_ids)) - 1.0) <= NORMALIZATION_TOL)
+        off[row[~(weights.data > 0.0)]] = True
+        if off.any():
+            raise ValidationError([f"{system} weights of {doc_ids[i]!r} must be positive and sum to 1"
+                                   for i in np.flatnonzero(off).tolist()])
         self.system, self.doc_ids, self.codes, self.weights = system, doc_ids, codes, weights
 
     @classmethod
     def from_rows(cls, system: str, rows: Iterable[tuple[str, Mapping[str, float]]]) -> AssignmentSet:
-        """Pack (doc_id, vector) pairs, in any doc_id order, into a set. Only
-        flat arrays grow while the rows stream in."""
-        doc_ids: list[str] = []
-        col_of: dict[str, int] = {}  # code -> column, by first appearance
-        indptr, indices, data = array("q", [0]), array("i"), array("d")
-        for doc_id, vec in rows:
-            doc_ids.append(doc_id)
-            indices.extend([col_of.setdefault(c, len(col_of)) for c in vec])
-            data.extend(vec.values())
-            indptr.append(len(data))
-        codes = sorted(col_of)
-        # first-appearance column -> sorted column: the inverse permutation
-        rank = np.fromiter((col_of[c] for c in codes), np.int32, len(codes)).argsort().astype(np.int32)
-        weights = CSR(np.frombuffer(indptr, np.int64), rank[np.frombuffer(indices, np.int32)], np.frombuffer(data))
-        order = np.lexsort((weights.indices, weights.rows()))
-        weights = CSR(weights.indptr, weights.indices[order], weights.data[order])
-        if any(a >= b for a, b in zip(doc_ids, doc_ids[1:])):
-            order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-            doc_ids, weights = [doc_ids[i] for i in order], weights.take(np.array(order, dtype=np.int64))
-            if dups := sorted({a for a, b in zip(doc_ids, doc_ids[1:]) if a == b}):
-                raise ValidationError([f"duplicate assignment for {d!r}" for d in dups])
-        return cls(system, doc_ids, tuple(codes), weights)
+        """Pack (doc_id, vector) pairs, in any doc_id order, into a set."""
+        rows = sorted(rows, key=itemgetter(0))
+        doc_ids = [doc_id for doc_id, _ in rows]
+        if dups := sorted({a for a, b in zip(doc_ids, doc_ids[1:]) if a == b}):
+            raise ValidationError([f"duplicate assignment for {d!r}" for d in dups])
+        codes = sorted({c for _, vec in rows for c in vec})
+        col = {c: k for k, c in enumerate(codes)}
+        # the entries in (row, column) order
+        cells = sorted((i, col[c], w) for i, (_, vec) in enumerate(rows) for c, w in vec.items())
+        row, column, data = (np.array([cell[k] for cell in cells]) for k in range(3))
+        return cls(system, doc_ids, tuple(codes), CSR.from_entries(row, column, data, len(doc_ids)))
 
     def row(self, i: int) -> CategoryVector:
         """The vector of doc_ids[i] as a dict in code order."""
@@ -213,20 +208,16 @@ def load_assignments_npz(path: str, system: str, jsonl_path: str, corpus_sha256:
     JSONL and another corpus)."""
     a = load_npz(path, "assignment", SIDECAR_DTYPES, SIDECAR_STRINGS, lambda a, size: [
         ("corpus_sha256", 32, 256), ("indptr", size["doc_ids"] + 1, len(a["data"])),
-        ("indices", len(a["data"]), size["codes"])], {"jsonl_sha256": (jsonl_path,)}, {"doc_ids": doc_ids})
-    W, doc_ids, n = CSR(a["indptr"], a["indices"], a["data"]), a["doc_ids"], len(a["doc_ids"])
-    row = W.rows()
+        ("indices", len(a["data"]), size["codes"])], (jsonl_path,), {"doc_ids": doc_ids})
+    W, doc_ids = CSR(a["indptr"], a["indices"], a["data"]), a["doc_ids"]
     # rows in order with increasing columns: the row-major cells increase
-    if not (np.isfinite(W.data).all() and (np.diff(row * len(a["codes"]) + W.indices) > 0).all()
+    if not (np.isfinite(W.data).all() and (np.diff(W.rows() * len(a["codes"]) + W.indices) > 0).all()
             and all(map(lt, doc_ids, doc_ids[1:])) and all(map(lt, a["codes"], a["codes"][1:]))):
         raise ParseError(f"{path}: weights not finite or not in code order, or rows not in doc_id order")
-    off = (np.abs(np.bincount(row, weights=W.data, minlength=n) - 1.0) > NORMALIZATION_TOL) \
-        | (np.bincount(row, weights=W.data <= 0.0, minlength=n) > 0)
-    errors = [f"{path}: {doc_ids[i]!r}: weights must be positive and sum to 1" for i in np.flatnonzero(off)]
     if a["system"] != [system]:
-        errors.append(f"{path}: holds {a['system']!r}, not {system!r} assignments")
-    if errors or not n:
-        raise ValidationError(errors or [f"{path}: no assignments found"])
+        raise ValidationError([f"{path}: holds {a['system']!r}, not {system!r} assignments"])
+    if not doc_ids:
+        raise ValidationError([f"{path}: no assignments found"])
     stored = a["corpus_sha256"].tobytes()
     if corpus_sha256 not in (None, stored):
         raise ValidationError([f"{path} was classified from another corpus"])

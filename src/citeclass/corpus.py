@@ -64,13 +64,23 @@ class ValidationError(Exception):
         super().__init__("; ".join(shown))
 
 
-def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], padded: bool = False) -> list[str]:
+def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], scheme: bool = False) -> list[str]:
     """An error per field holding a \\r, which ends a line for the CSV artifacts' reader, and
-    with padded per field with white space at either end, which load_scheme strips; fields[0] is the id."""
-    return [f"{kind} {getattr(o, fields[0])!r}: {f} " + ("holds a carriage return" if "\r" in text else
-                                                         "has white space at either end")
-            for f in fields for o, text in zip(objs, map(attrgetter(f), objs))
-            if "\r" in text or padded and text != text.strip()]
+    with scheme per field that load_scheme would not read back as it is: one with white space
+    at either end, which it strips, or with a lone surrogate, which is not UTF-8; fields[0] is the id."""
+
+    def fault(text: str) -> str | None:
+        if "\r" in text:
+            return "holds a carriage return"
+        if scheme and text != text.strip():
+            return "has white space at either end"
+        # a lone surrogate encodes as "?" here, where write_scheme would raise
+        if scheme and text.encode("utf-8", "replace").decode("utf-8") != text:
+            return "is not UTF-8 text"
+        return None
+
+    return [f"{kind} {getattr(o, fields[0])!r}: {f} {why}"
+            for f in fields for o in objs if (why := fault(getattr(o, f)))]
 
 
 def fmt(v: float | None) -> str:
@@ -156,7 +166,8 @@ class Scheme:
       * at most one area is multidisciplinary, and it owns no categories
       * every other area has at least one non-misc category and at most one
         misc category
-      * no code or name holds a carriage return or white space at either end
+      * no code or name holds a carriage return, white space at either end
+        or a lone surrogate
     """
 
     def __init__(self, categories: Iterable[Category], areas: Iterable[Area]):
@@ -192,8 +203,8 @@ class Scheme:
             elif area.is_multidisciplinary:
                 errors.append(f"category {c.code!r} assigned to multidisciplinary area {area.code!r}")
 
-        errors += _bad_text("area", self.areas, ("code", "name"), padded=True)
-        errors += _bad_text("category", self.categories, ("code", "name"), padded=True)
+        errors += _bad_text("area", self.areas, ("code", "name"), scheme=True)
+        errors += _bad_text("category", self.categories, ("code", "name"), scheme=True)
         self.cat_to_area: dict[str, str] = {c.code: c.area_code for c in self.categories}
         by_area: dict[str, list[Category]] = {a.code: [] for a in self.areas}
         for c in self.categories:
@@ -659,14 +670,14 @@ def save_npz(path: str, arrays: dict[str, np.ndarray], strings: dict[str, list[s
         np.savez(fh, **arrays)
 
 
-def load_npz(path: str, what: str, dtypes: dict, strings: tuple[str, ...], bounds, digests: dict,
+def load_npz(path: str, what: str, dtypes: dict, strings: tuple[str, ...], bounds, jsonl: tuple[str, ...],
              known: dict[str, list[str]] | None = None) -> dict:
     """The arrays of an npz that save_npz wrote, each string list decoded, or the list
     known gives it when that is the list stored. An unreadable file, arrays other than
     the 1-d ones of dtypes, and arrays out of bounds raise ParseError: bounds(arrays, the
     length of each string list) lists (array, its length or None, the end of its offsets
-    or the bound of its values). A file is stale, a ValidationError, when an array named
-    in digests is not sha256_of its files."""
+    or the bound of its values). A file is stale, a ValidationError, when its array
+    jsonl_sha256 is not sha256_of the files jsonl."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             a = {name: npz[name] for name in npz.files}
@@ -676,7 +687,7 @@ def load_npz(path: str, what: str, dtypes: dict, strings: tuple[str, ...], bound
     if sorted(a) != sorted(dtypes) or any(a[k].dtype != t or a[k].ndim != 1 for k, t in dtypes.items()):
         raise ParseError(f"{path}: not {what} arrays")
     size = {name: len(a[f"{name}_ptr"]) - 1 for name in strings}
-    for name, length, end in (*bounds(a, size), *((name, 32 * len(files), 256) for name, files in digests.items()),
+    for name, length, end in (*bounds(a, size), ("jsonl_sha256", 32 * len(jsonl), 256),
                               *((f"{name}_ptr", None, len(text[name])) for name in strings)):
         x = a[name]
         if name.endswith("ptr"):
@@ -685,9 +696,8 @@ def load_npz(path: str, what: str, dtypes: dict, strings: tuple[str, ...], bound
             ok = x.size == 0 or (x.min() >= 0 and x.max() < end)
         if not ok or length not in (None, len(x)):
             raise ParseError(f"{path}: array {name!r} has the wrong length or values out of range")
-    for name, files in digests.items():
-        if not np.array_equal(a[name], sha256_of(*files)):
-            raise ValidationError([f"{path} is stale: {' or '.join(files)} changed since it was written"])
+    if not np.array_equal(a["jsonl_sha256"], sha256_of(*jsonl)):
+        raise ValidationError([f"{path} is stale: {' or '.join(jsonl)} changed since it was written"])
     for name in strings:
         held = (known or {}).get(name)
         if held is not None and "".join(held) == text[name] and np.array_equal(
@@ -720,7 +730,7 @@ def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path:
         ("type_index", size["doc_ids"], size["doc_types"]), ("external_citations", size["doc_ids"], 2**53 + 1),
         ("ref", None, size["doc_ids"] + size["external_ids"]), ("ref_indptr", size["doc_ids"] + 1, len(a["ref"])),
         ("code_indptr", size["journal_ids"] + 1, size["journal_codes"])],
-        {"jsonl_sha256": (journal_path, document_path)})
+        (journal_path, document_path))
     if not all(map(lt, a["doc_ids"], a["doc_ids"][1:])):
         raise ParseError(f"{path}: doc_ids are not strictly increasing")
     codes, ptr = a["journal_codes"], a["code_indptr"].tolist()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignments import CSR, AssignmentSet, collapse_to_areas
 from .corpus import ParseError, Scheme, ValidationError, fmt, read_lines, write_csv
-from .weights import NORMALIZATION_TOL, SUPPORT_EPS, row_fsum
+from .weights import SUPPORT_EPS, row_fsum
 
 LEVELS = ("category", "area")
 
@@ -103,12 +103,6 @@ class FlowAccumulator:
         col = {c: i for i, c in enumerate(codes)}
         n, m = len(set_a), len(codes)
         A, B = _on_codes(set_a, col), _on_codes(set_b, col)
-        for name, W in (("from", A), ("to", B)):
-            total, held = np.zeros(n), np.flatnonzero(np.diff(W.indptr))
-            total[held] = np.add.reduceat(W.data, W.indptr[held])
-            bad = np.flatnonzero(np.abs(total - 1.0) > NORMALIZATION_TOL).tolist()
-            if bad:
-                raise ValidationError([f"{name} vector of {set_a.doc_ids[i]!r} sums to {total[i]!r}" for i in bad])
         row, col_k, diff, common_col, common = _difference(A, B, m)
         is_d, is_s = diff > 0.0, diff < 0.0
         d, row_d, col_d = diff[is_d], row[is_d], col_k[is_d]

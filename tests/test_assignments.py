@@ -1,10 +1,11 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, ValidationError
+from citeclass import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, ParseError, ValidationError
 from citeclass.assignments import (
     load_assignments_npz, read_assignments, save_assignments_npz, write_assignments,
 )
@@ -88,6 +89,35 @@ def test_read_assignments_refuses_an_empty_file_and_another_system(tmp_path):
     with pytest.raises(ValidationError) as e:
         read_assignments(str(path), SYSTEM_ASJC)
     assert e.value.errors == [f"{path}: mixed systems {SYSTEM_ASJC!r} and {SYSTEM_U1!r}"]
+
+
+RECORD = '{"doc_id": "D2", "system": "U1-F-0.8", "weights": %s}'
+
+
+@pytest.mark.parametrize("line, error", [
+    (RECORD % '{"A": NaN, "B": 0.5}', ParseError), (RECORD % '{"A": Infinity}', ParseError),
+    (RECORD % '{"A": -Infinity, "B": 1.0}', ParseError), (RECORD % '{"A": 1e400}', ParseError),
+    (RECORD % ('{"A": 1%s}' % ("0" * 400)), ParseError), (RECORD % '{"A": true}', ParseError),
+    (RECORD % '{"A": 1.5, "B": -0.5}', ValidationError), (RECORD % '{"A": 1.0, "B": 0}', ValidationError),
+    (RECORD % '{"A": 0.5}', ValidationError), (RECORD % "{}", ValidationError),
+    (RECORD % '[["A", 1.0]]', ParseError), ("[1,2]", ParseError),
+], ids=["nan", "inf", "-inf", "float-overflow", "int-overflow", "bool", "negative", "zero", "sum-half",
+        "empty", "weights-not-object", "line-not-object"])
+def test_read_assignments_refuses_bad_records(tmp_path, line, error):
+    # a weight that is not a finite number, or a record or line of the wrong
+    # shape, is malformed; a weight <= 0 or a sum off 1 is invalid
+    path = tmp_path / "a.jsonl"
+    write_assignments(str(path), AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"A": 1.0})]))
+    with path.open("a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(error, match=re.escape(f"{path}: record 2: ")):
+        read_assignments(str(path), SYSTEM_U1)
+
+
+def test_sets_refuse_vectors_that_are_not_normalized():
+    with pytest.raises(ValidationError) as e:
+        AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"A": 1.0}), ("D2", {"A": 0.5}), ("D3", {"A": 1.5, "B": -0.5})])
+    assert e.value.errors == [f"{SYSTEM_ASJC} weights of {d!r} must be positive and sum to 1" for d in ("D2", "D3")]
 
 
 @given(rows=assignment_rows(), system=st.sampled_from([SYSTEM_ASJC, SYSTEM_U1]), corpus=st.binary())

@@ -637,6 +637,18 @@ def drop_first_document(out):
     np.savez(out / U1_NPZ, **a)
 
 
+def add_outside_document(out):
+    # a sidecar of one document more, still bound to its JSONL
+    a = load_sidecar(out / U1_NPZ)
+    lo, hi = a["indptr"][-2:]
+    extra = np.frombuffer(b"ZZZ-outside", np.uint8)
+    a.update(doc_ids=np.concatenate([a["doc_ids"], extra]),
+             doc_ids_ptr=np.append(a["doc_ids_ptr"], a["doc_ids_ptr"][-1] + len(extra)),
+             indices=np.concatenate([a["indices"], a["indices"][lo:hi]]),
+             data=np.concatenate([a["data"], a["data"][lo:hi]]), indptr=np.append(a["indptr"], hi + hi - lo))
+    np.savez(out / U1_NPZ, **a)
+
+
 def two_d_data(out):
     a = load_sidecar(out / U1_NPZ)
     a["data"] = a["data"].reshape(1, -1)
@@ -656,6 +668,7 @@ SIDECAR_SPOILERS = {
     "stale-jsonl": (lambda out: (out / U1).write_text((out / U1).read_text().replace("}}", "} }", 1)), 1),
     "other-corpus": (other_corpus, 1),
     "misaligned": (drop_first_document, 1),
+    "extra-document": (add_outside_document, 1),
     "other-system": (other_system, 1),
     "truncated": (lambda out: (out / U1_NPZ).write_bytes((out / U1_NPZ).read_bytes()[:-100]), 2),
     "not-1d": (two_d_data, 2),

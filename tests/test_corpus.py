@@ -369,7 +369,7 @@ def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil):
 
 # load_scheme strips each field, so a canonical code or name has no white space at its ends
 SCHEME_TEXT = st.text(st.one_of(st.sampled_from(TRICKY.replace("\r", "")),
-                                st.characters(codec="utf-8", exclude_characters="\r")), max_size=6).filter(
+                                st.characters(exclude_characters="\r")), max_size=6).filter(
     lambda s: s == s.strip())
 CODES = SCHEME_TEXT.filter(bool)
 
@@ -389,19 +389,34 @@ def scheme_parts(draw):
     return [Category(c, draw(SCHEME_TEXT), a, misc) for c, (a, misc) in zip(codes, kinds)], areas
 
 
+def utf8(text):
+    """Whether text encodes as UTF-8: a lone surrogate does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @given(parts=scheme_parts(), spoil=st.sampled_from([None, "category code", "category name",
                                                     "area code", "area name"]),
-       bad=st.sampled_from(["{}\rx", " {}", "{}\n", "\u2003{}\t"]))
+       bad=st.sampled_from(["{}\rx", " {}", "{}\n", "\u2003{}\t", "{}\ud800", "\udfff{}"]))
 @settings(max_examples=100, deadline=None)
 def test_scheme_round_trip(tmp_path_factory, parts, spoil, bad):
     categories, areas = parts
     if spoil:
-        # a carriage return, or white space that load_scheme would strip
+        # a carriage return, white space that load_scheme would strip, or a
+        # lone surrogate, which write_scheme cannot encode
         kind, field = spoil.split()
         objs = categories if kind == "category" else areas
         objs[0] = dataclasses.replace(objs[0], **{field: bad.format(getattr(objs[0], field))})
-        reason = "holds a carriage return" if "\r" in bad else "has white space at either end"
+        reason = ("holds a carriage return" if "\r" in bad else "is not UTF-8 text" if not utf8(bad)
+                  else "has white space at either end")
         with pytest.raises(ValidationError, match=f"{field} {reason}"):
+            Scheme(categories, areas)
+        return
+    if not all(utf8(text) for o in [*categories, *areas] for text in (o.code, o.name)):
+        with pytest.raises(ValidationError, match="is not UTF-8 text"):
             Scheme(categories, areas)
         return
     # Scheme -> CSV -> Scheme gives the same lookup tables, and the same bytes once written again
