@@ -56,18 +56,23 @@ class AssignmentSet:
     """All assignments of one system: row i of the CSR weights is the vector
     of doc_ids[i] over codes, entries in code order. doc_ids and codes are
     sorted. Each vector is positive weights summing to 1 within
-    NORMALIZATION_TOL, checked here once for every consumer of the set."""
+    NORMALIZATION_TOL: the classifiers build them so, and a set read from
+    outside the program is checked once, by normalized()."""
 
     def __init__(self, system: str, doc_ids: list[str], codes: tuple[str, ...], weights: CSR):
         if system not in KNOWN_SYSTEMS:
             raise ValidationError([f"unknown classification system {system!r}"])
-        row = weights.rows()
-        off = ~(np.abs(np.bincount(row, weights=weights.data, minlength=len(doc_ids)) - 1.0) <= NORMALIZATION_TOL)
-        off[row[~(weights.data > 0.0)]] = True
-        if off.any():
-            raise ValidationError([f"{system} weights of {doc_ids[i]!r} must be positive and sum to 1"
-                                   for i in np.flatnonzero(off).tolist()])
         self.system, self.doc_ids, self.codes, self.weights = system, doc_ids, codes, weights
+
+    def normalized(self) -> AssignmentSet:
+        """The set itself, once each vector is checked to be positive weights summing to 1."""
+        row = self.weights.rows()
+        off = ~(np.abs(np.bincount(row, weights=self.weights.data, minlength=len(self)) - 1.0) <= NORMALIZATION_TOL)
+        off[row[~(self.weights.data > 0.0)]] = True
+        if off.any():
+            raise ValidationError([f"{self.system} weights of {self.doc_ids[i]!r} must be positive and sum to 1"
+                                   for i in np.flatnonzero(off).tolist()])
+        return self
 
     @classmethod
     def from_rows(cls, system: str, rows: Iterable[tuple[str, Mapping[str, float]]]) -> AssignmentSet:
@@ -81,7 +86,7 @@ class AssignmentSet:
         # the entries in (row, column) order
         cells = sorted((i, col[c], w) for i, (_, vec) in enumerate(rows) for c, w in vec.items())
         row, column, data = (np.array([cell[k] for cell in cells]) for k in range(3))
-        return cls(system, doc_ids, tuple(codes), CSR.from_entries(row, column, data, len(doc_ids)))
+        return cls(system, doc_ids, tuple(codes), CSR.from_entries(row, column, data, len(doc_ids))).normalized()
 
     def row(self, i: int) -> CategoryVector:
         """The vector of doc_ids[i] as a dict in code order."""
@@ -221,4 +226,4 @@ def load_assignments_npz(path: str, system: str, jsonl_path: str, corpus_sha256:
     stored = a["corpus_sha256"].tobytes()
     if corpus_sha256 not in (None, stored):
         raise ValidationError([f"{path} was classified from another corpus"])
-    return AssignmentSet(system, doc_ids, tuple(a["codes"]), W), stored
+    return AssignmentSet(system, doc_ids, tuple(a["codes"]), W).normalized(), stored
