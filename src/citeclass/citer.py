@@ -11,14 +11,23 @@ an empty aggregate, keep their journal-based vector bit for bit.
 
 With a citer window w, only citers published at most w years after the
 reference count (Corpus.in_window). classify_u1f08_all classifies a whole
-corpus through sparse matrix products over the citation CSR the corpus
-stores. For every reference r with n_r windowed citers whose vectors sum to
-S_r, a citing document d sees o = n_r - 1 other citers when it is one of
-them and o = n_r when the window leaves it out. With o > 0 its profile of r
-is (S_r - A_d) / o or S_r / o; with o = 0 it is the row of A at r, which is
-r's own journal vector, summed in reference order. The documents are taken
-CHUNK_SIZE at a time, and every per-edge array is built from the chunk's
-slice of the citation CSR alone.
+corpus with numpy alone. For every reference r with n_r windowed citers
+whose vectors sum to S_r, a citing document d sees o = n_r - 1 other citers
+when it is one of them and o = n_r when the window leaves it out. With
+o > 0 its profile of r is (S_r - A_d) / o or S_r / o; with o = 0 it is the
+row of A at r, which is r's own journal vector.
+
+Each sum adds its terms one at a time from 0, in the order of a row by
+row sparse product, so every weight has the same bytes whatever the block
+size (tests/test_citer.py pins them): S_r over r's citers in citing order;
+then, for each document d and in reference order, the terms S_r * (1/o) of
+its profiled references. From that sum d's own vector times the sum of the
+1/o of the references whose citers include d is taken, and the sum of the
+journal vectors of the references with o = 0 is added, each of the two
+formed on its own first.
+S is dense, one row of codes per document. All else is built one block of
+documents at a time, BLOCK_CELLS dense cells (documents x codes) a block,
+so a block's working set does not grow with the number of codes.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .assignments import CSR, AssignmentSet, SYSTEM_U1
 from .corpus import Corpus, Scheme, ValidationError
 from .weights import PRUNE_EPS, row_fsum
 
-CHUNK_SIZE = 65536  # documents per dense aggregate block in classify_u1f08_all
+BLOCK_CELLS = 1 << 18  # dense cells (documents x codes) per block of classify_u1f08_all
 
 @dataclass(frozen=True, slots=True)
 class ThresholdPolicy:
@@ -92,52 +101,67 @@ def classify_u1f08_all(
 ) -> AssignmentSet:
     """Classify every document of a corpus from the ASJC-FRAC vectors of
     its citers' journals, split from the scheme as classify_asjc does."""
-    # scipy.sparse serves this kernel alone, so no other stage pays its import
-    from scipy import sparse
-
-    def kept(indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, data) -> sparse.csr_matrix:
-        """The n columns of the entries of (indptr, indices) that mask keeps, in order, holding data."""
-        kept_ptr = np.concatenate(([0], np.cumsum(mask)))[indptr]
-        return sparse.csr_matrix((data, indices[mask], kept_ptr), shape=(len(indptr) - 1, n))
-
     n = len(corpus)
     asjc_set = asjc.classify_asjc(corpus, scheme)
-    J, codes = asjc_set.weights, asjc_set.codes
-    A = sparse.csr_matrix((J.data, J.indices, J.indptr), shape=(n, len(codes)))
+    A, codes = asjc_set.weights, asjc_set.codes
+    m = len(codes)
     ptr, cited = corpus.cited_indptr, corpus.cited
     window = corpus.in_window(citer_window)
     n_cit = np.bincount(cited[window], minlength=n)
-    # transposed once to CSR, so no chunk product converts it again
-    S = kept(ptr, cited, window, np.ones(np.count_nonzero(window))).T.tocsr() @ A
     reclassified = (corpus.n_references >= policy.min_references) & (np.diff(ptr) > 0)
+    rows = max(1, BLOCK_CELLS // max(m, 1))
+    blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
-    blocks = []
-    for i0 in range(0, n, CHUNK_SIZE):
-        i1 = min(i0 + CHUNK_SIZE, n)
+    # S[r] adds the vectors of r's windowed citers in citing order, the order np.add.at keeps
+    S = np.zeros(n * m)
+    for i0, i1 in blocks:
+        win = window[ptr[i0]:ptr[i1]]
+        g = A.take(np.repeat(np.arange(i0, i1), np.diff(ptr[i0:i1 + 1]))[win])
+        refs = cited[ptr[i0]:ptr[i1]][win].astype(np.int64)
+        np.add.at(S, np.repeat(refs * m, np.diff(g.indptr)) + g.indices, g.data)
+    S = S.reshape(n, m)
+
+    cuts = []
+    for i0, i1 in blocks:
+        b = i1 - i0
         local = ptr[i0:i1 + 1] - ptr[i0]
         refs, win = cited[ptr[i0]:ptr[i1]], window[ptr[i0]:ptr[i1]]
+        row = np.repeat(np.arange(b), np.diff(local))
         # each reference's windowed citers other than the citing document
         others = n_cit[refs] - win
         profiled = others > 0
-        weight = 1.0 / others[profiled]
-        dense = (kept(local, refs, profiled, weight) @ S).toarray()
+        weight, prow, prefs = 1.0 / others[profiled], row[profiled], refs[profiled]
+        # step p adds the p-th profiled reference of each row; rows longest first make its rows a prefix
+        count = np.bincount(prow, minlength=b)
+        order = np.argsort(-count)
+        first = np.concatenate(([0], np.cumsum(count)))[order]
+        by_length = np.zeros((b, m))
+        for p, k in enumerate((b - np.cumsum(np.bincount(count))[:-1]).tolist()):
+            e = first[:k] + p
+            by_length[:k] += weight[e, None] * S[prefs[e]]
+        dense = np.empty_like(by_length)
+        dense[order] = by_length
+        flat = dense.reshape(-1)
         # a citing document inside the window is one of the citers S summed
         sub = win[profiled]
-        row = np.repeat(np.arange(i1 - i0), np.diff(local))[profiled]
-        csub = np.bincount(row[sub], weights=weight[sub], minlength=i1 - i0)
-        Ac = A[i0:i1]
-        dense -= (sparse.diags(csub, dtype=np.float64) @ Ac).toarray()
-        dense += (kept(local, refs, ~profiled, np.ones(len(refs) - len(weight))) @ A).toarray()
+        csub = np.bincount(prow[sub], weights=weight[sub], minlength=b)
+        own = np.repeat(np.arange(b), np.diff(A.indptr[i0:i1 + 1]))
+        lo, hi = A.indptr[i0], A.indptr[i1]
+        flat[own * m + A.indices[lo:hi]] -= csub[own] * A.data[lo:hi]
+        # a reference with no other citer adds its own journal vector
+        g = A.take(refs[~profiled])
+        flat += np.bincount(np.repeat(row[~profiled] * m, np.diff(g.indptr)) + g.indices, weights=g.data,
+                            minlength=b * m)
         kc = np.diff(local).astype(np.float64)
         np.divide(dense, kc[:, None], out=dense, where=kc[:, None] > 0)
         np.maximum(dense, 0.0, out=dense)
         dense[~reclassified[i0:i1]] = 0.0
+        cuts.append(apply_threshold(dense, policy))
+    del S  # the largest array here: the merge below would otherwise set the peak on top of it
 
-        c = apply_threshold(dense, policy)
-        cut = sparse.csr_matrix((c.data, c.indices, c.indptr), shape=dense.shape)
-        # a row left empty keeps its journal-based vector bit for bit
-        empty = sparse.diags((np.diff(c.indptr) == 0).astype(np.float64), format="csr")
-        blocks.append((cut + empty @ Ac).sorted_indices())
-    W = sparse.vstack(blocks, format="csr") if blocks else sparse.csr_matrix((0, len(codes)))
+    # the cut rows, then A's; a row the cut left empty keeps its journal-based vector bit for bit
+    length = np.concatenate([np.diff(c.indptr) for c in cuts] + [np.diff(A.indptr)])
+    both = CSR(np.concatenate(([0], np.cumsum(length))), np.concatenate([c.indices for c in cuts] + [A.indices]),
+               np.concatenate([c.data for c in cuts] + [A.data]))
     return AssignmentSet(SYSTEM_U1, corpus.doc_ids, codes,
-                         CSR(W.indptr.astype(np.int64), W.indices.astype(np.int32), W.data))
+                         both.take(np.where(length[:n] > 0, np.arange(n), np.arange(n) + n)))

@@ -65,17 +65,17 @@ class ValidationError(Exception):
 
 
 def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], scheme: bool = False) -> list[str]:
-    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader, and
-    with scheme per field that load_scheme would not read back as it is: one with white space
-    at either end, which it strips, or with a lone surrogate, which is not UTF-8; fields[0] is the id."""
+    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader, or a
+    lone surrogate, which is not UTF-8 and so no artifact writer can encode, and with scheme per
+    field with white space at either end, which load_scheme strips; fields[0] is the id."""
 
     def fault(text: str) -> str | None:
         if "\r" in text:
             return "holds a carriage return"
         if scheme and text != text.strip():
             return "has white space at either end"
-        # a lone surrogate encodes as "?" here, where write_scheme would raise
-        if scheme and text.encode("utf-8", "replace").decode("utf-8") != text:
+        # a lone surrogate encodes as "?" here, where the writers would raise
+        if not text.isascii() and text.encode("utf-8", "replace").decode("utf-8") != text:
             return "is not UTF-8 text"
         return None
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from citeclass import (
     Document,
+    SynParams,
     ThresholdPolicy,
     ValidationError,
     apply_threshold,
     citer,
     classify_asjc,
     classify_u1f08_all,
+    generate_corpus,
     oracle_classify,
 )
 from conftest import assert_vec_close, make_corpus
@@ -230,16 +233,67 @@ def test_citer_window_masks_old_citers(scheme):
     assert_vec_close(cut, {"CH01": 1.0})
 
 
+# sha256 of the indptr, indices and data of classify_u1f08_all's weights, as the
+# scipy.sparse kernel this one replaced wrote them, by (corpus, theta, citer window)
+U1_BYTES = {
+    ("syn2000", 0.8, None): ("0712b80e4aa0f48267398a855667c7190de1ba620dc886decce6150b9a0640fa",
+                             "a64aa0f91aeee62031b1330547ffe0e268669b0d7162bc6454812574b3acf84d",
+                             "2bcde130cb5d122347462103cc2f721909d539376d2381c2b9745d99ec412bb8"),
+    ("syn2000", 0.8, 1): ("84e8d336a4e0659874b3b9ccfa51c333063f55be917860c6380cdc342f1bbbe5",
+                          "e0204346741deb78515a994e7efefab4d24ed7537e5d09de0eb3108cfdeb25a3",
+                          "e11991e2936064d953076d216a0ead7ad9d14a436cd4775b07010140352e61e9"),
+    ("syn2000", 0.8, 2): ("04d17c1845afe3c764c222b6abc84f13337e7ae326eb94e678381cf7c687d0b8",
+                          "2c53095e88e9434f72c413a032e1051da97edcd92bb25c7c7637aca988a1ebee",
+                          "b864f68184fc71a1547bee5b0b5e3f027936de46e5c8419fc69eaa25621fa799"),
+    ("syn2000", 0.9, None): ("abed22381e7ea624fc89b657f4e0f27c91cc7a102e63df8ca0c0f3590a9fabc7",
+                             "6d1ede4f0d719397cb770ccc0b46acdfeef59dd76680bc6a26c46411de09c765",
+                             "f72bd87b814a2dc4c129a292870ebbd723dc30e1fd59999d53c449ac04989932"),
+    ("syn285", 0.8, None): ("34cf49735c7eb5f8bdc8dfa47fd1839dd5dafbaa9ab816ba1705bdc964922a6a",
+                            "0657b8e0230e860247c0bf7474d41d52f4d9041d202e4f343648b9b43eba2649",
+                            "a016fc6b75a0f8b8511c3b7062025f2c0a92d9837e28a0597c3a2f6ffbd56750"),
+    ("syn285", 0.8, 1): ("fc7967c3c4574cd90486586ac06528304965147de0896d197d780e0dcc842ca8",
+                         "e0776aa499341f2ab051f4dea3d014d03f8166475c0c5df3c51b9cbf22ff06d6",
+                         "f2c042b245bbf7f4a8757e7ac2d80772e064b1308450275a470ddd653f4af122"),
+    ("syn285", 0.8, 2): ("36c06995ecd62e1ab813d34e7e50fe7d48fed1c928532befade15692c83c2571",
+                         "c1139cd312089fb35d851fdf94b0103f73ca53bc0de90829ada7a89a395e10b9",
+                         "c270295e5da3ae8dfc08a3f64eb0d79e02ddd138a85aa622172501007b87e8aa"),
+    ("syn285", 0.9, None): ("56b7864f7c4baaba0aee9cbe6af971fc87659acf2e0c7290468e3e2b9a74e186",
+                            "54ffa730dfa35e0b2a35c1c9d259dedbcf285a16eb0c68b29d9ed9f0a04f8fa9",
+                            "0620f6d776baeb3b08311999ffe67ebf2b01481a34e9480388695fd26a5668ed"),
+}
+
+
+@pytest.fixture(scope="module")
+def syn285():
+    # 300 scheme categories, 285 of them assignable: a default block holds 919 documents
+    return generate_corpus(SynParams(n_docs=1500, n_journals=120, seed=5, n_areas=15, cats_per_area=19,
+                                     multi_journal_share=0.1, journal_codes_max=4))
+
+
+def u1_digests(scheme, corpus, theta, citer_window):
+    w = classify_u1f08_all(corpus, scheme, ThresholdPolicy(theta=theta), citer_window).weights
+    assert (w.indptr.dtype, w.indices.dtype, w.data.dtype) == (np.int64, np.int32, np.float64)
+    return tuple(hashlib.sha256(part.tobytes()).hexdigest() for part in w)
+
+
+@pytest.mark.parametrize("key", list(U1_BYTES), ids=lambda key: "-".join(map(str, key)))
+def test_u1_weights_keep_their_bytes(request, key):
+    name, theta, citer_window = key
+    assert u1_digests(*request.getfixturevalue(name), theta, citer_window) == U1_BYTES[key]
+
+
 @pytest.mark.parametrize("citer_window", [None, 2])
-def test_chunks_give_the_one_chunk_weights(syn2000, monkeypatch, citer_window):
-    # 286 chunks of 7 documents, some holding no in-corpus reference
-    scheme, corpus = syn2000
-    whole = classify_u1f08_all(corpus, scheme, ThresholdPolicy(), citer_window).weights
-    monkeypatch.setattr(citer, "CHUNK_SIZE", 7)
-    chunked = classify_u1f08_all(corpus, scheme, ThresholdPolicy(), citer_window).weights
-    for part in ("indptr", "indices", "data"):
-        x, y = getattr(whole, part), getattr(chunked, part)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
+def test_chunks_give_the_one_chunk_weights(syn2000, syn285, monkeypatch, citer_window):
+    # a budget of 7 rows of cells: blocks of 7 documents, some holding no in-corpus reference
+    for name, (scheme, corpus) in (("syn2000", syn2000), ("syn285", syn285)):
+        pinned = U1_BYTES[name, 0.8, citer_window]
+        assert u1_digests(scheme, corpus, 0.8, citer_window) == pinned
+        with monkeypatch.context() as patch:
+            patch.setattr(citer, "BLOCK_CELLS", 7 * len(classify_asjc(corpus, scheme).codes))
+            assert u1_digests(scheme, corpus, 0.8, citer_window) == pinned
+            # a budget below one row's cells still takes one document a block
+            patch.setattr(citer, "BLOCK_CELLS", 1)
+            assert u1_digests(scheme, corpus, 0.8, citer_window) == pinned
 
 
 @pytest.mark.parametrize("citer_window", [None, 1, 2])

@@ -144,6 +144,20 @@ def test_ingest_refuses_carriage_returns(tmp_path, spoil):
     assert not (out / "corpus").exists()
 
 
+def test_ingest_refuses_a_doc_id_that_is_not_utf8(tmp_path):
+    # no artifact writer can encode the id, so ingest refuses it before any stage writes one
+    syn = tmp_path / "syn"
+    assert run(["syngen", "--out", str(syn), "--n-docs", "200", "--n-journals", "20", "--seed", "3"]) == 0
+    docs = syn / "documents.jsonl"
+    docs.write_text(docs.read_text().replace('"D0000000"', '"\\ud800D0000000"'))
+    out = tmp_path / "out"
+    assert run([*ingest_argv(syn), "--out", str(out)]) == 1
+    report = json.loads((out / "validation_report.json").read_text())
+    assert report["status"] == "invalid"
+    assert "document '\\ud800D0000000': doc_id is not UTF-8 text" in report["errors"]
+    assert not (out / "corpus").exists()
+
+
 def test_classify_requires_ingest(tmp_path):
     rc = run(["classify", "--system", "asjc-frac", "--out", str(tmp_path / "fresh")])
     assert rc == 1
@@ -702,7 +716,7 @@ def test_stages_refuse_a_sidecar_of_an_older_corpus(pipeline_dir, tmp_path):
 SCIPY_PROBE = "import sys; from citeclass.cli import main; code = main(sys.argv[1:]); print('scipy' in sys.modules)"
 
 
-def test_only_the_u1_kernel_imports_scipy(pipeline_dir, tmp_path):
+def test_no_stage_imports_scipy(pipeline_dir, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
     def loads_scipy(*argv):
@@ -713,11 +727,9 @@ def test_only_the_u1_kernel_imports_scipy(pipeline_dir, tmp_path):
     assert not loads_scipy("import sys, citeclass, citeclass.cli; print('scipy' in sys.modules)")
     out = ["--out", str(pipeline_dir)]
     for argv in ([*ingest_argv(tmp_path / "syn"), "--out", str(tmp_path / "again")],
-                 ["classify", "--system", "asjc-frac", *out], ["compare", *out], ["indicators", *out],
-                 ["network", *out]):
-        assert not loads_scipy(SCIPY_PROBE, *argv), argv[0]
-    # the probe sees the one stage that does load it
-    assert loads_scipy(SCIPY_PROBE, "classify", "--system", "u1f08", *out)
+                 ["classify", "--system", "asjc-frac", *out], ["classify", "--system", "u1f08", *out],
+                 ["compare", *out], ["indicators", *out], ["network", *out], ["report", *out]):
+        assert not loads_scipy(SCIPY_PROBE, *argv), argv[:3]
 
 
 def test_stages_never_build_the_documents_view(pipeline_dir, monkeypatch):

@@ -307,6 +307,15 @@ COLUMNS = ("doc_ids", "journal_ids", "doc_types", "external_ids", "journal_index
            "cited_indptr", "cited")
 
 
+def refuses_lone_surrogates(scheme, docs, journals=None):
+    """Whether a drawn doc id is not UTF-8 text, which Corpus refuses: no artifact writer can encode it."""
+    if all(utf8(d.doc_id) for d in docs):
+        return False
+    with pytest.raises(ValidationError, match="doc_id is not UTF-8 text"):
+        make_corpus(scheme, docs, journals)
+    return True
+
+
 @given(docs=documents())
 @example(docs=EDGE_CASES)
 @settings(max_examples=100, deadline=None)
@@ -314,6 +323,8 @@ def test_npz_round_trip(tmp_path_factory, docs):
     # JSONL -> Corpus -> npz -> Corpus -> JSONL gives the canonical bytes back
     d = tmp_path_factory.mktemp("npz")
     scheme = make_scheme()
+    if refuses_lone_surrogates(scheme, docs):
+        return
     jsonl = [str(d / "journals.jsonl"), str(d / "documents.jsonl")]
     again = [str(d / "journals2.jsonl"), str(d / "documents2.jsonl")]
     write_corpus(make_corpus(scheme, docs), *jsonl)
@@ -335,15 +346,18 @@ def test_npz_round_trip(tmp_path_factory, docs):
 
 
 @given(docs=documents(), extra=st.lists(IDS, max_size=3, unique=True),
-       spoil=st.sampled_from(["doc_id", "doc_type"]))
-@example(docs=EDGE_CASES, extra=["J\r,\"\n"], spoil="doc_id")
+       spoil=st.sampled_from(["doc_id", "doc_type"]), bad=st.sampled_from(["{}\r", "{}\ud800", "\udfff{}"]))
+@example(docs=EDGE_CASES, extra=["J\r,\"\n"], spoil="doc_id", bad="{}\r")
+@example(docs=EDGE_CASES, extra=[], spoil="doc_type", bad="\udfff{}")
 @settings(max_examples=100, deadline=None)
-def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil):
+def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil, bad):
     # Corpus -> JSONL -> Corpus gives the same columns, and the same bytes once written again
     d = tmp_path_factory.mktemp("jsonl")
     scheme = make_scheme()
     journals = [*make_corpus(scheme, []).journals.values(),
                 *(Journal(j, ("MD", "CH02")) for j in extra if j not in JOURNAL_IDS)]
+    if refuses_lone_surrogates(scheme, docs, journals):
+        return
     corpus = make_corpus(scheme, docs, journals)
     first = [str(d / "journals.jsonl"), str(d / "documents.jsonl")]
     again = [str(d / "journals2.jsonl"), str(d / "documents2.jsonl")]
@@ -360,11 +374,13 @@ def test_jsonl_round_trip(tmp_path_factory, docs, extra, spoil):
             assert x == y, name
         else:
             assert x.dtype == y.dtype and np.array_equal(x, y), name
-    # a carriage return where a CSV artifact would carry it is refused, not round-tripped
+    # a carriage return where a CSV artifact would carry it, or a lone surrogate, which no
+    # artifact writer can encode, is refused, not round-tripped
     if docs:
-        bad = dataclasses.replace(docs[0], **{spoil: getattr(docs[0], spoil) + "\r"})
-        with pytest.raises(ValidationError, match=f"{spoil} holds a carriage return"):
-            make_corpus(scheme, [bad, *docs[1:]], journals)
+        spoilt = dataclasses.replace(docs[0], **{spoil: bad.format(getattr(docs[0], spoil))})
+        reason = "holds a carriage return" if "\r" in bad else "is not UTF-8 text"
+        with pytest.raises(ValidationError, match=f"{spoil} {reason}"):
+            make_corpus(scheme, [spoilt, *docs[1:]], journals)
 
 
 # load_scheme strips each field, so a canonical code or name has no white space at its ends
