@@ -26,8 +26,9 @@ its profiled references. From that sum d's own vector times the sum of the
 journal vectors of the references with o = 0 is added, each of the two
 formed on its own first.
 S is dense, one row of codes per document. All else is built one block of
-documents at a time, BLOCK_CELLS dense cells (documents x codes) a block,
-so a block's working set does not grow with the number of codes.
+documents at a time, BLOCK_CELLS (2^16) dense cells (documents x codes) a
+block, so a block's working set does not grow with the number of codes;
+at 20 codes a block is 3,276 documents and its dense arrays 512 KiB each.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .assignments import CSR, AssignmentSet, SYSTEM_U1
 from .corpus import Corpus, Scheme, ValidationError
 from .weights import PRUNE_EPS, row_fsum
 
-BLOCK_CELLS = 1 << 18  # dense cells (documents x codes) per block of classify_u1f08_all
+BLOCK_CELLS = 1 << 16  # dense cells (documents x codes) per block of classify_u1f08_all
 
 @dataclass(frozen=True, slots=True)
 class ThresholdPolicy:

@@ -33,11 +33,13 @@ import hashlib
 import json
 import os
 import zipfile
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from operator import attrgetter, lt
+from itertools import compress
+from operator import lt
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -64,10 +66,11 @@ class ValidationError(Exception):
         super().__init__("; ".join(shown))
 
 
-def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], scheme: bool = False) -> list[str]:
-    """An error per field holding a \\r, which ends a line for the CSV artifacts' reader, or a
-    lone surrogate, which is not UTF-8 and so no artifact writer can encode, and with scheme per
-    field with white space at either end, which load_scheme strips; fields[0] is the id."""
+def _bad_text(kind: str, fields: dict[str, list[str]], scheme: bool = False) -> list[str]:
+    """An error per field text holding a \\r, which ends a line for the CSV artifacts' reader, or
+    a lone surrogate, which is not UTF-8 and so no artifact writer can encode, and with scheme per
+    text with white space at either end, which load_scheme strips. fields maps each field to its
+    texts, one per object; the first field is the id."""
 
     def fault(text: str) -> str | None:
         if "\r" in text:
@@ -79,8 +82,10 @@ def _bad_text(kind: str, objs: list | tuple, fields: tuple[str, ...], scheme: bo
             return "is not UTF-8 text"
         return None
 
-    return [f"{kind} {getattr(o, fields[0])!r}: {f} {why}"
-            for f in fields for o in objs if (why := fault(getattr(o, f)))]
+    ids = next(iter(fields.values()))
+    # without scheme, texts whose concatenation has no fault have none each
+    return [f"{kind} {ids[i]!r}: {f} {why}" for f, texts in fields.items() if scheme or fault("".join(texts))
+            for i, text in enumerate(texts) if (why := fault(text))]
 
 
 def fmt(v: float | None) -> str:
@@ -203,8 +208,8 @@ class Scheme:
             elif area.is_multidisciplinary:
                 errors.append(f"category {c.code!r} assigned to multidisciplinary area {area.code!r}")
 
-        errors += _bad_text("area", self.areas, ("code", "name"), scheme=True)
-        errors += _bad_text("category", self.categories, ("code", "name"), scheme=True)
+        for kind, objs in (("area", self.areas), ("category", self.categories)):
+            errors += _bad_text(kind, {"code": [o.code for o in objs], "name": [o.name for o in objs]}, scheme=True)
         self.cat_to_area: dict[str, str] = {c.code: c.area_code for c in self.categories}
         by_area: dict[str, list[Category]] = {a.code: [] for a in self.areas}
         for c in self.categories:
@@ -256,6 +261,96 @@ class Document:
     external_citations: int = 0
 
 
+class _Intern(dict):
+    """Each key's index in the order keys were first looked up."""
+
+    def __missing__(self, key):
+        self[key] = index = len(self)
+        return index
+
+
+class DocumentColumns:
+    """Documents as columns, in the order added, for Corpus to validate. Each doc id and
+    reference (one pool), journal id and doc type is interned on first sight and held as that
+    provisional index. fields holds per document its doc id, journal id, year, doc type and
+    external_citations; a year outside [0, YEARS) is kept in odd_years and stored as -1."""
+
+    def __init__(self) -> None:
+        self.ids, self.journal_ids, self.doc_types = _Intern(), _Intern(), _Intern()
+        self.fields, self.ref, self.ref_indptr, self.odd_years = array("q"), array("i"), array("q", [0]), {}
+
+    def add(self, doc_id: str, journal_id: str, year: int, doc_type: str, references: Iterable[str],
+            external_citations: int) -> None:
+        """Append a document."""
+        if not 0 <= year < YEARS:
+            self.odd_years[len(self.ref_indptr) - 1], year = year, -1
+        self.fields.extend((self.ids[doc_id], self.journal_ids[journal_id], year, self.doc_types[doc_type],
+                            external_citations))
+        self.ref.extend(map(self.ids.__getitem__, references))
+        self.ref_indptr.append(len(self.ref))
+
+    def corpus_columns(self, journals: dict[str, Journal], year_min: int | None, year_max: int | None,
+                       errors: list[str]) -> dict:
+        """The columns Corpus stores; raises ValidationError with errors and then the
+        documents' faults in doc_id order, if any. Consumes the columns."""
+        names = sorted(self.ids)  # every id in string order; rank is each provisional index's place there
+        rank = np.empty(len(names), np.int32)
+        rank[np.fromiter(map(self.ids.__getitem__, names), np.int64, len(names))] = np.arange(len(names))
+        doc, journal, year, types, ext = np.asarray(self.fields).reshape(-1, 5).T
+        ref, ptr = np.asarray(self.ref), np.asarray(self.ref_indptr)
+        # spent: each buffer is freed once the arrays below no longer view it
+        self.ids = self.fields = self.ref = None
+        # the documents in doc_id order, repeated ids in the order added
+        order = np.argsort(rank[doc], kind="stable")
+        key, journal, year, types, ext = (a[order] for a in (rank[doc], journal, year, types, ext))
+        journal_ids, doc_types = list(self.journal_ids), list(self.doc_types)
+        known = np.array([j in journals for j in journal_ids], bool)
+        cites_self = np.searchsorted(ptr, np.flatnonzero(ref == np.repeat(doc, np.diff(ptr))), "right") - 1
+        repeat = np.concatenate(([False], key[1:] == key[:-1]))
+        doc_ids = list(map(names.__getitem__, key.tolist()))
+        # a superset of the documents with a fault; the loop names each fault
+        suspect = (repeat | ~known[journal] | (year < max(0, year_min or 0)) | (ext < 0) | np.isin(order, cites_self)
+                   | (year > (YEARS if year_max is None else year_max)) | (key == 0) & (names[:1] == [""]))
+        for pos in np.flatnonzero(suspect).tolist():
+            doc_id, rec = doc_ids[pos], int(order[pos])
+            if not doc_id or repeat[pos]:
+                errors.append(f"duplicate doc_id {doc_id!r}" if doc_id else f"document at position {pos} has empty doc_id")
+                continue
+            y = self.odd_years.get(rec, int(year[pos]))
+            errors += [f"document {doc_id!r} {text}" for fault, text in (
+                (not known[journal[pos]], f"references unknown journal {journal_ids[journal[pos]]!r}"),
+                (not 0 <= y < YEARS, f"year {y} outside [0, {YEARS - 1}]"),
+                (year_min is not None and y < year_min, f"year {y} below period start {year_min}"),
+                (year_max is not None and y > year_max, f"year {y} above period end {year_max}"),
+                (rec in cites_self, "cites itself"), (ext[pos] < 0, "has negative external_citations")) if fault]
+        errors += _bad_text("document", {"doc_id": doc_ids, "doc_type": list(map(doc_types.__getitem__, types.tolist()))})
+        if errors:
+            raise ValidationError(errors)
+
+        # each document's references as (its position, rank) entries: sorted, repeats dropped
+        entry = np.repeat(np.argsort(order), np.diff(ptr))
+        entry *= len(names)
+        entry += rank[ref]
+        del doc, ref
+        if (entry[1:] <= entry[:-1]).any():
+            entry = np.unique(entry)
+        ref_indptr = np.searchsorted(entry, np.arange(len(order) + 1) * len(names))
+        # the pool index of each rank: the doc ids, then the external ids, each in string order
+        is_doc = np.zeros(len(names), bool)
+        is_doc[key] = True
+        pool = np.where(is_doc, np.cumsum(is_doc) - 1, len(doc_ids) + np.cumsum(~is_doc) - 1).astype(np.int32)
+        sorted_types = sorted(doc_types)
+        return {"doc_ids": doc_ids, "doc_types": sorted_types, "external_ids": list(compress(names, (~is_doc).tolist())),
+                "journal_index": _positions(journal_ids, list(journals))[journal], "year": year.astype(np.int32),
+                "type_index": _positions(doc_types, sorted_types)[types], "external_citations": ext,
+                "ref_indptr": ref_indptr, "ref": pool[np.remainder(entry, len(names), out=entry)]}
+
+
+def _positions(texts: list[str], ordered: list[str]) -> np.ndarray:
+    """The position in ordered of each text, as int32."""
+    return np.fromiter(map(dict(zip(ordered, range(len(ordered)))).__getitem__, texts), np.int32, len(texts))
+
+
 class Corpus:
     """An immutable set of journals and documents against one Scheme, held
     as columns. Document i is doc_ids[i], in sorted order, with journal_index
@@ -265,14 +360,15 @@ class Corpus:
     the id pool doc_ids + external_ids. The pool indices below len(doc_ids)
     are the references in the corpus; they alone form the CSR (cited_indptr,
     cited) of cited positions. External references resolve to nothing but
-    still count toward n_references. documents is built on first access.
+    still count toward n_references. documents are Documents, turned into
+    DocumentColumns, or DocumentColumns; the documents view is built on first access.
     """
 
     def __init__(
         self,
         scheme: Scheme,
         journals: Iterable[Journal],
-        documents: Iterable[Document],
+        documents: Iterable[Document] | DocumentColumns,
         year_min: int | None = None,
         year_max: int | None = None,
     ):
@@ -294,69 +390,15 @@ class Corpus:
             for code in j.asjc_codes:
                 if not scheme.is_assignable_code(code):
                     errors.append(f"journal {j.journal_id!r} carries unknown code {code!r}")
-            # Code order carries no meaning; store sorted so equal corpora
-            # serialize identically.
-            if not all(map(lt, j.asjc_codes, j.asjc_codes[1:])):
-                j = Journal(j.journal_id, tuple(sorted(j.asjc_codes)))
-            by_id[j.journal_id] = j
+            # code order carries no meaning: sorted, equal corpora serialize identically
+            by_id[j.journal_id] = Journal(j.journal_id, tuple(sorted(j.asjc_codes)))
 
-        docs = sorted(documents, key=lambda d: d.doc_id)
-        for pos, d in enumerate(docs):
-            if not d.doc_id:
-                errors.append(f"document at position {pos} has empty doc_id")
-                continue
-            if pos and d.doc_id == docs[pos - 1].doc_id:
-                errors.append(f"duplicate doc_id {d.doc_id!r}")
-                continue
-            if d.journal_id not in by_id:
-                errors.append(f"document {d.doc_id!r} references unknown journal {d.journal_id!r}")
-            if not 0 <= d.year < YEARS:
-                errors.append(f"document {d.doc_id!r} year {d.year} outside [0, {YEARS - 1}]")
-            if year_min is not None and d.year < year_min:
-                errors.append(f"document {d.doc_id!r} year {d.year} below period start {year_min}")
-            if year_max is not None and d.year > year_max:
-                errors.append(f"document {d.doc_id!r} year {d.year} above period end {year_max}")
-            if d.doc_id in d.references:
-                errors.append(f"document {d.doc_id!r} cites itself")
-            if d.external_citations < 0:
-                errors.append(f"document {d.doc_id!r} has negative external_citations")
-        errors += _bad_text("document", docs, ("doc_id", "doc_type"))
-        if errors:
-            raise ValidationError(errors)
-        # Defensive: references must be sorted and duplicate-free for the
-        # citation index to count correctly. Rebuild only when violated.
-        for i, d in enumerate(docs):
-            refs = d.references
-            if not all(map(lt, refs, refs[1:])):
-                docs[i] = Document(d.doc_id, d.journal_id, d.year, d.doc_type,
-                                   tuple(sorted(set(refs))), d.external_citations)
-
-        n = len(docs)
-
-        def column(attr: str, dtype, index: dict | None = None) -> np.ndarray:
-            values = map(attrgetter(attr), docs)
-            return np.fromiter(values if index is None else map(index.__getitem__, values), dtype, n)
-
-        doc_ids = [d.doc_id for d in docs]
-        doc_types = sorted({d.doc_type for d in docs})
-        flat = [r for d in docs for r in d.references]
-        # one id -> pool index table; map looks every reference up in C
-        pool = dict(zip(doc_ids, range(n)))
-        external_ids = sorted(set(flat).difference(pool))
-        pool.update(zip(external_ids, range(n, n + len(external_ids))))
-        self._attach(by_id, {
-            "doc_ids": doc_ids,
-            "journal_index": column("journal_id", np.int32, dict(zip(by_id, range(len(by_id))))),
-            "year": column("year", np.int32),
-            "doc_types": doc_types,
-            "type_index": column("doc_type", np.int32, dict(zip(doc_types, range(len(doc_types))))),
-            "external_citations": column("external_citations", np.int64),
-            "ref_indptr": np.concatenate(
-                ([0], np.cumsum(np.fromiter(map(len, map(attrgetter("references"), docs)), np.int64, n)))),
-            "ref": np.fromiter(map(pool.__getitem__, flat), np.int32, len(flat)),
-            "external_ids": external_ids,
-        })
-        self._documents = docs
+        if not isinstance(documents, DocumentColumns):
+            columns = DocumentColumns()
+            for d in documents:
+                columns.add(d.doc_id, d.journal_id, d.year, d.doc_type, d.references, d.external_citations)
+            documents = columns
+        self._attach(by_id, documents.corpus_columns(by_id, year_min, year_max, errors))
 
     def _attach(self, journals: dict[str, Journal], columns: dict) -> None:
         """Set the journals and the stored columns; derive the rest."""
@@ -365,7 +407,8 @@ class Corpus:
             setattr(self, name, columns[name])
         self.n_references = np.diff(self.ref_indptr)
         internal = self.ref < len(self.doc_ids)
-        self.cited_indptr = np.concatenate(([0], np.cumsum(internal)))[self.ref_indptr]
+        # each row's start less the external references before it
+        self.cited_indptr = self.ref_indptr - np.searchsorted(np.flatnonzero(~internal), self.ref_indptr)
         self.cited = self.ref[internal]
         self._documents: list[Document] | None = None
 
@@ -570,12 +613,9 @@ def load_corpus(
     year_min: int | None = None,
     year_max: int | None = None,
 ) -> Corpus:
-    """Read journals and documents JSONL files into a validated Corpus.
-
-    Reference lists are deduplicated and sorted on load. Document and
-    reference id strings are interned into one pool so repeated references
-    share memory.
-    """
+    """Read journals and documents JSONL files into a validated Corpus. Each
+    document record is parsed straight into DocumentColumns, which intern
+    every id once; no Document is built."""
     journals: list[Journal] = []
     for line_no, obj in _load_jsonl(journal_path):
         jid = _req(obj, "journal_id", str, journal_path, line_no)
@@ -584,8 +624,7 @@ def load_corpus(
             raise ParseError(f"{journal_path}: record {line_no}: asjc_codes must be non-empty strings")
         journals.append(Journal(jid, tuple(sorted(codes))))
 
-    pool: dict[str, str] = {}
-    documents: list[Document] = []
+    columns = DocumentColumns()
     for line_no, obj in _load_jsonl(document_path):
         doc_id = _req(obj, "doc_id", str, document_path, line_no)
         if not doc_id:
@@ -596,44 +635,46 @@ def load_corpus(
         if not doc_type:
             raise ParseError(f"{document_path}: record {line_no}: empty doc_type")
         refs = _req(obj, "references", list, document_path, line_no)
-        if not all(isinstance(r, str) and r for r in refs):
+        if not set(map(type, refs)) <= {str} or "" in refs:
             raise ParseError(f"{document_path}: record {line_no}: references must be non-empty strings")
         ext = obj.get("external_citations", 0)
         # citation counts are int64 arrays and enter float64 sums, exact up to 2**53
         if isinstance(ext, bool) or not isinstance(ext, int) or not 0 <= ext <= 2**53:
             raise ParseError(f"{document_path}: record {line_no}: external_citations must be an integer in [0, 2**53]")
-        doc_id = pool.setdefault(doc_id, doc_id)
-        interned = tuple(sorted({pool.setdefault(r, r) for r in refs}))
-        documents.append(Document(doc_id, journal_id, year, doc_type, interned, ext))
+        columns.add(doc_id, journal_id, year, doc_type, refs, ext)
 
-    return Corpus(scheme, journals, documents, year_min, year_max)
+    return Corpus(scheme, journals, columns, year_min, year_max)
+
+
+WRITE_ROWS = 1 << 11  # documents formatted per block by write_corpus
 
 
 def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
     """Canonical form: one compact JSON object per line, journals and
     documents sorted by id, references sorted, external_citations omitted
-    when zero."""
+    when zero, as json.dumps writes them with separators (",", ":"); the
+    documents from the columns, WRITE_ROWS at a time, each string escaped once."""
+    enc = json.encoder.encode_basestring_ascii
     with atomic_open(journal_path, "w", encoding="utf-8", newline="\n") as fh:
         for jid in sorted(corpus.journals):
-            j = corpus.journals[jid]
-            fh.write(json.dumps(
-                {"journal_id": j.journal_id, "asjc_codes": list(j.asjc_codes)},
-                separators=(",", ":"),
-            ))
-            fh.write("\n")
+            fh.write('{"journal_id":%s,"asjc_codes":[%s]}\n'
+                     % (enc(jid), ",".join(map(enc, corpus.journals[jid].asjc_codes))))
+    pool, journals, doc_types = (np.array(list(map(enc, texts)), object) for texts in (
+        corpus.doc_ids + corpus.external_ids, corpus.journal_ids, corpus.doc_types))
     with atomic_open(document_path, "w", encoding="utf-8", newline="\n") as fh:
-        for d in corpus.documents:
-            obj: dict = {
-                "doc_id": d.doc_id,
-                "journal_id": d.journal_id,
-                "year": d.year,
-                "doc_type": d.doc_type,
-                "references": list(d.references),
-            }
-            if d.external_citations:
-                obj["external_citations"] = d.external_citations
-            fh.write(json.dumps(obj, separators=(",", ":")))
-            fh.write("\n")
+        for i0 in range(0, len(corpus), WRITE_ROWS):
+            i1 = min(i0 + WRITE_ROWS, len(corpus))
+            lo, hi = corpus.ref_indptr[i0], corpus.ref_indptr[i1]
+            refs = pool[corpus.ref[lo:hi]].tolist()
+            ptr = (corpus.ref_indptr[i0:i1 + 1] - lo).tolist()
+            fh.write("".join([
+                '{"doc_id":%s,"journal_id":%s,"year":%d,"doc_type":%s,"references":[%s]%s}\n' % (
+                    doc_id, journal, year, doc_type, ",".join(refs[a:b]),
+                    ',"external_citations":%d' % ext if ext else "")
+                for doc_id, journal, year, doc_type, ext, a, b in zip(
+                    pool[i0:i1].tolist(), journals[corpus.journal_index[i0:i1]].tolist(), corpus.year[i0:i1].tolist(),
+                    doc_types[corpus.type_index[i0:i1]].tolist(), corpus.external_citations[i0:i1].tolist(),
+                    ptr, ptr[1:])]))
 
 
 # the numeric columns a corpus npz stores as they are, and the string lists it

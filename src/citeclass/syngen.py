@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .assignments import AssignmentSet, SYSTEM_U1
 from .citer import ThresholdPolicy
-from .corpus import Corpus, Document, Journal, Scheme, Area, Category, ValidationError
+from .corpus import Corpus, DocumentColumns, Journal, Scheme, Area, Category, ValidationError
 from .weights import CategoryVector
 
 MASK64 = (1 << 64) - 1
@@ -167,7 +167,7 @@ def generate_corpus(params: SynParams) -> tuple[Scheme, Corpus]:
     pool_all: list[str] = []
     pending: list[tuple[str, str]] = []  # (doc_id, planted cat) of the current year
     current_year = params.year_min
-    documents: list[Document] = []
+    documents = DocumentColumns()
     ext_counter = 0
 
     for i in range(params.n_docs):
@@ -200,7 +200,7 @@ def generate_corpus(params: SynParams) -> tuple[Scheme, Corpus]:
             refs.add(target)
         ext_cit = rng.randint(params.external_citation_max + 1) if params.external_citation_max > 0 else 0
         doc_id = f"D{i:07d}"
-        documents.append(Document(doc_id, journal.journal_id, year, doc_type, tuple(sorted(refs)), ext_cit))
+        documents.add(doc_id, journal.journal_id, year, doc_type, sorted(refs), ext_cit)
         pending.append((doc_id, cat))
 
     return scheme, Corpus(scheme, journals, documents, params.year_min, params.year_max)

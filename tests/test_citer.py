@@ -265,7 +265,7 @@ U1_BYTES = {
 
 @pytest.fixture(scope="module")
 def syn285():
-    # 300 scheme categories, 285 of them assignable: a default block holds 919 documents
+    # 300 scheme categories, 285 of them assignable: a default block holds 229 documents
     return generate_corpus(SynParams(n_docs=1500, n_journals=120, seed=5, n_areas=15, cats_per_area=19,
                                      multi_journal_share=0.1, journal_codes_max=4))
 

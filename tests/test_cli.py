@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -95,7 +96,7 @@ def test_ingest_invalid_corpus_exits_1(tmp_path):
     assert report["errors"]
 
 
-@pytest.mark.parametrize("year", [3000000000, 10000, -1])
+@pytest.mark.parametrize("year", [3000000000, 10000, -1, 10**30])
 def test_ingest_rejects_year_out_of_range(tmp_path, year):
     # later stages hold years in int32 arrays
     syn = tmp_path / "syn"
@@ -155,6 +156,118 @@ def test_ingest_refuses_a_doc_id_that_is_not_utf8(tmp_path):
     report = json.loads((out / "validation_report.json").read_text())
     assert report["status"] == "invalid"
     assert "document '\\ud800D0000000': doc_id is not UTF-8 text" in report["errors"]
+    assert not (out / "corpus").exists()
+
+
+PIN_SCHEME = ("code,name,area_code,area_name,is_misc,is_multidisciplinary\n"
+              "PH01,Mechanics,PH,Physics,false,false\n"
+              "PH02,Optics,PH,Physics,false,false\n"
+              "CH01,Organic,CH,Chemistry,false,false\n"
+              ",,MD,Multidisciplinary,false,true\n")
+
+
+def write_inputs(d, journals, documents):
+    """Write the scheme above and the given journal and document records as JSONL; a
+    record that is a string is written as it is."""
+    d.mkdir()
+    (d / "scheme.csv").write_text(PIN_SCHEME)
+    for name, records in (("journals.jsonl", journals), ("documents.jsonl", documents)):
+        lines = (r if isinstance(r, str) else json.dumps(r, ensure_ascii=False) for r in records)
+        (d / name).write_bytes("".join(f"{x}\n" for x in lines).encode("utf-8", "surrogatepass"))
+    return ["ingest", "--scheme", str(d / "scheme.csv"), "--journals", str(d / "journals.jsonl"),
+            "--documents", str(d / "documents.jsonl")]
+
+
+def doc(doc_id, journal_id="J1", year=2015, doc_type="article", references=(), **extra):
+    return {"doc_id": doc_id, "journal_id": journal_id, "year": year, "doc_type": doc_type,
+            "references": list(references), **extra}
+
+
+# a valid corpus that is not canonical: documents out of order, references repeated, unsorted,
+# cited before they appear and outside the corpus, journal codes unsorted, an explicit zero
+# external_citations, and ids that JSON must escape, raw or escaped in the input
+NON_CANONICAL = (
+    [{"journal_id": "J2", "asjc_codes": ["PH02", "PH01"]}, {"journal_id": 'J"é', "asjc_codes": ["MD", "CH01"]},
+     '{"journal_id":"J1","asjc_codes":["PH01"]}'],
+    [doc("D9", "J2", 2016, "review", ["Dé", "X\\b", "D1", "Dé", 'D"q', "D𝔸", "D\x01"], external_citations=0),
+     doc("D1", references=["X\\b", "Xé"], external_citations=3),
+     "",
+     '{"doc_id":"D\\"q","journal_id":"J\\"\\u00e9","year":2014,"doc_type":"lettre \\u00e9",'
+     '"references":["D\\ud835\\udd38","D1"]}',
+     doc("D𝔸", "J1", 2013, "article", ["X\x01"], external_citations=2**53),
+     doc("Dé", 'J"é', 0, "lettre é", ["D1", "D1"]),
+     doc("D\x01", "J2", 9999, "review", ["X\x01", "D9", "X\\b"])],
+)
+NON_CANONICAL_SHA256 = {
+    "corpus/journals.jsonl": "59836a44a6584c9eae0a8d73721b09710ae0d9ba37ce0214188499673fc1314b",
+    "corpus/documents.jsonl": "3a5cb01ccd79263bd1852ad19e75d04522ffaa8bc80fc70b5e531cb6978cca55",
+    "corpus/corpus.npz": "e9bd4729b3ba8846828eb6ff662a988ff6becc3bbbecc0afc2f694ed7f0c2268",
+    "corpus_stats.json": "e6d8aed63e267f65df5a99e90e50aef70977dfda6a352e53cc38258b019a6cac",
+}
+
+
+def test_ingest_bytes_of_a_non_canonical_corpus_are_pinned(tmp_path):
+    argv = write_inputs(tmp_path / "in", *NON_CANONICAL)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in NON_CANONICAL_SHA256}
+    assert got == NON_CANONICAL_SHA256
+
+
+def test_ingest_builds_no_document(tmp_path, monkeypatch):
+    # ingest parses, validates and writes the corpus as columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Document was built")
+
+    monkeypatch.setattr("citeclass.corpus.Document", refuse)
+    monkeypatch.setattr(Corpus, "documents", property(refuse))
+    argv = write_inputs(tmp_path / "in", *NON_CANONICAL)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in NON_CANONICAL_SHA256}
+    assert got == NON_CANONICAL_SHA256
+
+
+def test_ingest_reports_every_corpus_message_in_order(tmp_path):
+    argv = write_inputs(tmp_path / "in", [
+        {"journal_id": "J1", "asjc_codes": ["PH01"]}, {"journal_id": "J5", "asjc_codes": ["ZZ", "PH01", "YY"]},
+        {"journal_id": "", "asjc_codes": ["PH01"]}, {"journal_id": "J3", "asjc_codes": []},
+        {"journal_id": "J1", "asjc_codes": ["CH01"]}, {"journal_id": "J4", "asjc_codes": ["PH01", "PH01"]},
+    ], [
+        doc("D6", references=["D6", "X1"]), doc("D2"), doc("D\r7"), doc("D3", "NOPE", 1990),
+        doc("D4", "NOPE", 10**30), doc("D2", "NOPE", -5), doc("D\r7", doc_type="a\rb"),
+        doc("D5", year=1990), doc("D8", doc_type="a\rb"), '{"doc_id":"D9","journal_id":"J1","year":2015,'
+        '"doc_type":"\\ud800","references":[]}', '{"doc_id":"\\udfffD10","journal_id":"J1","year":2030,'
+        '"doc_type":"article","references":["D9"]}', doc("D11", year=2021, references=["D11", "D11"]),
+    ])
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out), "--year-min", "2000", "--year-max", "2020"]) == 1
+    assert (out / "validation_report.json").read_text() == json.dumps({"status": "invalid", "errors": [
+        "journal with empty id",
+        "duplicate journal_id 'J1'",
+        "journal 'J3' has no codes",
+        "journal 'J4' lists a code more than once",
+        "journal 'J5' carries unknown code 'YY'",
+        "journal 'J5' carries unknown code 'ZZ'",
+        "duplicate doc_id 'D\\r7'",
+        "document 'D11' year 2021 above period end 2020",
+        "document 'D11' cites itself",
+        "duplicate doc_id 'D2'",
+        "document 'D3' references unknown journal 'NOPE'",
+        "document 'D3' year 1990 below period start 2000",
+        "document 'D4' references unknown journal 'NOPE'",
+        "document 'D4' year 1000000000000000000000000000000 outside [0, 9999]",
+        "document 'D4' year 1000000000000000000000000000000 above period end 2020",
+        "document 'D5' year 1990 below period start 2000",
+        "document 'D6' cites itself",
+        "document '\\udfffD10' year 2030 above period end 2020",
+        "document 'D\\r7': doc_id holds a carriage return",
+        "document 'D\\r7': doc_id holds a carriage return",
+        "document '\\udfffD10': doc_id is not UTF-8 text",
+        "document 'D\\r7': doc_type holds a carriage return",
+        "document 'D8': doc_type holds a carriage return",
+        "document 'D9': doc_type is not UTF-8 text",
+    ]}, indent=2, sort_keys=True) + "\n"
     assert not (out / "corpus").exists()
 
 

@@ -118,6 +118,78 @@ def test_validation_collects_multiple_errors(scheme):
     assert len(exc.value.errors) == 3
 
 
+def oracle_document_errors(docs, journal_ids, year_min, year_max):
+    """The document messages of Corpus, from a plain loop over the documents in doc_id order."""
+    def fault(text):
+        return ("holds a carriage return" if "\r" in text
+                else None if text.encode("utf-8", "replace").decode("utf-8") == text else "is not UTF-8 text")
+
+    docs, errors = sorted(docs, key=lambda d: d.doc_id), []
+    for pos, d in enumerate(docs):
+        if not d.doc_id:
+            errors.append(f"document at position {pos} has empty doc_id")
+            continue
+        if pos and d.doc_id == docs[pos - 1].doc_id:
+            errors.append(f"duplicate doc_id {d.doc_id!r}")
+            continue
+        if d.journal_id not in journal_ids:
+            errors.append(f"document {d.doc_id!r} references unknown journal {d.journal_id!r}")
+        if not 0 <= d.year < 10000:
+            errors.append(f"document {d.doc_id!r} year {d.year} outside [0, 9999]")
+        if year_min is not None and d.year < year_min:
+            errors.append(f"document {d.doc_id!r} year {d.year} below period start {year_min}")
+        if year_max is not None and d.year > year_max:
+            errors.append(f"document {d.doc_id!r} year {d.year} above period end {year_max}")
+        if d.doc_id in d.references:
+            errors.append(f"document {d.doc_id!r} cites itself")
+        if d.external_citations < 0:
+            errors.append(f"document {d.doc_id!r} has negative external_citations")
+    return errors + [f"document {d.doc_id!r}: {f} {why}" for f in ("doc_id", "doc_type")
+                     for d in docs if (why := fault(getattr(d, f)))]
+
+
+FAULTY_IDS = st.sampled_from(["", "D1", "D2", "D3", "D\r4", "\ud800D5", "X1"])
+
+
+@given(docs=st.lists(st.builds(
+    Document, FAULTY_IDS, st.sampled_from(["J-PH", "J-CH", "J-NOPE"]),
+    st.one_of(st.integers(-3, 10003), st.sampled_from([10**30, -10**30, 0, 2000, 2020])),
+    st.sampled_from(["article", "a\rb", "\udfff"]), st.lists(FAULTY_IDS, max_size=4).map(tuple),
+    st.integers(-2, 3)), max_size=8),
+    year_min=st.sampled_from([None, -5, 0, 2000]), year_max=st.sampled_from([None, -1, 0, 2020, 20000]))
+@settings(max_examples=300, deadline=None)
+def test_document_validation_matches_a_plain_loop(docs, year_min, year_max):
+    # the columns validator names every fault the per-document loop names, in the same order
+    journals = [Journal("J-PH", ("PH01",)), Journal("J-CH", ("CH01",))]
+    expected = oracle_document_errors(docs, {"J-PH", "J-CH"}, year_min, year_max)
+    try:
+        Corpus(make_scheme(), journals, docs, year_min, year_max)
+        got = []
+    except ValidationError as e:
+        got = e.errors
+    assert got == expected
+
+
+def test_corpus_messages_that_ingest_cannot_reach(scheme):
+    # load_corpus refuses an empty doc_id and a negative external_citations as malformed
+    docs = [
+        Document("D2", "J-PH", 2014, "article", ("", "D2"), -1),
+        Document("", "J-NOPE", 2014, "article", (), -1),
+        Document("", "J-PH", 20000, "a\rb", (), 0),
+        Document("D1", "J-PH", 2014, "article", (), -3),
+    ]
+    with pytest.raises(ValidationError) as exc:
+        make_corpus(scheme, docs)
+    assert exc.value.errors == [
+        "document at position 0 has empty doc_id",
+        "document at position 1 has empty doc_id",
+        "document 'D1' has negative external_citations",
+        "document 'D2' cites itself",
+        "document 'D2' has negative external_citations",
+        "document '': doc_type holds a carriage return",
+    ]
+
+
 def test_citation_index_counts(small_corpus):
     index = build_citation_index(small_corpus)
     assert len(index) == len(small_corpus)
