@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .assignments import AssignmentSet, SYSTEM_U1
 from .citer import ThresholdPolicy
-from .corpus import Corpus, DocumentColumns, Journal, Scheme, Area, Category, ValidationError
+from .corpus import Corpus, Journal, Scheme, Area, Category, ValidationError
 from .weights import CategoryVector
 
 MASK64 = (1 << 64) - 1
@@ -158,6 +158,8 @@ def planted_journal_categories(params: SynParams) -> dict[str, str]:
 
 def generate_corpus(params: SynParams) -> tuple[Scheme, Corpus]:
     """Pure function of params: identical corpora for identical params."""
+    from .columns import DocumentColumns  # as in corpus: only corpus builders import it
+
     scheme = build_scheme(params)
     rng = SplitMix64(params.seed)
     journals, planted = _gen_journals(rng, scheme, params)
