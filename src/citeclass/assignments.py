@@ -46,7 +46,7 @@ class CSR(NamedTuple):
 
     def take(self, rows: np.ndarray) -> CSR:
         """These rows, in this order."""
-        size = np.diff(self.indptr)[rows]
+        size = self.indptr[rows + 1] - self.indptr[rows]
         ptr = np.concatenate(([0], np.cumsum(size)))
         at = np.arange(ptr[-1]) + np.repeat(self.indptr[rows] - ptr[:-1], size)
         return CSR(ptr, self.indices[at], self.data[at])
