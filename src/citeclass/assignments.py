@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .corpus import ParseError, Scheme, ValidationError, _load_jsonl, atomic_open, load_npz, save_npz, sha256_of
-from .weights import NORMALIZATION_TOL, CategoryVector
+from .weights import NORMALIZATION_TOL
 
 SYSTEM_ASJC = "ASJC-FRAC"
 SYSTEM_U1 = "U1-F-0.8"
@@ -88,18 +87,6 @@ class AssignmentSet:
         row, column, data = (np.array([cell[k] for cell in cells]) for k in range(3))
         return cls(system, doc_ids, tuple(codes), CSR.from_entries(row, column, data, len(doc_ids))).normalized()
 
-    def row(self, i: int) -> CategoryVector:
-        """The vector of doc_ids[i] as a dict in code order."""
-        lo, hi = self.weights.indptr[i:i + 2]
-        return dict(zip(map(self.codes.__getitem__, self.weights.indices[lo:hi].tolist()),
-                        self.weights.data[lo:hi].tolist()))
-
-    def get(self, doc_id: str) -> CategoryVector:
-        i = bisect_left(self.doc_ids, doc_id)
-        if i == len(self.doc_ids) or self.doc_ids[i] != doc_id:
-            raise KeyError(doc_id)
-        return self.row(i)
-
     def __len__(self) -> int:
         return len(self.doc_ids)
 
@@ -146,7 +133,7 @@ def write_assignments(path: str, aset: AssignmentSet) -> None:
                 fh.write(f'{{"doc_id":{json.dumps(doc_id)},"system":{system},"weights":{{{parts}}}}}\n')
 
 
-def iter_assignments(path: str) -> Iterator[tuple[str, str, CategoryVector]]:
+def iter_assignments(path: str) -> Iterator[tuple[str, str, dict[str, float]]]:
     """Stream (doc_id, system, vector) records from a JSONL file. A
     weight that is not a finite number is malformed; weights that are not
     all positive with a sum within NORMALIZATION_TOL of 1 are invalid."""
@@ -170,7 +157,7 @@ def iter_assignments(path: str) -> Iterator[tuple[str, str, CategoryVector]]:
 def read_assignments(path: str, system: str) -> AssignmentSet:
     """Load a whole assignment file of one system."""
 
-    def rows() -> Iterator[tuple[str, CategoryVector]]:
+    def rows() -> Iterator[tuple[str, dict[str, float]]]:
         for doc_id, other, vec in iter_assignments(path):
             if other != system:
                 raise ValidationError([f"{path}: mixed systems {system!r} and {other!r}"])

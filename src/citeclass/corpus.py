@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import zipfile
-from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -254,6 +253,9 @@ class Journal:
 
 @dataclass(frozen=True, slots=True)
 class Document:
+    """One document as an object. Corpus takes these and turns them into
+    columns; besides that, only bench/trace_shim.py's low-reference count
+    reads them, through Corpus.documents."""
     doc_id: str
     journal_id: str
     year: int
@@ -327,7 +329,8 @@ class Corpus:
 
     @property
     def documents(self) -> list[Document]:
-        """The documents as objects, in doc_id order."""
+        """The documents as objects, in doc_id order. No stage reads them:
+        bench/trace_shim.py's low-reference count is their only reader."""
         if self._documents is None:
             pool = self.doc_ids + self.external_ids
             refs, ptr = self.ref.tolist(), self.ref_indptr.tolist()
@@ -343,19 +346,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    def __contains__(self, doc_id: str) -> bool:
-        i = bisect_left(self.doc_ids, doc_id)
-        return self.doc_ids[i:i + 1] == [doc_id]
-
-    def doc(self, doc_id: str) -> Document:
-        return self.documents[self.position(doc_id)]
-
-    def position(self, doc_id: str) -> int:
-        i = bisect_left(self.doc_ids, doc_id)
-        if self.doc_ids[i:i + 1] != [doc_id]:
-            raise KeyError(doc_id)
-        return i
 
     def ref_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """In-corpus reference edges as (citing_pos, cited_pos) int32 arrays,

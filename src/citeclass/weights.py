@@ -1,6 +1,5 @@
 """Category-weight constants and the exact per-row sum that the classifiers
-and the flow kernel share. A single vector outside an AssignmentSet is a
-CategoryVector, a dict from category code to weight.
+and the flow kernel share.
 """
 
 from __future__ import annotations
@@ -8,8 +7,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-CategoryVector = dict[str, float]
 
 # weights at or above this count toward support size
 SUPPORT_EPS = 1e-9

@@ -1,19 +1,11 @@
+from bisect import bisect_left
+
 import pytest
 
-from citeclass import (
-    SYSTEM_ASJC,
-    SYSTEM_U1,
-    Area,
-    AssignmentSet,
-    Category,
-    Corpus,
-    Document,
-    Journal,
-    Scheme,
-    SynParams,
-    flow_matrix,
-    generate_corpus,
-)
+from citeclass.assignments import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet
+from citeclass.corpus import Area, Category, Corpus, Document, Journal, Scheme
+from citeclass.flow import flow_matrix
+from citeclass.syngen import SplitMix64, SynParams, _gen_journals, build_scheme, generate_corpus
 
 
 def make_scheme():
@@ -49,7 +41,6 @@ def scheme285():
     # 15 areas x 19 categories = 285 non-misc codes
     params = SynParams(n_areas=15, cats_per_area=19, include_misc=True,
                        multi_journal_share=0.1)
-    from citeclass.syngen import build_scheme
     return build_scheme(params)
 
 
@@ -94,6 +85,28 @@ def assert_vec_close(a, b, tol=1e-12):
     assert set(a) == set(b), f"supports differ: {sorted(a)} vs {sorted(b)}"
     for k in a:
         assert abs(a[k] - b[k]) <= tol, f"{k}: {a[k]} vs {b[k]}"
+
+
+def vector(aset, doc_id):
+    """The row of doc_id in an AssignmentSet as a {code: weight} dict in code order."""
+    i = bisect_left(aset.doc_ids, doc_id)
+    if aset.doc_ids[i:i + 1] != [doc_id]:
+        raise KeyError(doc_id)
+    lo, hi = aset.weights.indptr[i:i + 2]
+    return dict(zip([aset.codes[k] for k in aset.weights.indices[lo:hi].tolist()],
+                    aset.weights.data[lo:hi].tolist()))
+
+
+def vectors(aset):
+    """Every row of an AssignmentSet as {doc_id: {code: weight}}, in doc_id order."""
+    return {doc_id: vector(aset, doc_id) for doc_id in aset.doc_ids}
+
+
+def planted_journal_categories(params):
+    """The planted non-misc category of each journal, reproduced from the
+    seed (journal generation precedes document generation in the stream)."""
+    _, planted = _gen_journals(SplitMix64(params.seed), build_scheme(params), params)
+    return planted
 
 
 def one_doc_flow(a, b):

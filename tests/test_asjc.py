@@ -3,10 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import Document, Journal, ValidationError, classify_asjc
-from citeclass.syngen import _oracle_journal_vector
+from citeclass.asjc import classify_asjc
+from citeclass.corpus import Document, Journal, ValidationError
 from citeclass.weights import PRUNE_EPS
-from conftest import assert_vec_close, make_corpus, make_scheme
+from conftest import assert_vec_close, make_corpus, make_scheme, vector
+from oracles import oracle_journal_vector
 
 
 def one_journal_corpus(scheme, codes):
@@ -15,7 +16,7 @@ def one_journal_corpus(scheme, codes):
 
 def journal_vector(scheme, codes):
     """The ASJC-FRAC vector of the one document of a one-journal corpus."""
-    return classify_asjc(one_journal_corpus(scheme, codes), scheme).get("D")
+    return vector(classify_asjc(one_journal_corpus(scheme, codes), scheme), "D")
 
 
 def test_base_weights_single_code(scheme):
@@ -75,7 +76,7 @@ def test_redistribute_rejects_unknown_code(scheme):
 
 def test_misc_only_area_is_unconstructible():
     # redistribution would have no target, so the scheme itself is invalid
-    from citeclass import Area, Category, Scheme
+    from citeclass.corpus import Area, Category, Scheme
 
     with pytest.raises(ValidationError):
         Scheme(
@@ -92,11 +93,11 @@ def test_journal_vector_misc_only_journal(scheme):
 def test_classify_asjc_set(scheme, small_corpus):
     aset = classify_asjc(small_corpus, scheme)
     assert len(aset) == len(small_corpus)
-    assert_vec_close(aset.get("D1"), {"PH01": 1.0})
-    assert_vec_close(aset.get("D3"), {"PH01": 0.5, "CH01": 0.5})
-    assert_vec_close(aset.get("D4"), {c: 0.25 for c in ["PH01", "PH02", "CH01", "CH02"]})
+    assert_vec_close(vector(aset, "D1"), {"PH01": 1.0})
+    assert_vec_close(vector(aset, "D3"), {"PH01": 0.5, "CH01": 0.5})
+    assert_vec_close(vector(aset, "D4"), {c: 0.25 for c in ["PH01", "PH02", "CH01", "CH02"]})
     # J-MISC = PH01 + PH00 -> 0.75 / 0.25
-    assert_vec_close(aset.get("D5"), {"PH01": 0.75, "PH02": 0.25})
+    assert_vec_close(vector(aset, "D5"), {"PH01": 0.75, "PH02": 0.25})
 
 
 def test_classify_asjc_shares_vectors_per_journal(scheme, small_corpus):
@@ -105,7 +106,7 @@ def test_classify_asjc_shares_vectors_per_journal(scheme, small_corpus):
     ]
     corpus = make_corpus(scheme, docs)
     aset = classify_asjc(corpus, scheme)
-    assert aset.get("D1") == aset.get("D6")
+    assert vector(aset, "D1") == vector(aset, "D6")
 
 
 def test_multidisciplinary_split_285(scheme285):
@@ -133,4 +134,4 @@ def test_journal_vector_properties(codes):
         assert not cat.is_misc
         assert w >= PRUNE_EPS
     # the oracle divides by a plain sum, so the rows agree to rounding only
-    assert_vec_close(v, _oracle_journal_vector(Journal("J", codes), scheme), tol=1e-12)
+    assert_vec_close(v, oracle_journal_vector(codes, scheme), tol=1e-12)

@@ -5,10 +5,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, ParseError, ValidationError
 from citeclass.assignments import (
-    load_assignments_npz, read_assignments, save_assignments_npz, write_assignments,
+    SYSTEM_ASJC, SYSTEM_U1, AssignmentSet, load_assignments_npz, read_assignments, save_assignments_npz,
+    write_assignments,
 )
+from citeclass.corpus import ParseError, ValidationError
+from conftest import vector
 
 
 @st.composite
@@ -38,7 +40,7 @@ def test_write_read_write_round_trip(tmp_path_factory, rows, system):
     packed = AssignmentSet.from_rows(system, rows)
     assert packed.doc_ids == sorted(d for d, _ in rows)
     for doc_id, vec in rows:
-        assert bits(packed.get(doc_id)) == bits(dict(sorted(vec.items())))
+        assert bits(vector(packed, doc_id)) == bits(dict(sorted(vec.items())))
     write_assignments(str(first), packed)
     read = read_assignments(str(first), system)
     write_assignments(str(second), read)
@@ -47,8 +49,8 @@ def test_write_read_write_round_trip(tmp_path_factory, rows, system):
     assert read.doc_ids == again.doc_ids == packed.doc_ids
     for doc_id, vec in rows:
         # the file holds each weight at 12 significant digits
-        assert bits(read.get(doc_id)) == bits({k: float("%.12g" % w) for k, w in sorted(vec.items())})
-        assert bits(again.get(doc_id)) == bits(read.get(doc_id))
+        assert bits(vector(read, doc_id)) == bits({k: float("%.12g" % w) for k, w in sorted(vec.items())})
+        assert bits(vector(again, doc_id)) == bits(vector(read, doc_id))
 
 
 def test_from_rows_sorts_rows_and_codes():
@@ -57,9 +59,7 @@ def test_from_rows_sorts_rows_and_codes():
     assert aset.codes == ("A", "B", "C")
     W = aset.weights
     assert (W.indptr.tolist(), W.indices.tolist(), W.data.tolist()) == ([0, 1, 3], [2, 0, 1], [1.0, 0.75, 0.25])
-    assert list(aset.get("D2")) == ["A", "B"]
-    with pytest.raises(KeyError):
-        aset.get("D3")
+    assert list(vector(aset, "D2")) == ["A", "B"]
 
 
 def test_from_rows_rejects_duplicate_doc_ids():

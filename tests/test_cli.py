@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import Corpus, classify_u1f08_all, load_corpus, load_scheme, write_assignments
+from citeclass.assignments import write_assignments
+from citeclass.citer import classify_u1f08_all
 from citeclass.cli import build_parser, main
 from citeclass.config import RunConfig, field_types, parse_config_file
-from citeclass.corpus import ParseError
+from citeclass.corpus import Corpus, ParseError, load_corpus, load_scheme
 from citeclass.syngen import SynParams
 
 
@@ -1022,10 +1023,30 @@ def test_bad_compare_knob_fails_before_writing(pipeline_dir, flag, value):
     assert snapshot(pipeline_dir) == before
 
 
-def test_package_exports_resolve():
-    import citeclass
+def readme_library_blocks():
+    """The ```python blocks of the README's "Library use" section, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("\n```", 1)[0] for block in section.split("```python\n")[1:]]
 
-    assert [n for n in citeclass.__all__ if not hasattr(citeclass, n)] == []
+
+def test_readme_library_example_runs(capsys):
+    blocks = readme_library_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    # one printed row per class of the area flow matrix, and arrays over every document
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == namespace["matrix"].classes()
+    assert len(namespace["ni"]) == len(namespace["flags"]) == len(namespace["corpus"])
+
+    # the package root loads no module of the package
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = "import sys, citeclass; print(sorted(m for m in sys.modules if m.startswith('citeclass.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_manifest_covers_all_artifacts(pipeline_dir):

@@ -5,26 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from citeclass import (
-    Area,
-    Category,
-    Corpus,
-    Document,
-    Journal,
-    ParseError,
-    Scheme,
-    ValidationError,
-    build_citation_index,
-    corpus_summary,
-    load_corpus,
-    load_corpus_npz,
-    load_scheme,
-    low_reference_share,
-    save_corpus_npz,
-    write_corpus,
-    write_scheme,
+from citeclass.corpus import (
+    Area, Category, Corpus, Document, Journal, ParseError, Scheme, ValidationError, build_citation_index,
+    corpus_summary, fmt, load_corpus, load_corpus_npz, load_scheme, low_reference_share, save_corpus_npz,
+    write_corpus, write_csv, write_json, write_scheme,
 )
-from citeclass.corpus import fmt, write_csv, write_json
 from conftest import make_corpus, make_scheme
 
 
@@ -76,7 +61,7 @@ def test_corpus_sorts_documents_and_references(scheme):
     ]
     c = make_corpus(scheme, docs)
     assert [d.doc_id for d in c.documents] == ["D1", "D2"]
-    assert c.doc("D2").references == ("D1", "D9")
+    assert c.documents[c.doc_ids.index("D2")].references == ("D1", "D9")
 
 
 def test_corpus_rejects_duplicate_doc(scheme):
@@ -194,16 +179,16 @@ def test_citation_index_counts(small_corpus):
     index = build_citation_index(small_corpus)
     assert len(index) == len(small_corpus)
     # D3 is cited by D1, D2, D4 and has 1 external citation
-    assert index[small_corpus.position("D3")] == 4
+    assert index[small_corpus.doc_ids.index("D3")] == 4
     # D5 is cited by nobody internally, has 5 external
-    assert index[small_corpus.position("D5")] == 5
+    assert index[small_corpus.doc_ids.index("D5")] == 5
 
 
 def test_citation_index_window(small_corpus):
     # window 1: only citers within one year of the cited doc count
     index = build_citation_index(small_corpus, window_years=1)
     # D3 (2013): D2 (2014) in window, D1/D4 (2015) out; external always counts
-    assert index[small_corpus.position("D3")] == 1 + 1
+    assert index[small_corpus.doc_ids.index("D3")] == 1 + 1
 
 
 def test_low_reference_share(small_corpus):
@@ -317,8 +302,8 @@ def test_load_corpus_interns_reference_strings(tmp_path, scheme):
         '{"doc_id":"D3","journal_id":"J1","year":2015,"doc_type":"article","references":["D1"]}\n'
     )
     c = load_corpus(str(jp), str(dp), scheme)
-    r2 = c.doc("D2").references[0]
-    r3 = c.doc("D3").references[0]
+    r2 = c.documents[c.doc_ids.index("D2")].references[0]
+    r3 = c.documents[c.doc_ids.index("D3")].references[0]
     assert r2 is r3
 
 
@@ -330,8 +315,8 @@ def test_ref_edges_arrays(small_corpus):
     pairs = set()
     for i, d in enumerate(small_corpus.documents):
         for r in d.references:
-            if r in small_corpus:
-                pairs.add((i, small_corpus.position(r)))
+            if r in small_corpus.doc_ids:
+                pairs.add((i, small_corpus.doc_ids.index(r)))
     assert set(zip(citing.tolist(), cited.tolist())) == pairs
     assert all(0 <= i < n for i in citing)
 

@@ -3,24 +3,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import (
-    AssignmentSet,
-    SYSTEM_ASJC,
-    SYSTEM_U1,
-    ValidationError,
-    class_flow_stats,
-    flow_matrix,
-    summary_stats,
-    top_links,
-)
+from citeclass.asjc import classify_asjc
+from citeclass.assignments import AssignmentSet, SYSTEM_ASJC, SYSTEM_U1
+from citeclass.citer import classify_u1f08_all
+from citeclass.corpus import ValidationError
 from citeclass.flow import (
-    read_class_stats_csv,
-    read_flow_csv,
-    write_class_stats_csv,
-    write_flow_csv,
+    class_flow_stats, flow_matrix, read_class_stats_csv, read_flow_csv, summary_stats, top_links,
+    write_class_stats_csv, write_flow_csv,
 )
-from citeclass.syngen import oracle_flow
-from conftest import assert_vec_close, one_doc_flow, plain_collapse
+from conftest import assert_vec_close, one_doc_flow, plain_collapse, vector
+from oracles import oracle_flow
 
 
 def test_document_flow_worked_example():
@@ -112,8 +104,6 @@ def test_flow_matrix_rejects_mismatched_docs():
 
 
 def test_accumulator_matches_flow_matrix(syn200):
-    from citeclass import classify_asjc, classify_u1f08_all
-
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
     set_b = classify_u1f08_all(corpus, scheme)
@@ -125,7 +115,7 @@ def test_accumulator_matches_flow_matrix(syn200):
         # the oracle's flows of each document, summed in document order
         size_a, size_b, common, flow = {}, {}, {}, {}
         for doc_id in set_a.doc_ids:
-            vec_a, vec_b = to_level(set_a.get(doc_id)), to_level(set_b.get(doc_id))
+            vec_a, vec_b = to_level(vector(set_a, doc_id)), to_level(vector(set_b, doc_id))
             doc_common, moves = oracle_flow(vec_a, vec_b)
             for total, part in ((size_a, vec_a), (size_b, vec_b), (common, doc_common), (flow, moves)):
                 for k, w in part.items():
@@ -138,8 +128,6 @@ def test_accumulator_matches_flow_matrix(syn200):
 
 
 def test_class_flow_stats_balance(syn200):
-    from citeclass import classify_asjc, classify_u1f08_all
-
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
     set_b = classify_u1f08_all(corpus, scheme)
@@ -188,8 +176,6 @@ def test_summary_stats_rejects_empty():
 
 
 def test_flow_csv_roundtrip(tmp_path, syn200):
-    from citeclass import classify_asjc, classify_u1f08_all
-
     scheme, corpus = syn200
     set_a = classify_asjc(corpus, scheme)
     set_b = classify_u1f08_all(corpus, scheme)

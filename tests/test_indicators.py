@@ -3,29 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from citeclass import (
-    AssignmentSet,
-    Document,
-    Journal,
-    SYSTEM_ASJC,
-    SYSTEM_U1,
-    ValidationError,
-    WeightColumns,
-    build_citation_index,
-    category_baselines,
-    classify_asjc,
-    classify_u1f08_all,
-    collapse_to_areas,
-    excellence_flags,
-    excellence_overlap,
-    excellence_thresholds,
-    ni_abs_diff_series,
-    ni_std_by_area,
-    ni_table,
+from citeclass.asjc import classify_asjc
+from citeclass.assignments import AssignmentSet, SYSTEM_ASJC, SYSTEM_U1, collapse_to_areas
+from citeclass.citer import classify_u1f08_all
+from citeclass.corpus import Document, ValidationError, build_citation_index
+from citeclass.indicators import (
+    WeightColumns, _cell_cut, category_baselines, excellence_flags, excellence_overlap, excellence_thresholds,
+    ni_abs_diff_series, ni_std_by_area, ni_table,
 )
-from citeclass.indicators import _cell_cut
-from citeclass.syngen import oracle_baselines, oracle_excellence
-from conftest import make_corpus, plain_collapse
+from conftest import make_corpus, plain_collapse, vector, vectors
+from oracles import oracle_baselines, oracle_excellence, oracle_ni, oracle_ni_std, oracle_overlap
 
 
 def single_cat_corpus(scheme, citations, year=2015, doc_type="article"):
@@ -80,7 +67,7 @@ def test_ni_weighted_cell_mean_is_one(syn200):
     # per cell: weighted mean of cit/mean over member docs equals 1
     sums = {}
     for d, cit in zip(corpus.documents, index):
-        for c, w in aset.get(d.doc_id).items():
+        for c, w in vector(aset, d.doc_id).items():
             cell = (d.doc_type, d.year, c)
             mean = b.mean_citations[cell]
             if mean == 0.0:
@@ -193,7 +180,7 @@ def test_excellence_share_capped(syn200):
         # recompute weighted share per cell, must be <= p
         shares = {}
         for d, cit in zip(corpus.documents, index):
-            for a, w in plain_collapse(aset.get(d.doc_id), scheme).items():
+            for a, w in plain_collapse(vector(aset, d.doc_id), scheme).items():
                 cell = (d.doc_type, d.year, a)
                 tot, exc = shares.get(cell, (0.0, 0.0))
                 shares[cell] = (tot + w, exc + (w if cit >= th[cell] else 0.0))
@@ -281,7 +268,7 @@ def test_to_areas_matches_collapse_to_areas(syn200, system):
         for k in range(len(cols.doc)):
             per_doc[cols.doc[k]][cols.classes[cols.cls[k]]] = cols.weight[k]
         for d, got in zip(corpus.documents, per_doc):
-            assert list(got.items()) == list(expected(aset.get(d.doc_id)).items()), d.doc_id
+            assert list(got.items()) == list(expected(vector(aset, d.doc_id)).items()), d.doc_id
 
 
 @pytest.fixture(scope="module")
@@ -291,13 +278,18 @@ def syn2000_sets(syn2000):
     return {SYSTEM_ASJC: asjc, SYSTEM_U1: classify_u1f08_all(corpus, scheme)}
 
 
+@pytest.fixture(scope="module")
+def syn2000_vectors(syn2000_sets):
+    return {system: vectors(aset) for system, aset in syn2000_sets.items()}
+
+
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
-def test_baselines_match_oracle(syn2000, syn2000_sets, system, window):
+def test_baselines_match_oracle(syn2000, syn2000_sets, syn2000_vectors, system, window):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
     b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus, window))
-    oracle = oracle_baselines(corpus, aset, window)
+    oracle = oracle_baselines(corpus, syn2000_vectors[system], window)
     assert list(b.mean_citations) == list(oracle)
     for cell, (mean, weight) in oracle.items():
         assert abs(b.mean_citations[cell] - mean) <= 1e-9, cell
@@ -307,13 +299,51 @@ def test_baselines_match_oracle(syn2000, syn2000_sets, system, window):
 @pytest.mark.parametrize("p", [0.10, 0.01, 0.25])
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
-def test_excellence_matches_oracle(syn2000, syn2000_sets, system, window, p):
+def test_excellence_matches_oracle(syn2000, syn2000_sets, syn2000_vectors, system, window, p):
     scheme, corpus = syn2000
     aset = syn2000_sets[system]
     index = build_citation_index(corpus, window)
     areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     th = excellence_thresholds(areas, index, p)
     flags = excellence_flags(areas, th, index)
-    cuts, oracle_flags = oracle_excellence(corpus, scheme, aset, p, window)
+    cuts, oracle_flags = oracle_excellence(corpus, scheme, syn2000_vectors[system], p, window)
     assert th == cuts
     assert flags.tolist() == [oracle_flags[d.doc_id] for d in corpus.documents]
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("system", [SYSTEM_ASJC, SYSTEM_U1])
+def test_ni_and_std_match_oracle(syn2000, syn2000_sets, syn2000_vectors, system, window):
+    scheme, corpus = syn2000
+    aset, vecs = syn2000_sets[system], syn2000_vectors[system]
+    index = build_citation_index(corpus, window)
+    cats = WeightColumns(corpus, aset)
+    ni, _ = ni_table(cats, category_baselines(cats, index), index)
+    oracle = oracle_ni(corpus, vecs, window)
+    assert list(oracle) == corpus.doc_ids
+    assert np.abs(ni - list(oracle.values())).max() <= 1e-9
+    std = ni_std_by_area(ni, WeightColumns(corpus, collapse_to_areas(aset, scheme)))
+    expected = oracle_ni_std(corpus, scheme, vecs, oracle)
+    assert [area for area, _ in std] == list(expected)
+    for area, value in std:
+        assert abs(value - expected[area]) <= 1e-9, area
+
+
+@pytest.mark.parametrize("p", [0.10, 0.01])
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("system_a, system_b", [(SYSTEM_ASJC, SYSTEM_U1), (SYSTEM_U1, SYSTEM_ASJC)])
+def test_excellence_overlap_matches_oracle(syn2000, syn2000_sets, syn2000_vectors, system_a, system_b, window, p):
+    scheme, corpus = syn2000
+    index = build_citation_index(corpus, window)
+    flags = {}
+    for system in (system_a, system_b):
+        areas = WeightColumns(corpus, collapse_to_areas(syn2000_sets[system], scheme))
+        flags[system] = (areas, excellence_flags(areas, excellence_thresholds(areas, index, p), index))
+    rows = excellence_overlap(flags[system_a][1], flags[system_b][1], flags[system_b][0])
+    oracle_a, oracle_b = (oracle_excellence(corpus, scheme, syn2000_vectors[s], p, window)[1]
+                          for s in (system_a, system_b))
+    expected = oracle_overlap(scheme, syn2000_vectors[system_b], oracle_a, oracle_b)
+    assert [r.area for r in rows] == list(expected)
+    for r in rows:
+        for got, want in zip((r.pct_common, r.pct_only_b, r.pct_only_a), expected[r.area], strict=True):
+            assert abs(got - want) <= 1e-9, r.area

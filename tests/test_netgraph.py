@@ -5,21 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass import (
-    FlowMatrix,
-    Layout,
-    LayoutParams,
-    ParseError,
-    Partition,
-    ValidationError,
-    build_flow_graph,
-    detect_communities,
-    export_graph,
-    linlog_layout,
-    load_graph,
-    modularity,
+from citeclass.corpus import ParseError, ValidationError
+from citeclass.flow import FlowMatrix
+from citeclass.netgraph import (
+    FORMATS, FlowGraph, GraphEdge, GraphNode, Layout, LayoutParams, Partition, _distances, _energy, _gradient,
+    _pairs, build_flow_graph, detect_communities, export_graph, linlog_layout, load_graph, modularity,
 )
-from citeclass.netgraph import FORMATS, FlowGraph, GraphEdge, GraphNode, _distances, _energy, _gradient, _pairs
 from conftest import partitions
 
 

@@ -1,17 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from citeclass import (
-    SynParams,
-    ThresholdPolicy,
-    ValidationError,
-    classify_u1f08_all,
-    generate_corpus,
-    oracle_classify,
-    oracle_flow,
-    write_corpus,
-)
-from citeclass.syngen import ORACLE_MAX_CLASSES, SplitMix64, build_scheme, planted_journal_categories
-from conftest import assert_vec_close
+from citeclass.citer import ThresholdPolicy, classify_u1f08_all
+from citeclass.corpus import ValidationError, write_corpus
+from citeclass.syngen import SplitMix64, SynParams, build_scheme, generate_corpus
+from conftest import assert_vec_close, planted_journal_categories, vector
+from oracles import ORACLE_MAX_CLASSES, oracle_classify, oracle_flow
 
 
 def test_splitmix64_reference_sequence():
@@ -94,10 +90,11 @@ def test_generation_seed_changes_output():
 def test_generated_corpus_is_valid(syn200):
     scheme, corpus = syn200
     # construction succeeded -> validation passed; check reference direction
+    year = dict(zip(corpus.doc_ids, corpus.year.tolist()))
     for d in corpus.documents:
         for r in d.references:
-            if r in corpus:
-                assert corpus.doc(r).year < d.year
+            if r in year:
+                assert year[r] < d.year
     assert all(len(d.references) >= 3 for d in corpus.documents)
 
 
@@ -123,15 +120,39 @@ def test_oracle_classify_guard():
     oracle_classify(corpus, scheme, ThresholdPolicy())  # under the limit: fine
     big = SynParams(n_docs=10001, n_journals=5, seed=1)
     scheme2, corpus2 = generate_corpus(big)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         oracle_classify(corpus2, scheme2, ThresholdPolicy())
 
 
 def test_oracle_flow_guard():
     n = ORACLE_MAX_CLASSES + 1
     wa = {f"C{i}": 1.0 / n for i in range(n)}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         oracle_flow(wa, wa)
+
+
+def defined_names(tree):
+    """Every name a module binds: functions, classes, assignment targets and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[0]
+
+
+def test_oracles_stand_apart_from_the_package():
+    # the oracles import no citeclass module, and the package defines no oracle
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = [(node.level, node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [(0, a.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert [m for level, m in imported if level or m.split(".")[0] == "citeclass"] == []
+    oracles = [f"{path.name}: {name}" for path in sorted((root / "src" / "citeclass").rglob("*.py"))
+               for name in defined_names(ast.parse(path.read_text(encoding="utf-8")))
+               if name.lstrip("_").lower().startswith("oracle")]
+    assert oracles == []
 
 
 def test_oracle_matches_production_u1(syn200):
@@ -139,9 +160,9 @@ def test_oracle_matches_production_u1(syn200):
     policy = ThresholdPolicy()
     prod = classify_u1f08_all(corpus, scheme, policy)
     oracle = oracle_classify(corpus, scheme, policy)
-    assert set(oracle.doc_ids) == set(prod.doc_ids)
-    for doc_id in oracle.doc_ids:
-        assert_vec_close(oracle.get(doc_id), prod.get(doc_id), tol=1e-9)
+    assert set(oracle) == set(prod.doc_ids)
+    for doc_id in oracle:
+        assert_vec_close(oracle[doc_id], vector(prod, doc_id), tol=1e-9)
 
 
 def test_planted_recovery_pure_setup():
@@ -156,12 +177,12 @@ def test_planted_recovery_pure_setup():
     scheme, corpus = generate_corpus(params)
     planted = planted_journal_categories(params)
     u1 = classify_u1f08_all(corpus, scheme)
+    internal = set(corpus.doc_ids)
     checked = 0
     for d in corpus.documents:
-        internal = [r for r in d.references if r in corpus]
-        if len(d.references) < 3 or not internal:
+        if len(d.references) < 3 or not internal.intersection(d.references):
             continue
-        vec = u1.get(d.doc_id)
+        vec = vector(u1, d.doc_id)
         assert_vec_close(vec, {planted[d.journal_id]: 1.0})
         checked += 1
     assert checked > 100
