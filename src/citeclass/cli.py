@@ -112,8 +112,7 @@ def _load_pipeline_corpus(out_dir: str) -> tuple[Scheme, Corpus]:
     only hashed, to refuse arrays it no longer matches."""
     _require_artifacts(out_dir, [SCHEME_FILE, JOURNALS_FILE, DOCUMENTS_FILE, CORPUS_FILE])
     scheme = load_scheme(os.path.join(out_dir, SCHEME_FILE))
-    corpus = load_corpus_npz(os.path.join(out_dir, CORPUS_FILE), scheme,
-                             os.path.join(out_dir, JOURNALS_FILE),
+    corpus = load_corpus_npz(os.path.join(out_dir, CORPUS_FILE), os.path.join(out_dir, JOURNALS_FILE),
                              os.path.join(out_dir, DOCUMENTS_FILE))
     return scheme, corpus
 
@@ -273,12 +272,11 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
     stats_name = f"class_stats_{cfg.level}.csv"
     _require_artifacts(cfg.out, [flows_name, stats_name])
     manifest = _read_manifest(cfg.out)
-    matrix = flow.read_flow_csv(os.path.join(cfg.out, flows_name), cfg.level)
+    flows = flow.read_flow_csv(os.path.join(cfg.out, flows_name))
     # node sizes are the U1-F-0.8 class sizes; the graph reads nothing else
-    for r in flow.read_class_stats_csv(os.path.join(cfg.out, stats_name)):
-        matrix.size_b[r.class_code] = r.size_b
+    sizes = {r.class_code: r.size_b for r in flow.read_class_stats_csv(os.path.join(cfg.out, stats_name))}
 
-    graph = netgraph.build_flow_graph(matrix, cfg.edge_epsilon)
+    graph = netgraph.build_flow_graph(flows, sizes, cfg.edge_epsilon)
     partition = netgraph.detect_communities(graph)
     layout = netgraph.linlog_layout(graph, cfg.layout_params())
     name = f"{FIG3_BASE}.{cfg.format}"

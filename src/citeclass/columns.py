@@ -2,10 +2,10 @@
 
 DocumentColumns holds documents as integer buffers, each id interned on
 first sight; corpus_columns checks them and turns them into the columns a
-Corpus stores. load_corpus and syngen fill one; Corpus turns Document
-objects into one. Only they import this module, so a stage that loads
-corpus.npz neither compiles it nor loads the array module: in corpus.py
-the two raised the peak RSS of every such stage by 0.2 MB.
+Corpus stores. load_corpus and syngen fill one and pass it to Corpus.
+Only they import this module, so a stage that loads corpus.npz neither
+compiles it nor loads the array module: in corpus.py the two raised the
+peak RSS of every such stage by 0.2 MB.
 """
 
 from __future__ import annotations

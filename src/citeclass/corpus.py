@@ -253,9 +253,8 @@ class Journal:
 
 @dataclass(frozen=True, slots=True)
 class Document:
-    """One document as an object. Corpus takes these and turns them into
-    columns; besides that, only bench/trace_shim.py's low-reference count
-    reads them, through Corpus.documents."""
+    """One document as an object, as Corpus.documents builds it. Only
+    bench/trace_shim.py's low-reference count reads them."""
     doc_id: str
     journal_id: str
     year: int
@@ -273,19 +272,20 @@ class Corpus:
     the id pool doc_ids + external_ids. The pool indices below len(doc_ids)
     are the references in the corpus; they alone form the CSR (cited_indptr,
     cited) of cited positions. External references resolve to nothing but
-    still count toward n_references. documents are Documents, turned into
-    DocumentColumns, or DocumentColumns; the documents view is built on first access.
+    still count toward n_references. The journals' codes are checked against
+    scheme, and the documents come as DocumentColumns, checked against the
+    journals and the period [year_min, year_max]; the documents view is built
+    on first access.
     """
 
     def __init__(
         self,
         scheme: Scheme,
         journals: Iterable[Journal],
-        documents: Iterable[Document] | DocumentColumns,
+        documents: DocumentColumns,
         year_min: int | None = None,
         year_max: int | None = None,
     ):
-        self.scheme, self.year_min, self.year_max = scheme, year_min, year_max
         errors: list[str] = []
 
         by_id: dict[str, Journal] = {}
@@ -306,13 +306,6 @@ class Corpus:
             # code order carries no meaning: sorted, equal corpora serialize identically
             by_id[j.journal_id] = Journal(j.journal_id, tuple(sorted(j.asjc_codes)))
 
-        # imported here: only corpus builders compile that module and load its array buffers
-        from .columns import DocumentColumns
-        if not isinstance(documents, DocumentColumns):
-            columns = DocumentColumns()
-            for d in documents:
-                columns.add(d.doc_id, d.journal_id, d.year, d.doc_type, d.references, d.external_citations)
-            documents = columns
         self._attach(by_id, documents.corpus_columns(by_id, year_min, year_max, errors))
 
     def _attach(self, journals: dict[str, Journal], columns: dict) -> None:
@@ -667,7 +660,7 @@ def save_corpus_npz(corpus: Corpus, path: str, journal_path: str, document_path:
         "journal_ids": corpus.journal_ids, "journal_codes": [c for j in journals for c in j.asjc_codes]})
 
 
-def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path: str) -> Corpus:
+def load_corpus_npz(path: str, journal_path: str, document_path: str) -> Corpus:
     """Read a corpus saved by save_corpus_npz. An unreadable file, or arrays
     of the wrong type, length, range or order, raise ParseError; a file
     whose digests do not match the two JSONL files is stale: ValidationError."""
@@ -681,7 +674,6 @@ def load_corpus_npz(path: str, scheme: Scheme, journal_path: str, document_path:
         raise ParseError(f"{path}: doc_ids are not strictly increasing")
     codes, ptr = a["journal_codes"], a["code_indptr"].tolist()
     corpus = Corpus.__new__(Corpus)
-    corpus.scheme, corpus.year_min, corpus.year_max = scheme, None, None
     corpus._attach({jid: Journal(jid, tuple(codes[ptr[i]:ptr[i + 1]]))
                     for i, jid in enumerate(a["journal_ids"])}, a)
     return corpus

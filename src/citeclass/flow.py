@@ -31,7 +31,6 @@ LEVELS = ("category", "area")
 @dataclass(slots=True)
 class FlowMatrix:
     level: str
-    n_docs: int
     size_a: dict[str, float]
     size_b: dict[str, float]
     common: dict[str, float]
@@ -52,14 +51,6 @@ class ClassFlowStats:
     outgoing: float
     pct_incoming: float | None
     pct_outgoing: float | None
-
-
-@dataclass(slots=True)
-class SummaryStats:
-    n: int
-    mean: float
-    std: float
-    cv_pct: float | None
 
 
 def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> CSR:
@@ -125,7 +116,7 @@ class FlowAccumulator:
 
         # cell k is the class pair (k // m, k % m), so used is in key order too
         flow = dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist()))
-        return FlowMatrix(self.level, n, by_code(A.indices, A.data), by_code(B.indices, B.data),
+        return FlowMatrix(self.level, by_code(A.indices, A.data), by_code(B.indices, B.data),
                           by_code(common_col, common), flow)
 
 
@@ -172,19 +163,6 @@ def top_links(matrix: FlowMatrix, min_weight: float) -> list[tuple[str, str, flo
     return links
 
 
-def summary_stats(values: list[float]) -> SummaryStats:
-    """Mean, population standard deviation, and coefficient of variation in
-    percent (None when the mean is zero)."""
-    if not values:
-        raise ValidationError(["summary of an empty value list"])
-    n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / n
-    std = math.sqrt(var)
-    cv = 100.0 * std / mean if mean != 0.0 else None
-    return SummaryStats(n, mean, std, cv)
-
-
 class SupportStats:
     """Per-class single-assignment counters of one assignment set, over its
     entries above SUPPORT_EPS. For each class that has one: pct_single, the
@@ -220,15 +198,17 @@ def size_histogram_rows(stats: list[ClassFlowStats], bin_width: float) -> list[l
 
 
 def summary_rows(metrics: list[tuple[str, list[float]]]) -> list[list]:
-    """One row per metric: n, mean, std and CV% over its values, or NA
-    when it has none."""
+    """One row per metric: n, mean, population std and CV% (NA when the
+    mean is zero) over its values, or NA when it has none."""
     rows = []
     for name, values in metrics:
         if not values:
             rows.append([name, 0, "NA", "NA", "NA"])
             continue
-        s = summary_stats(values)
-        rows.append([name, s.n, fmt(s.mean), fmt(s.std), fmt(s.cv_pct)])
+        n = len(values)
+        mean = math.fsum(values) / n
+        std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n)
+        rows.append([name, n, fmt(mean), fmt(std), fmt(100.0 * std / mean if mean != 0.0 else None)])
     return rows
 
 
@@ -306,11 +286,10 @@ def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
     write_csv(path, FLOW_HEADER, ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
 
 
-def read_flow_csv(path: str, level: str) -> FlowMatrix:
-    """Rebuild a flow matrix (flows only; sizes must come from class stats)."""
+def read_flow_csv(path: str) -> dict[tuple[str, str], float]:
+    """The flows of a flow CSV, in key order."""
     rows = _csv_rows(path, FLOW_HEADER, 2)
-    flow = {(row[0], row[1]): _csv_number(path, line_no, row[2]) for line_no, row in rows}
-    return FlowMatrix(level, 0, {}, {}, {}, dict(sorted(flow.items())))
+    return dict(sorted(((row[0], row[1]), _csv_number(path, line_no, row[2])) for line_no, row in rows))
 
 
 def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:

@@ -50,8 +50,10 @@ class WeightColumns:
 
 @dataclass(slots=True)
 class BaselineTable:
-    mean_citations: dict[Cell, float]
-    cell_weight: dict[Cell, float]
+    """The weighted mean citations and the total weight of each cell of cells."""
+    cells: list[Cell]
+    mean_citations: np.ndarray
+    cell_weight: np.ndarray
 
 
 @dataclass(slots=True)
@@ -62,28 +64,22 @@ class OverlapRow:
     pct_only_a: float
 
 
-def _per_cell(cols: WeightColumns, table: dict[Cell, float], what: str) -> np.ndarray:
-    """table's value for each cell of cols; every cell must be in table."""
-    missing = [cell for cell in cols.cells if cell not in table]
-    if missing:
-        raise ValidationError([f"no {what} for cell {cell!r}" for cell in missing])
-    return np.array([table[cell] for cell in cols.cells])
-
-
 def category_baselines(cats: WeightColumns, cit: np.ndarray) -> BaselineTable:
-    """Weighted mean citations per (doc_type, year, category) cell."""
+    """Weighted mean citations per (doc_type, year, category) cell of cats."""
     sums = np.bincount(cats.cell, weights=cats.weight * cit[cats.doc])
     weights = np.bincount(cats.cell, weights=cats.weight)
-    return BaselineTable(dict(zip(cats.cells, (sums / weights).tolist())),
-                         dict(zip(cats.cells, weights.tolist())))
+    return BaselineTable(cats.cells, sums / weights, weights)
 
 
 def ni_table(
     cats: WeightColumns, baselines: BaselineTable, cit: np.ndarray
 ) -> tuple[np.ndarray, dict[Cell, int]]:
     """NI of every corpus document under one system, and the documents hit
-    per zero-mean cell (every document there is uncited)."""
-    mean = _per_cell(cats, baselines.mean_citations, "baseline")[cats.cell]
+    per zero-mean cell (every document there is uncited). The baselines
+    must be of the cells of cats."""
+    if baselines.cells != cats.cells:
+        raise ValidationError(["the baselines are of other cells than the columns"])
+    mean = baselines.mean_citations[cats.cell]
     zero = mean == 0.0
     terms = np.where(zero, 0.0, cats.weight * cit[cats.doc] / np.where(zero, 1.0, mean))
     ni = np.bincount(cats.doc, weights=terms, minlength=len(cats.group))
@@ -137,9 +133,9 @@ def _cell_cut(value_weights: dict[int, float], p: float) -> int:
     return values[best + 1] + 1
 
 
-def excellence_thresholds(areas: WeightColumns, cit: np.ndarray, p: float) -> dict[Cell, int]:
-    """The cut of every (doc_type, year, area) cell, from the cell's weight
-    per citation count."""
+def excellence_thresholds(areas: WeightColumns, cit: np.ndarray, p: float) -> np.ndarray:
+    """The cut of every (doc_type, year, area) cell of areas, in the order of
+    areas.cells, from the cell's weight per citation count."""
     if not (0.0 < p <= 1.0):
         raise ValidationError([f"p must be in (0, 1], got {p}"])
     # keyed by the rank of the citation count, not the count, so the key fits in int64
@@ -149,13 +145,15 @@ def excellence_thresholds(areas: WeightColumns, cit: np.ndarray, p: float) -> di
     per_cell: list[dict[int, float]] = [{} for _ in areas.cells]
     for key, w in zip(keys.tolist(), np.bincount(inv, weights=areas.weight).tolist()):
         per_cell[key // span][values[key % span]] = w
-    return {cell: _cell_cut(vw, p) for cell, vw in zip(areas.cells, per_cell)}
+    return np.array([_cell_cut(vw, p) for vw in per_cell], dtype=np.int64)
 
 
-def excellence_flags(areas: WeightColumns, cuts: dict[Cell, int], cit: np.ndarray) -> np.ndarray:
+def excellence_flags(areas: WeightColumns, cuts: np.ndarray, cit: np.ndarray) -> np.ndarray:
     """Per corpus document: excellent in at least one area it has positive
-    weight in."""
-    cut = _per_cell(areas, cuts, "excellence threshold")[areas.cell]
+    weight in. cuts holds the cut of each cell of areas, in its order."""
+    if len(cuts) != len(areas.cells):
+        raise ValidationError([f"{len(cuts)} excellence thresholds for {len(areas.cells)} cells"])
+    cut = cuts[areas.cell]
     hit = (areas.weight > 0.0) & (cit[areas.doc] >= cut)
     flags = np.zeros(len(areas.group), dtype=bool)
     flags[areas.doc[hit]] = True
@@ -190,9 +188,11 @@ def write_indicators_csv(path: str, corpus: Corpus,
 
 
 def write_baselines_csv(path: str, baselines: BaselineTable) -> None:
+    """One row per cell, in the sorted order of baselines.cells."""
     write_csv(path, ["doc_type", "year", "class", "mean_citations", "cell_weight"], [
-        [*cell, fmt(baselines.mean_citations[cell]), fmt(baselines.cell_weight[cell])]
-        for cell in sorted(baselines.mean_citations)
+        [*cell, fmt(mean), fmt(weight)]
+        for cell, mean, weight in zip(baselines.cells, baselines.mean_citations.tolist(),
+                                      baselines.cell_weight.tolist())
     ])
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import ParseError, ValidationError, atomic_open, read_json, write_json
-from .flow import FlowMatrix
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 FORMATS = ("json", "graphml")
@@ -88,6 +87,8 @@ class LayoutParams:
             errors.append(f"iterations must be >= 1, got {self.iterations}")
         if not (0.0 < self.step < math.inf):
             errors.append(f"step must be finite and > 0, got {self.step}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            errors.append(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             errors.append(f"unknown layout variant {self.variant!r}")
         if errors:
@@ -101,20 +102,16 @@ class Layout:
     energy_trace: tuple[float, ...]
 
 
-def build_flow_graph(matrix: FlowMatrix, epsilon: float = 1e-6) -> FlowGraph:
-    """One node per class sized by its target-system weight; one directed
-    edge per flow entry of at least epsilon."""
-    classes = matrix.classes()
-    if not classes:
-        raise ValidationError(["cannot build a graph from an empty flow matrix"])
-    if strays := sorted({c for pair in matrix.flow for c in pair}.difference(classes)):
+def build_flow_graph(flow: dict[tuple[str, str], float], sizes: dict[str, float],
+                     epsilon: float = 1e-6) -> FlowGraph:
+    """One node per class of sizes, sized by its target-system weight; one
+    directed edge per flow of at least epsilon between two classes."""
+    if not sizes:
+        raise ValidationError(["cannot build a graph without classes"])
+    if strays := sorted({c for pair in flow for c in pair}.difference(sizes)):
         raise ValidationError([f"flow endpoint {c!r} is not a class of the graph" for c in strays])
-    nodes = [GraphNode(c, matrix.size_b.get(c, 0.0)) for c in classes]
-    edges = [
-        GraphEdge(i, j, w)
-        for (i, j), w in sorted(matrix.flow.items())
-        if w >= epsilon and i != j
-    ]
+    nodes = [GraphNode(c, sizes[c]) for c in sorted(sizes)]
+    edges = [GraphEdge(i, j, w) for (i, j), w in sorted(flow.items()) if w >= epsilon and i != j]
     return FlowGraph(nodes, edges)
 
 
@@ -129,33 +126,6 @@ def _symmetric_weights(graph: FlowGraph) -> dict[tuple[int, int], float]:
         key = (i, j) if i < j else (j, i)
         sym[key] = sym.get(key, 0.0) + e.weight
     return sym
-
-
-def modularity(graph: FlowGraph, partition: dict[str, int] | Partition) -> float:
-    """Weighted modularity Q = sum_c (e_cc - a_c^2) on the symmetrized
-    graph. A graph with no edges scores 0."""
-    community = partition.community if isinstance(partition, Partition) else partition
-    codes = graph.node_codes()
-    for c in codes:
-        if c not in community:
-            raise ValidationError([f"partition does not cover node {c!r}"])
-    sym = _symmetric_weights(graph)
-    two_m = 2.0 * math.fsum(sym.values())
-    if two_m <= 0.0:
-        return 0.0
-    comm_of = [community[c] for c in codes]
-    e_cc = dict.fromkeys(comm_of, 0.0)
-    a = dict.fromkeys(comm_of, 0.0)
-    for (i, j), w in sym.items():
-        ci, cj = comm_of[i], comm_of[j]
-        a[ci] += w / two_m
-        a[cj] += w / two_m
-        if ci == cj:
-            e_cc[ci] += 2.0 * w / two_m
-    q = 0.0
-    for c in set(comm_of):
-        q += e_cc[c] - a[c] * a[c]
-    return q
 
 
 def detect_communities(graph: FlowGraph) -> Partition:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, Journal, Scheme, Area, Category, ValidationError
+from .corpus import YEARS, Corpus, Journal, Scheme, Area, Category, ValidationError
 
 MASK64 = (1 << 64) - 1
 
@@ -79,6 +79,9 @@ class SynParams:
             errors.append("journal_codes_max must be >= 1")
         if self.year_min > self.year_max:
             errors.append("year_min must be <= year_max")
+        for name in ("year_min", "year_max"):
+            if not 0 <= (v := getattr(self, name)) < YEARS:
+                errors.append(f"{name} must be in [0, {YEARS - 1}], got {v}")
         if not (0 <= self.refs_min <= self.refs_max):
             errors.append("need 0 <= refs_min <= refs_max")
         for name in ("multi_journal_share", "misc_journal_share",

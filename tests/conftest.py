@@ -3,6 +3,7 @@ from bisect import bisect_left
 import pytest
 
 from citeclass.assignments import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet
+from citeclass.columns import DocumentColumns
 from citeclass.corpus import Area, Category, Corpus, Document, Journal, Scheme
 from citeclass.flow import flow_matrix
 from citeclass.syngen import SplitMix64, SynParams, _gen_journals, build_scheme, generate_corpus
@@ -44,6 +45,14 @@ def scheme285():
     return build_scheme(params)
 
 
+def document_columns(docs):
+    """The Documents as the DocumentColumns a Corpus takes, in the order given."""
+    columns = DocumentColumns()
+    for d in docs:
+        columns.add(d.doc_id, d.journal_id, d.year, d.doc_type, d.references, d.external_citations)
+    return columns
+
+
 def make_corpus(scheme, docs, journals=None):
     if journals is None:
         journals = [
@@ -54,7 +63,7 @@ def make_corpus(scheme, docs, journals=None):
             Journal("J-MD", ("MD",)),
             Journal("J-MISC", ("PH01", "PH00")),
         ]
-    return Corpus(scheme, journals, docs)
+    return Corpus(scheme, journals, document_columns(docs))
 
 
 @pytest.fixture

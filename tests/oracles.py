@@ -3,7 +3,10 @@
 Each oracle recomputes one rule by plain nested loops over per-document
 records and dicts: the journal split, the citer-origin profile with its
 threshold, the flow coupling of one document, the baselines, NI, the
-weighted NI spread per area, and the excellence cuts, flags and overlap.
+weighted NI spread per area, the excellence cuts, flags and overlap, the
+modularity of a partition, and compare's datasets: the per-level tables,
+figure 1's low-reference share, figure 4's exchange percentages and figure
+7's NI difference by year.
 They import no citeclass module and share no code with it: a corpus and a
 scheme are read only through their plain columns and fields, and a
 classification goes in and comes out as {doc_id: {code: weight}}. They are
@@ -287,3 +290,129 @@ def oracle_overlap(
         if size > 0.0:
             out[area] = tuple(100.0 * math.fsum(ws) / size for ws in parts[area][1:])
     return out
+
+
+def oracle_modularity(edges, community: dict[str, int]) -> float:
+    """Textbook weighted modularity Q of the undirected graph of the (u, v, w)
+    edges under a {node: community} partition, self-loops skipped: the sum
+    over communities of their share of the edge weight less the square of
+    their share of the degree. A graph without edges scores 0."""
+    edges = [(u, v, w) for u, v, w in edges if u != v]
+    total = math.fsum(w for _, _, w in edges)
+    if total <= 0.0:
+        return 0.0
+    deg = {}
+    within = {}
+    for u, v, w in edges:
+        deg[u] = deg.get(u, 0.0) + w
+        deg[v] = deg.get(v, 0.0) + w
+        if community[u] == community[v]:
+            within[community[u]] = within.get(community[u], 0.0) + w
+    q = 0.0
+    for c in set(community.values()):
+        dc = math.fsum(d for n, d in deg.items() if community[n] == c)
+        q += within.get(c, 0.0) / total - (dc / (2.0 * total)) ** 2
+    return q
+
+
+def oracle_low_reference_share(corpus, min_references: int) -> dict[int, float]:
+    """Figure 1: per year, in year order, the percentage of documents with
+    fewer than min_references references, external ones included."""
+    below: dict[int, list[bool]] = {}
+    for d in _documents(corpus):
+        below.setdefault(d.year, []).append(len(d.references) < min_references)
+    return {year: 100.0 * sum(below[year]) / len(below[year]) for year in sorted(below)}
+
+
+def oracle_ni_diff_by_year(corpus, ni_a: dict[str, float], ni_b: dict[str, float],
+                           drop_last_year: bool = True) -> dict[int, float]:
+    """Figure 7: per year, in year order, the unweighted mean of |NI_A - NI_B|
+    over the documents of the year; the last year dropped on request."""
+    diffs: dict[int, list[float]] = {}
+    for d in _documents(corpus):
+        diffs.setdefault(d.year, []).append(abs(ni_a[d.doc_id] - ni_b[d.doc_id]))
+    years = sorted(diffs)[:-1] if drop_last_year else sorted(diffs)
+    return {year: math.fsum(diffs[year]) / len(diffs[year]) for year in years}
+
+
+def oracle_to_areas(vectors: dict[str, dict[str, float]], scheme) -> dict[str, dict[str, float]]:
+    """Each vector's category weights summed per area."""
+    area_of = _area_of(scheme)
+    return {doc_id: _area_weights(vector, area_of) for doc_id, vector in vectors.items()}
+
+
+def _summary(name: str, values: list[float]) -> list:
+    """A summary row: name, n, mean, population std and CV% (None at mean 0), or Nones without values."""
+    if not values:
+        return [name, 0, None, None, None]
+    mean = math.fsum(values) / len(values)
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+    return [name, len(values), mean, std, 100.0 * std / mean if mean != 0.0 else None]
+
+
+def _single(vectors: dict[str, dict[str, float]]) -> tuple[dict[str, float], dict[str, float]]:
+    """Per class held above 1e-9 by some document: the percentage of those
+    documents that hold it alone, and its mean weight there."""
+    held: dict[str, list[float]] = {}
+    alone: dict[str, int] = {}
+    for vector in vectors.values():
+        support = {code: w for code, w in vector.items() if w > 1e-9}
+        for code, w in support.items():
+            held.setdefault(code, []).append(w)
+            alone[code] = alone.get(code, 0) + (len(support) == 1)
+    return ({code: 100.0 * alone[code] / len(ws) for code, ws in held.items()},
+            {code: math.fsum(ws) / len(ws) for code, ws in held.items()})
+
+
+def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[str, dict[str, float]],
+                        bin_width: float) -> dict[str, list[list]]:
+    """Compare's per-level datasets from the vectors of the same documents
+    under systems A and B at one level, as rows with None for NA: the common
+    and unique weight, the single-assignment shares, the size histogram, and
+    the flow and weight summaries; exchange_pct holds each class's incoming
+    and outgoing flow in percent of its A-size (figure 4 at area level)."""
+    if len(vectors_a) > ORACLE_MAX_DOCS:
+        raise ValueError(f"the oracles are limited to {ORACLE_MAX_DOCS} documents")
+    size_a: dict[str, list[float]] = {}
+    size_b: dict[str, list[float]] = {}
+    common: dict[str, list[float]] = {}
+    incoming: dict[str, list[float]] = {}
+    outgoing: dict[str, list[float]] = {}
+    for doc_id, w_a in vectors_a.items():
+        w_b = vectors_b[doc_id]
+        doc_common, moves = oracle_flow(w_a, w_b)
+        for total, part in ((size_a, w_a), (size_b, w_b), (common, doc_common)):
+            for code, w in part.items():
+                total.setdefault(code, []).append(w)
+        for (i, j), w in moves.items():
+            outgoing.setdefault(i, []).append(w)
+            incoming.setdefault(j, []).append(w)
+    classes = sorted(set(size_a) | set(size_b))
+    sa, sb, com, inc, out = ({c: math.fsum(d.get(c, [])) for c in classes}
+                             for d in (size_a, size_b, common, incoming, outgoing))
+    pct_in = {c: 100.0 * inc[c] / sa[c] if sa[c] > 0.0 else None for c in classes}
+    pct_out = {c: 100.0 * out[c] / sa[c] if sa[c] > 0.0 else None for c in classes}
+    single = [*_single(vectors_a), *_single(vectors_b)]
+    bins_a = [int(sa[c] // bin_width) for c in classes]
+    bins_b = [int(sb[c] // bin_width) for c in classes]
+    return {
+        "common_unique": [[c, com[c], sa[c] - com[c], sb[c] - com[c]] for c in classes],
+        "single_assignment": [[c, *(col.get(c) for col in single)] for c in classes],
+        "size_histogram": [
+            [k * bin_width, (k + 1) * bin_width, bins_a.count(k), 100.0 * bins_a.count(k) / len(classes),
+             bins_b.count(k), 100.0 * bins_b.count(k) / len(classes)]
+            for k in range(max(bins_a + bins_b) + 1)
+        ],
+        "flow_summary": [
+            _summary("size_asjc_frac", list(sa.values())), _summary("size_u1_f08", list(sb.values())),
+            _summary("incoming", list(inc.values())), _summary("outgoing", list(out.values())),
+            _summary("pct_incoming", [p for p in pct_in.values() if p is not None]),
+            _summary("pct_outgoing", [p for p in pct_out.values() if p is not None]),
+        ],
+        "weight_summary": [
+            _summary(name, list(col.values())) for name, col in zip(
+                ("pct_single_asjc_frac", "mean_weight_asjc_frac", "pct_single_u1_f08", "mean_weight_u1_f08"),
+                single)
+        ],
+        "exchange_pct": [[c, pct_in[c], pct_out[c]] for c in classes],
+    }

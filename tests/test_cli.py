@@ -13,11 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citeclass.assignments import write_assignments
-from citeclass.citer import classify_u1f08_all
-from citeclass.cli import build_parser, main
+from citeclass.citer import ThresholdPolicy, classify_u1f08_all
+from citeclass.cli import FIG1, FIG4, FIG7, LEVEL_FILES, build_parser, main
 from citeclass.config import RunConfig, field_types, parse_config_file
 from citeclass.corpus import Corpus, ParseError, load_corpus, load_scheme
 from citeclass.syngen import SynParams
+from oracles import (
+    oracle_classify, oracle_journal_vector, oracle_level_tables, oracle_low_reference_share, oracle_ni,
+    oracle_ni_diff_by_year, oracle_to_areas,
+)
 
 
 def run(args):
@@ -973,9 +977,64 @@ def test_fig1_matches_report(pipeline_dir, tmp_path):
         assert all(0.0 < r["pct_below_min_refs"] < 100.0 for r in series)
 
 
+def assert_csv_matches(path, expected):
+    """The CSV's rows, header skipped, equal expected: text fields exactly,
+    None as NA, and numbers within the six decimals the CSV holds."""
+    rows = read_csv(path)[1:]
+    assert len(rows) == len(expected), path.name
+    for row, want in zip(rows, expected):
+        assert len(row) == len(want), (path.name, row)
+        for text, value in zip(row, want):
+            if value is None or isinstance(value, str):
+                assert text == ("NA" if value is None else value), (path.name, row)
+            else:
+                assert abs(float(text) - value) <= 0.5e-6 + 1e-9, (path.name, row, value)
+
+
+def test_compare_and_indicators_match_the_oracles(syn2000, tmp_path):
+    # compare's per-level tables and figures 1, 4 and 7, from the oracles'
+    # vectors of the same corpus
+    scheme, corpus = syn2000
+    syn, out = tmp_path / "syn", tmp_path / "out"
+    assert run(["syngen", "--n-docs", "2000", "--n-journals", "100", "--seed", "7", "--out", str(syn)]) == 0
+    for argv in (ingest_argv(syn), ["classify", "--system", "asjc-frac"], ["classify", "--system", "u1f08"],
+                 ["compare", "--bin-width", "20"], ["indicators"]):
+        assert run([*argv, "--out", str(out)]) == 0
+    policy = ThresholdPolicy()
+    journal_vector = {jid: oracle_journal_vector(j.asjc_codes, scheme) for jid, j in corpus.journals.items()}
+    asjc = {d: journal_vector[corpus.journal_ids[j]] for d, j in zip(corpus.doc_ids, corpus.journal_index.tolist())}
+    u1 = oracle_classify(corpus, scheme, policy)
+
+    # at category level, then at area level, as LEVEL_FILES lists the files
+    tables = [oracle_level_tables(asjc, u1, 20.0),
+              oracle_level_tables(oracle_to_areas(asjc, scheme), oracle_to_areas(u1, scheme), 20.0)]
+    for key in ("common_unique", "single_assignment", "size_histogram", "flow_summary", "weight_summary"):
+        for side in (0, 1):
+            assert_csv_matches(out / LEVEL_FILES[key][side], tables[side][key])
+    assert_csv_matches(out / FIG4, tables[1]["exchange_pct"])
+    assert_csv_matches(out / FIG1, list(map(list, oracle_low_reference_share(corpus, policy.min_references).items())))
+    fig7 = oracle_ni_diff_by_year(corpus, oracle_ni(corpus, asjc), oracle_ni(corpus, u1))
+    assert_csv_matches(out / FIG7, list(map(list, fig7.items())))
+
+
 def test_negative_citer_window_exits_1(pipeline_dir):
     assert run(["classify", "--system", "u1f08", "--citer-window", "-1",
                 "--out", str(pipeline_dir)]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["network", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["syngen", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["syngen", "--year-min", "-3"], "year_min must be in [0, 9999], got -3"),
+    (["syngen", "--year-max", "10005"], "year_max must be in [0, 9999], got 10005"),
+])
+def test_bad_seed_or_year_exits_1_at_start_up(tmp_path, capsys, argv, message):
+    # numpy's generators take no negative seed, and a corpus holds no year
+    # outside [0, 9999]: both are refused before a stage reads or makes anything
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bad_config_format_fails_before_layout(pipeline_dir, tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from citeclass.corpus import (
     corpus_summary, fmt, load_corpus, load_corpus_npz, load_scheme, low_reference_share, save_corpus_npz,
     write_corpus, write_csv, write_json, write_scheme,
 )
-from conftest import make_corpus, make_scheme
+from conftest import document_columns, make_corpus, make_scheme
 
 
 def test_scheme_lookup_tables(scheme):
@@ -89,7 +89,7 @@ def test_corpus_year_bounds(scheme):
     docs = [Document("D1", "J-PH", 2005, "article", (), 0)]
     journals = [Journal("J-PH", ("PH01",))]
     with pytest.raises(ValidationError):
-        Corpus(scheme, journals, docs, year_min=2010, year_max=2020)
+        Corpus(scheme, journals, document_columns(docs), year_min=2010, year_max=2020)
 
 
 def test_validation_collects_multiple_errors(scheme):
@@ -99,7 +99,7 @@ def test_validation_collects_multiple_errors(scheme):
     ]
     journals = [Journal("J-PH", ("PH01",))]
     with pytest.raises(ValidationError) as exc:
-        Corpus(scheme, journals, docs)
+        Corpus(scheme, journals, document_columns(docs))
     assert len(exc.value.errors) == 3
 
 
@@ -148,7 +148,7 @@ def test_document_validation_matches_a_plain_loop(docs, year_min, year_max):
     journals = [Journal("J-PH", ("PH01",)), Journal("J-CH", ("CH01",))]
     expected = oracle_document_errors(docs, {"J-PH", "J-CH"}, year_min, year_max)
     try:
-        Corpus(make_scheme(), journals, docs, year_min, year_max)
+        Corpus(make_scheme(), journals, document_columns(docs), year_min, year_max)
         got = []
     except ValidationError as e:
         got = e.errors
@@ -253,10 +253,10 @@ def test_load_scheme_rejects_dangling_area(tmp_path):
         load_scheme(str(p))
 
 
-def test_corpus_jsonl_roundtrip(tmp_path, small_corpus):
+def test_corpus_jsonl_roundtrip(tmp_path, scheme, small_corpus):
     jp, dp = tmp_path / "j.jsonl", tmp_path / "d.jsonl"
     write_corpus(small_corpus, str(jp), str(dp))
-    back = load_corpus(str(jp), str(dp), small_corpus.scheme)
+    back = load_corpus(str(jp), str(dp), scheme)
     assert len(back) == len(small_corpus)
     for d1, d2 in zip(small_corpus.documents, back.documents):
         assert d1 == d2
@@ -387,7 +387,7 @@ def test_npz_round_trip(tmp_path_factory, docs):
     write_corpus(make_corpus(scheme, docs), *jsonl)
     parsed = load_corpus(*jsonl, scheme)
     save_corpus_npz(parsed, str(d / "corpus.npz"), *jsonl)
-    loaded = load_corpus_npz(str(d / "corpus.npz"), scheme, *jsonl)
+    loaded = load_corpus_npz(str(d / "corpus.npz"), *jsonl)
     write_corpus(loaded, *again)
     for a, b in zip(jsonl, again):
         with open(a, "rb") as fa, open(b, "rb") as fb:

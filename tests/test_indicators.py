@@ -30,9 +30,9 @@ def test_baselines_weighted_mean(scheme):
     corpus, aset = single_cat_corpus(scheme, [0, 10, 20])
     index = build_citation_index(corpus)
     b = category_baselines(WeightColumns(corpus, aset), index)
-    cell = ("article", 2015, "PH01")
-    assert b.mean_citations[cell] == pytest.approx(10.0)
-    assert b.cell_weight[cell] == pytest.approx(3.0)
+    assert b.cells == [("article", 2015, "PH01")]
+    assert b.mean_citations[0] == pytest.approx(10.0)
+    assert b.cell_weight[0] == pytest.approx(3.0)
 
 
 def test_baselines_split_by_type_and_year(scheme):
@@ -44,9 +44,8 @@ def test_baselines_split_by_type_and_year(scheme):
     corpus = make_corpus(scheme, docs)
     aset = classify_asjc(corpus, scheme)
     b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus))
-    assert b.mean_citations[("article", 2015, "PH01")] == pytest.approx(10.0)
-    assert b.mean_citations[("review", 2015, "PH01")] == pytest.approx(30.0)
-    assert b.mean_citations[("article", 2016, "PH01")] == pytest.approx(50.0)
+    assert b.cells == [("article", 2015, "PH01"), ("article", 2016, "PH01"), ("review", 2015, "PH01")]
+    assert b.mean_citations.tolist() == [pytest.approx(10.0), pytest.approx(50.0), pytest.approx(30.0)]
 
 
 def test_ni_is_one_for_constant_citations(scheme):
@@ -64,12 +63,13 @@ def test_ni_weighted_cell_mean_is_one(syn200):
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
     b = category_baselines(WeightColumns(corpus, aset), index)
+    mean_of = dict(zip(b.cells, b.mean_citations.tolist()))
     # per cell: weighted mean of cit/mean over member docs equals 1
     sums = {}
     for d, cit in zip(corpus.documents, index):
         for c, w in vector(aset, d.doc_id).items():
             cell = (d.doc_type, d.year, c)
-            mean = b.mean_citations[cell]
+            mean = mean_of[cell]
             if mean == 0.0:
                 continue
             s, ww = sums.get(cell, (0.0, 0.0))
@@ -175,8 +175,9 @@ def test_excellence_share_capped(syn200):
     scheme, corpus = syn200
     aset = classify_asjc(corpus, scheme)
     index = build_citation_index(corpus)
+    areas = WeightColumns(corpus, collapse_to_areas(aset, scheme))
     for p in (0.10, 0.01):
-        th = excellence_thresholds(WeightColumns(corpus, collapse_to_areas(aset, scheme)), index, p)
+        th = dict(zip(areas.cells, excellence_thresholds(areas, index, p).tolist()))
         # recompute weighted share per cell, must be <= p
         shares = {}
         for d, cit in zip(corpus.documents, index):
@@ -290,10 +291,11 @@ def test_baselines_match_oracle(syn2000, syn2000_sets, syn2000_vectors, system, 
     aset = syn2000_sets[system]
     b = category_baselines(WeightColumns(corpus, aset), build_citation_index(corpus, window))
     oracle = oracle_baselines(corpus, syn2000_vectors[system], window)
-    assert list(b.mean_citations) == list(oracle)
-    for cell, (mean, weight) in oracle.items():
-        assert abs(b.mean_citations[cell] - mean) <= 1e-9, cell
-        assert abs(b.cell_weight[cell] - weight) <= 1e-9, cell
+    assert b.cells == list(oracle)
+    for cell, got_mean, got_weight in zip(b.cells, b.mean_citations, b.cell_weight):
+        mean, weight = oracle[cell]
+        assert abs(got_mean - mean) <= 1e-9, cell
+        assert abs(got_weight - weight) <= 1e-9, cell
 
 
 @pytest.mark.parametrize("p", [0.10, 0.01, 0.25])
@@ -307,7 +309,7 @@ def test_excellence_matches_oracle(syn2000, syn2000_sets, syn2000_vectors, syste
     th = excellence_thresholds(areas, index, p)
     flags = excellence_flags(areas, th, index)
     cuts, oracle_flags = oracle_excellence(corpus, scheme, syn2000_vectors[system], p, window)
-    assert th == cuts
+    assert list(zip(areas.cells, th.tolist())) == list(cuts.items())
     assert flags.tolist() == [oracle_flags[d.doc_id] for d in corpus.documents]
 
 

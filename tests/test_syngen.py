@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,12 @@ def test_params_validation():
         SynParams(intra_category_citation_prob=1.5)
     with pytest.raises(ValidationError):
         SynParams(include_misc=False, misc_journal_share=0.1)
+
+
+@pytest.mark.parametrize("years", [{"year_min": -3}, {"year_max": 10005}, {"year_min": -2, "year_max": -1}])
+def test_params_refuse_years_a_corpus_cannot_hold(years):
+    with pytest.raises(ValidationError, match=r"must be in \[0, 9999\]"):
+        SynParams(**years)
 
 
 def test_build_scheme_shape():
@@ -153,6 +161,36 @@ def test_oracles_stand_apart_from_the_package():
                for name in defined_names(ast.parse(path.read_text(encoding="utf-8")))
                if name.lstrip("_").lower().startswith("oracle")]
     assert oracles == []
+
+
+def read_names(node):
+    """Every name the code under node reads, as a name or an attribute; a
+    docstring holds none."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_package_name_has_a_reader():
+    # a top-level function or class of the package that no other package code,
+    # README mention or bench script reads serves only the tests
+    root = Path(__file__).resolve().parent.parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "citeclass").glob("*.py"))}
+    read = Counter(name for tree in trees.values() for name in read_names(tree))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    readers = {word for span in re.findall(r"`+([^`]+)`+", readme) for word in re.findall(r"\w+", span)}
+    for path in (root / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the trace shim also names what it patches in strings
+        readers.update(read_names(tree), (node.value for node in ast.walk(tree)
+                                          if isinstance(node, ast.Constant) and isinstance(node.value, str)))
+    unread = [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in readers
+              and read[node.name] == Counter(read_names(node))[node.name]]
+    assert unread == []
 
 
 def test_oracle_matches_production_u1(syn200):
