@@ -551,14 +551,18 @@ def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
     """Canonical form: one compact JSON object per line, journals and
     documents sorted by id, references sorted, external_citations omitted
     when zero, as json.dumps writes them with separators (",", ":"); the
-    documents from the columns, WRITE_ROWS at a time, each string escaped once."""
+    documents from the columns, WRITE_ROWS at a time, each string escaped once
+    (ids not at all when none needs it)."""
     enc = json.encoder.encode_basestring_ascii
     with atomic_open(journal_path, "w", encoding="utf-8", newline="\n") as fh:
         for jid in sorted(corpus.journals):
             fh.write('{"journal_id":%s,"asjc_codes":[%s]}\n'
                      % (enc(jid), ",".join(map(enc, corpus.journals[jid].asjc_codes))))
-    pool, journals, doc_types = (np.array(list(map(enc, texts)), object) for texts in (
-        corpus.doc_ids + corpus.external_ids, corpus.journal_ids, corpus.doc_types))
+    journals, doc_types = (np.array(list(map(enc, texts)), object) for texts in (corpus.journal_ids, corpus.doc_types))
+    ids = corpus.doc_ids + corpus.external_ids
+    q = "" if json.encoder.ESCAPE_ASCII.search("".join(ids)) else '"'
+    pool, sep = np.array(ids if q else list(map(enc, ids)), object), f"{q},{q}"
+    row = '{"doc_id":' + q + '%s' + q + ',"journal_id":%s,"year":%d,"doc_type":%s,"references":[%s]%s}\n'
     with atomic_open(document_path, "w", encoding="utf-8", newline="\n") as fh:
         for i0 in range(0, len(corpus), WRITE_ROWS):
             i1 = min(i0 + WRITE_ROWS, len(corpus))
@@ -566,9 +570,8 @@ def write_corpus(corpus: Corpus, journal_path: str, document_path: str) -> None:
             refs = pool[corpus.ref[lo:hi]].tolist()
             ptr = (corpus.ref_indptr[i0:i1 + 1] - lo).tolist()
             fh.write("".join([
-                '{"doc_id":%s,"journal_id":%s,"year":%d,"doc_type":%s,"references":[%s]%s}\n' % (
-                    doc_id, journal, year, doc_type, ",".join(refs[a:b]),
-                    ',"external_citations":%d' % ext if ext else "")
+                row % (doc_id, journal, year, doc_type, q + sep.join(refs[a:b]) + q if b > a else "",
+                       ',"external_citations":%d' % ext if ext else "")
                 for doc_id, journal, year, doc_type, ext, a, b in zip(
                     pool[i0:i1].tolist(), journals[corpus.journal_index[i0:i1]].tolist(), corpus.year[i0:i1].tolist(),
                     doc_types[corpus.type_index[i0:i1]].tolist(), corpus.external_citations[i0:i1].tolist(),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -252,9 +253,9 @@ CLASS_STATS_HEADER = ["class", "size_a", "size_b", "common",
                       "incoming", "outgoing", "pct_incoming", "pct_outgoing"]
 
 
-def _csv_rows(path: str, header: list[str], n_key: int) -> Iterator[tuple[int, list[str]]]:
-    """The line number and fields of each row of a CSV with this header,
-    whose first n_key fields name no other row."""
+def _csv_rows(path: str, header: list[str], n_key: int, codes: dict[str, int]) -> Iterator[tuple]:
+    """The line number, fields and key of each row of a CSV with this header: its first n_key
+    fields as indices into codes, which numbers each new code; no two rows have the same key."""
     reader = csv.reader(read_lines(path, newline=""))
     if next(reader, None) != header:
         raise ParseError(f"{path}: expected the header {','.join(header)}")
@@ -262,10 +263,10 @@ def _csv_rows(path: str, header: list[str], n_key: int) -> Iterator[tuple[int, l
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields")
-        if (key := tuple(row[:n_key])) in seen:
-            raise ParseError(f"{path}: line {line_no}: repeats the row of {','.join(key)}")
-        seen.add(key)
-        yield line_no, row
+        if (k := tuple(codes.setdefault(c, len(codes)) for c in row[:n_key])) in seen:
+            raise ParseError(f"{path}: line {line_no}: repeats the row of {','.join(row[:n_key])}")
+        seen.add(k)
+        yield line_no, row, k
 
 
 def _csv_number(path: str, line_no: int, text: str) -> float:
@@ -286,10 +287,14 @@ def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
     write_csv(path, FLOW_HEADER, ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
 
 
-def read_flow_csv(path: str) -> dict[tuple[str, str], float]:
-    """The flows of a flow CSV, in key order."""
-    rows = _csv_rows(path, FLOW_HEADER, 2)
-    return dict(sorted(((row[0], row[1]), _csv_number(path, line_no, row[2])) for line_no, row in rows))
+def read_flow_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """A flow CSV's flows in file order: (codes by first use, int32 source and target indices into them, weights)."""
+    codes: dict[str, int] = {}
+    ends, weight = array("i"), array("d")
+    for line_no, row, pair in _csv_rows(path, FLOW_HEADER, 2, codes):
+        ends.extend(pair)
+        weight.append(_csv_number(path, line_no, row[2]))
+    return list(codes), *np.frombuffer(ends, dtype=np.int32).reshape(-1, 2).T, np.frombuffer(weight)
 
 
 def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
@@ -303,4 +308,4 @@ def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
 def read_class_stats_csv(path: str) -> list[ClassFlowStats]:
     return [ClassFlowStats(row[0], *(
         None if i >= 6 and row[i] == "NA" else _csv_number(path, line_no, row[i]) for i in range(1, 8)))
-        for line_no, row in _csv_rows(path, CLASS_STATS_HEADER, 1)]
+        for line_no, row, _ in _csv_rows(path, CLASS_STATS_HEADER, 1, {})]

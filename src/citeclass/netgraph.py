@@ -1,15 +1,15 @@
 """Flow network: community detection and force-directed layout.
 
 The graph has one node per class (sized by the target-system class size)
-and one directed edge per positive flow. Community detection runs greedy
-modularity maximization (Clauset-Newman-Moore) on the symmetrized graph:
-start from singletons, repeatedly merge the pair of communities with the
-largest gain dQ = 2*(e_ij - a_i*a_j) while it is positive. The gains are one
-dense matrix over community pairs i < j, read in row-major order, so a tie
-goes to the smallest (i, j). The degree fractions a_i are summed pair by
-pair in the order of the symmetrized weights: exact ties are common with
-integer weights, and summing e's rows instead rounds some a_i differently
-and changes which pair wins.
+and one directed edge per positive flow, as index arrays. Both kernels read
+one list of undirected pairs, weighted w_ij + w_ji, in the order of each
+pair's first edge. Community detection runs greedy modularity maximization
+(Clauset-Newman-Moore) on it: from singletons, merge the pair of communities
+with the largest gain dQ = 2*(e_ij - a_i*a_j) while it is positive. The gains
+are one dense matrix over pairs i < j, read in row-major order, so a tie goes
+to the smallest (i, j); merging j into i changes only row and column i. The
+degree fractions a_i are summed in pair order: exact ties are common with
+integer weights, and summing e's rows instead rounds some a_i differently.
 
 The layout minimizes the LinLog energy
     sum_edges w_uv*|x_u - x_v|  -  sum_pairs r_uv*ln|x_u - x_v|
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ParseError, ValidationError, atomic_open, read_json, write_json
+from .corpus import ParseError, ValidationError, atomic_open, read_json
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 FORMATS = ("json", "graphml")
@@ -44,28 +44,22 @@ CONTROL = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 # GraphML <data> text reads as a number, as JSON reads it, only if it is a JSON number literal
 NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 VARIANTS = ("node", "edge")
-
-
-@dataclass(frozen=True, slots=True)
-class GraphNode:
-    class_code: str
-    size: float
-
-
-@dataclass(frozen=True, slots=True)
-class GraphEdge:
-    source: str
-    target: str
-    weight: float
+WRITE_RECORDS = 4096  # the records export_graph formats and writes at a time
 
 
 @dataclass(slots=True)
 class FlowGraph:
-    nodes: list[GraphNode]
-    edges: list[GraphEdge]
+    """The class codes, sorted, and their sizes; per edge, in (source, target)
+    order, the indices into nodes of its ends and its weight."""
+    nodes: list[str]
+    size: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
 
-    def node_codes(self) -> list[str]:
-        return [n.class_code for n in self.nodes]
+    @property
+    def edges(self) -> range:
+        return range(len(self.weight))
 
 
 @dataclass(slots=True)
@@ -102,73 +96,73 @@ class Layout:
     energy_trace: tuple[float, ...]
 
 
-def build_flow_graph(flow: dict[tuple[str, str], float], sizes: dict[str, float],
+def build_flow_graph(flows: tuple[list[str], np.ndarray, np.ndarray, np.ndarray], sizes: dict[str, float],
                      epsilon: float = 1e-6) -> FlowGraph:
     """One node per class of sizes, sized by its target-system weight; one
-    directed edge per flow of at least epsilon between two classes."""
+    directed edge per flow of at least epsilon between two classes. flows is
+    (codes, source, target, weight) as read_flow_csv returns it."""
+    codes, source, target, weight = flows
     if not sizes:
         raise ValidationError(["cannot build a graph without classes"])
-    if strays := sorted({c for pair in flow for c in pair}.difference(sizes)):
+    if strays := sorted(set(codes).difference(sizes)):
         raise ValidationError([f"flow endpoint {c!r} is not a class of the graph" for c in strays])
-    nodes = [GraphNode(c, sizes[c]) for c in sorted(sizes)]
-    edges = [GraphEdge(i, j, w) for (i, j), w in sorted(flow.items()) if w >= epsilon and i != j]
-    return FlowGraph(nodes, edges)
+    nodes = sorted(sizes)
+    at = {c: i for i, c in enumerate(nodes)}
+    index = np.array([at[c] for c in codes], dtype=np.int32)
+    s, t = index[source], index[target]
+    keep = np.flatnonzero((weight >= epsilon) & (s != t))
+    keep = keep[np.lexsort((t[keep], s[keep]))]
+    return FlowGraph(nodes, np.array([sizes[c] for c in nodes], dtype=float), s[keep], t[keep], weight[keep])
 
 
-def _symmetric_weights(graph: FlowGraph) -> dict[tuple[int, int], float]:
-    """Undirected pair weights (sum of both directions) on node indices."""
-    idx = {c: i for i, c in enumerate(graph.node_codes())}
-    sym: dict[tuple[int, int], float] = {}
-    for e in graph.edges:
-        i, j = idx[e.source], idx[e.target]
-        if i == j:
-            continue
-        key = (i, j) if i < j else (j, i)
-        sym[key] = sym.get(key, 0.0) + e.weight
-    return sym
+def _symmetric_pairs(graph: FlowGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j that edges other than self-loops join, in the order of each pair's
+    first edge, and their weights: each pair's edges added from 0.0 in edge order."""
+    n = len(graph.nodes)
+    keep = graph.source != graph.target
+    s, t, w = graph.source[keep], graph.target[keep], graph.weight[keep]
+    key = np.minimum(s, t).astype(np.int64) * n + np.maximum(s, t)
+    unique, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return unique[order] // n, unique[order] % n, np.bincount(inverse, weights=w)[order]
 
 
 def detect_communities(graph: FlowGraph) -> Partition:
     """Greedy modularity merging; returns the partition at the maximum Q
     reached (Q only grows while merges are accepted)."""
-    codes = graph.node_codes()
+    codes = graph.nodes
     n = len(codes)
-    sym = _symmetric_weights(graph)
-    two_m = 2.0 * math.fsum(sym.values())
+    pi, pj, pw = _symmetric_pairs(graph)
+    two_m = 2.0 * math.fsum(pw.tolist())
     if two_m <= 0.0:
         return Partition({c: i for i, c in enumerate(codes)}, 0.0)
 
-    # e[i, j]: inter-community weight fraction; a[i]: degree fraction, summed
-    # in pair order (see the module docstring)
+    # e[i, j]: inter-community weight fraction; a[i]: degree fraction, each
+    # pair's fraction added to a_i, then a_j, in pair order (see the module docstring)
     e = np.zeros((n, n))
-    a = np.zeros(n)
-    for (i, j), w in sym.items():
-        frac = w / two_m
-        e[i, j] = e[j, i] = frac
-        a[i] += frac
-        a[j] += frac
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    q = -math.fsum(ai * ai for ai in a)
+    e[pi, pj] = e[pj, pi] = frac = pw / two_m
+    a = np.bincount(np.stack((pi, pj), axis=1).ravel(), weights=np.repeat(frac, 2), minlength=n)
+    label = np.arange(n)  # each node's community, named by its smallest node (j > i merges into i)
+    q = -math.fsum((a * a).tolist())
 
     live = np.triu(np.ones((n, n), dtype=bool), k=1)  # pairs i < j of live communities
+    dq = np.where(live, 2.0 * (e - np.outer(a, a)), -math.inf)
     while True:
-        dq = np.where(live, 2.0 * (e - np.outer(a, a)), -math.inf)
         i, j = divmod(int(np.argmax(dq)), n)  # the first maximum in row-major order
         if not dq[i, j] > 0.0:
             break
         q += float(dq[i, j])
-        members[i].extend(members.pop(j))
+        label[label == j] = i
         a[i] += a[j]
         e[i] += e[j]
         e[:, i] = e[i]
         e[i, i] = 0.0
         live[j, :] = live[:, j] = False
+        dq[i] = np.where(live[i], 2.0 * (e[i] - a[i] * a), -math.inf)
+        dq[:, i] = np.where(live[:, i], 2.0 * (e[:, i] - a * a[i]), -math.inf)
+        dq[j, :] = dq[:, j] = -math.inf
 
-    community: dict[str, int] = {}
-    for new_id, old_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
-        for node in members[old_id]:
-            community[codes[node]] = new_id
-    return Partition(community, q)
+    return Partition(dict(zip(codes, np.unique(label, return_inverse=True)[1].tolist())), q)
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
@@ -208,14 +202,14 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
     """Deterministic gradient descent from seeded random positions. The
     energy trace holds the initial energy plus every accepted step; accepted
     steps strictly decrease energy."""
-    codes = graph.node_codes()
+    codes = graph.nodes
     n = len(codes)
     rng = np.random.default_rng(params.seed)
     x = rng.random((n, 2))
 
+    pi, pj, pw = _symmetric_pairs(graph)
     w = np.zeros((n, n))
-    for (i, j), wij in _symmetric_weights(graph).items():
-        w[i, j] = w[j, i] = wij
+    w[pi, pj] = w[pj, pi] = pw
     if params.variant == "node":
         deg = w.sum(axis=1)
         rep = np.outer(deg, deg)
@@ -270,52 +264,58 @@ def linlog_layout(graph: FlowGraph, params: LayoutParams = LayoutParams()) -> La
     return Layout(positions, energy if n else 0.0, tuple(trace))
 
 
-def export_graph(
-    graph: FlowGraph,
-    partition: Partition,
-    layout: Layout,
-    fmt: str,
-    path: str,
-) -> None:
-    """Write the same node and edge records in either format; byte-deterministic given inputs."""
-    codes = graph.node_codes()
+def _write_records(fh, template: str, columns: list[np.ndarray], sep: str) -> None:
+    """template % row for each row of the columns, sep between rows, WRITE_RECORDS rows per write."""
+    for lo in range(0, len(columns[0]), WRITE_RECORDS):
+        rows = zip(*(col[lo:lo + WRITE_RECORDS].tolist() for col in columns))
+        fh.write((sep if lo else "") + sep.join([template % row for row in rows]))
+
+
+def export_graph(graph: FlowGraph, partition: Partition, layout: Layout, fmt: str, path: str) -> None:
+    """Write the same node and edge records in either format; byte-deterministic given inputs. Each code
+    is encoded once; a number is written as its str, which for an int or a float is the repr json writes."""
+    codes = graph.nodes
     if set(partition.community) != set(codes) or set(layout.positions) != set(codes):
         raise ValidationError(["graph, partition, and layout cover different node sets"])
     if fmt not in FORMATS:
         raise ValidationError([f"unknown graph format {fmt!r}"])
-    names = set(codes).union(*((e.source, e.target) for e in graph.edges))
-    if bad := sorted(c for c in names if CONTROL.search(c)):
+    if bad := sorted(c for c in codes if CONTROL.search(c)):
         raise ValidationError([f"class code {c!r} holds a control character" for c in bad])
-    nodes = [{"id": n.class_code, "size": n.size, "community": partition.community[n.class_code],
-              "x": layout.positions[n.class_code][0], "y": layout.positions[n.class_code][1]}
-             for n in sorted(graph.nodes, key=lambda n: n.class_code)]
-    edges = [{"from": e.source, "to": e.target, "weight": e.weight}
-             for e in sorted(graph.edges, key=lambda e: (e.source, e.target))]
-    bad = [f"node {r['id']!r} {k} {r[k]}" for r in nodes for k in ("size", "x", "y") if not math.isfinite(r[k])]
-    bad += [f"edge {e['from']!r}->{e['to']!r} weight {e['weight']}" for e in edges if not math.isfinite(e["weight"])]
+    xy = np.array([layout.positions[c] for c in codes], dtype=float).reshape(-1, 2)
+    nodes = {"size": graph.size, "x": xy[:, 0], "y": xy[:, 1]}
+    bad = [f"node {c!r} {k} {v}" for c, *values in zip(codes, *(col.tolist() for col in nodes.values()))
+           for k, v in zip(nodes, values) if not math.isfinite(v)]
+    bad += [f"edge {codes[graph.source[k]]!r}->{codes[graph.target[k]]!r} weight {float(graph.weight[k])}"
+            for k in np.flatnonzero(~np.isfinite(graph.weight)).tolist()]
     if bad:
         raise ValidationError(bad)
     if fmt == "json":
-        write_json(path, {"nodes": nodes, "edges": edges})
-        return
-    # the xml modules load only here and in load_graph: saxutils alone imports urllib
-    from xml.sax.saxutils import escape
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<graphml xmlns="{GRAPHML_NS}">',
-        *(f'  <key id="{key}" for="{el}" attr.name="{key}" attr.type="{kind}"/>' for key, el, kind in GRAPHML_DATA),
-        '  <graph id="G" edgedefault="directed">',
-    ]
-    for el, records in (("node", nodes), ("edge", edges)):
-        for rec in records:
-            quoted = (f'{a}="{escape(rec[field], ATTR_ESCAPES)}"' for a, field in GRAPHML_ATTRS[el].items())
-            lines.append(f"    <{el} {' '.join(quoted)}>")
-            lines.extend(f'      <data key="{key}">{rec[key]!r}</data>' for key, e, _ in GRAPHML_DATA if e == el)
-            lines.append(f"    </{el}>")
-    lines += ["  </graph>", "</graphml>", ""]
+        enc = np.array([json.encoder.encode_basestring_ascii(c) for c in codes], dtype=object)
+    else:  # the xml modules load only here and in load_graph: saxutils alone imports urllib
+        from xml.sax.saxutils import escape
+        enc = np.array([escape(c, ATTR_ESCAPES) for c in codes], dtype=object)
+    records = {"node": nodes | {"id": enc, "community": np.array([partition.community[c] for c in codes], object)},
+               "edge": {"from": enc[graph.source], "to": enc[graph.target], "weight": graph.weight}}
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        if fmt == "json":  # as json.dump(indent=2, sort_keys=True) writes it, then a newline
+            for head, el, n in (('{\n  "edges": [', "edge", len(graph.edges)), (',\n  "nodes": [', "node", len(codes))):
+                fields = sorted(records[el])
+                fh.write(head)
+                _write_records(fh, "\n    {" + ",".join(f'\n      "{f}": %s' for f in fields) + "\n    }",
+                               [records[el][f] for f in fields], ",")
+                fh.write("\n  ]" if n else "]")
+            fh.write("\n}\n")
+            return
+        keys = "".join(f'\n  <key id="{key}" for="{el}" attr.name="{key}" attr.type="{kind}"/>'
+                       for key, el, kind in GRAPHML_DATA)
+        fh.write(f'<?xml version="1.0" encoding="UTF-8"?>\n<graphml xmlns="{GRAPHML_NS}">{keys}'
+                 '\n  <graph id="G" edgedefault="directed">')
+        for el, attrs in GRAPHML_ATTRS.items():
+            data = [key for key, e, _ in GRAPHML_DATA if e == el]
+            template = f"\n    <{el} " + " ".join(f'{a}="%s"' for a in attrs) + ">" + "".join(
+                f'\n      <data key="{key}">%s</data>' for key in data) + f"\n    </{el}>"
+            _write_records(fh, template, [records[el][f] for f in [*attrs.values(), *data]], "")
+        fh.write("\n  </graph>\n</graphml>\n")
 
 
 def _field(value, kind: type):
@@ -326,8 +326,9 @@ def _field(value, kind: type):
 
 
 def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str, tuple[float, float]]]:
-    """Read back an exported graph: (graph, community map, positions). Bad
-    text, a missing field or a value of the wrong type (see _field) raises ParseError."""
+    """Read back an exported graph: (graph, community map, positions), the
+    graph's nodes and edges in file order. Bad text, a missing field, a value of
+    the wrong type (see _field) or an edge whose end is not a node raises ParseError."""
     import xml.etree.ElementTree as ET
 
     if fmt not in FORMATS:
@@ -345,9 +346,11 @@ def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str
                 for item in root.iter(f"{{{GRAPHML_NS}}}{el}")
             ] for el, attrs in GRAPHML_ATTRS.items()}
         nodes, edges = records["nodes"], records["edges"]
-        graph = FlowGraph([GraphNode(_field(rec["id"], str), _field(rec["size"], float)) for rec in nodes],
-                          [GraphEdge(_field(rec["from"], str), _field(rec["to"], str), _field(rec["weight"], float))
-                           for rec in edges])
+        codes = [_field(rec["id"], str) for rec in nodes]
+        at = {c: i for i, c in enumerate(codes)}
+        graph = FlowGraph(codes, np.array([_field(rec["size"], float) for rec in nodes], dtype=float),
+                          *(np.array([at[_field(rec[end], str)] for rec in edges], np.int32) for end in ("from", "to")),
+                          np.array([_field(rec["weight"], float) for rec in edges], dtype=float))
         community = {rec["id"]: _field(rec["community"], int) for rec in nodes}
         positions = {rec["id"]: (_field(rec["x"], float), _field(rec["y"], float)) for rec in nodes}
     except ET.ParseError as e:

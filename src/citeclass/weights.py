@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-# weights at or above this count toward support size
+# weights strictly above this count toward support size
 SUPPORT_EPS = 1e-9
 # entries below this are dropped from stored vectors
 PRUNE_EPS = 1e-12

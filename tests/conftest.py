@@ -1,11 +1,13 @@
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 
 from citeclass.assignments import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet
 from citeclass.columns import DocumentColumns
 from citeclass.corpus import Area, Category, Corpus, Document, Journal, Scheme
 from citeclass.flow import flow_matrix
+from citeclass.netgraph import FlowGraph
 from citeclass.syngen import SplitMix64, SynParams, _gen_journals, build_scheme, generate_corpus
 
 
@@ -143,3 +145,24 @@ def partitions(items):
         for i in range(len(part)):
             yield part[:i] + [part[i] + [first]] + part[i + 1:]
         yield part + [[first]]
+
+
+def flow_graph(edges, sizes=None):
+    """The FlowGraph of (source, target, weight) triples: its nodes are the
+    sorted codes of sizes ({code: size}), or the edges' ends at size 1.0, and
+    its edges are the triples in (source, target) order, none dropped."""
+    if sizes is None:
+        sizes = dict.fromkeys((c for u, v, _ in edges for c in (u, v)), 1.0)
+    nodes = sorted(sizes)
+    at = {c: i for i, c in enumerate(nodes)}
+    edges = sorted(edges, key=lambda e: (at[e[0]], at[e[1]]))
+    return FlowGraph(nodes, np.array([sizes[c] for c in nodes], dtype=float),
+                     np.array([at[u] for u, _, _ in edges], dtype=np.int32),
+                     np.array([at[v] for _, v, _ in edges], dtype=np.int32),
+                     np.array([w for _, _, w in edges], dtype=float))
+
+
+def edge_triples(graph):
+    """The graph's edges as (source, target, weight) triples of codes."""
+    return [(graph.nodes[s], graph.nodes[t], w)
+            for s, t, w in zip(graph.source.tolist(), graph.target.tolist(), graph.weight.tolist())]

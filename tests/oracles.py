@@ -315,6 +315,59 @@ def oracle_modularity(edges, community: dict[str, int]) -> float:
     return q
 
 
+def greedy_reference(nodes, edges) -> tuple[dict[str, int], float]:
+    """Greedy modularity merging by plain loops over a dict of dicts: the
+    partition {node: community} and its Q. The (u, v, w) edges are taken in
+    (u, v) order of the sorted nodes, self-loops skipped; each undirected
+    pair's weight is its edges added in that order, and the pairs keep the
+    order of their first edge, which is also the order the degree fractions
+    are summed in. Each round merges the live pair (i, j), i < j, with the
+    largest gain 2*(e_ij - a_i*a_j), the first in (i, j) order on a tie,
+    while the gain is positive. Communities are numbered by their first node."""
+    codes = sorted(nodes)
+    idx = {c: i for i, c in enumerate(codes)}
+    sym = {}
+    for u, v, w in sorted(edges, key=lambda e: (idx[e[0]], idx[e[1]])):
+        i, j = idx[u], idx[v]
+        if i != j:
+            key = (min(i, j), max(i, j))
+            sym[key] = sym.get(key, 0.0) + w
+    two_m = 2.0 * math.fsum(sym.values())
+    if two_m <= 0.0:
+        return {c: i for i, c in enumerate(codes)}, 0.0
+    e = {i: {} for i in range(len(codes))}
+    a = [0.0] * len(codes)
+    for (i, j), w in sym.items():
+        e[i][j] = e[j][i] = w / two_m
+        a[i] += w / two_m
+        a[j] += w / two_m
+    members = {i: [i] for i in range(len(codes))}
+    q = -math.fsum(ai * ai for ai in a)
+    while True:
+        best_dq, best = 0.0, None
+        for i in sorted(members):
+            for j in sorted(k for k in e[i] if k > i):
+                dq = 2.0 * (e[i][j] - a[i] * a[j])
+                if dq > best_dq:
+                    best_dq, best = dq, (i, j)
+        if best is None:
+            break
+        i, j = best
+        q += best_dq
+        members[i].extend(members.pop(j))
+        a[i] += a[j]
+        for k, w in e.pop(j).items():
+            del e[k][j]
+            if k != i:
+                e[i][k] = e[i].get(k, 0.0) + w
+                e[k][i] = e[k].get(i, 0.0) + w
+    community = {}
+    for new_id, old_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
+        for node in members[old_id]:
+            community[codes[node]] = new_id
+    return community, q
+
+
 def oracle_low_reference_share(corpus, min_references: int) -> dict[int, float]:
     """Figure 1: per year, in year order, the percentage of documents with
     fewer than min_references references, external ones included."""

@@ -35,13 +35,13 @@ from citeclass.indicators import (
     WeightColumns, category_baselines, excellence_flags, excellence_thresholds, ni_table,
 )
 from citeclass.netgraph import (
-    FlowGraph, GraphEdge, GraphNode, LayoutParams, _distances, _energy, _gradient, _pairs, detect_communities,
-    linlog_layout,
+    LayoutParams, _distances, _energy, _gradient, _pairs, detect_communities, linlog_layout,
 )
 from citeclass.syngen import SplitMix64, SynParams, generate_corpus
 from citeclass.cli import main
 from conftest import (
-    document_columns, one_doc_flow, partitions, plain_collapse, planted_journal_categories, vector, vectors,
+    document_columns, flow_graph, one_doc_flow, partitions, plain_collapse, planted_journal_categories, vector,
+    vectors,
 )
 from oracles import oracle_classify, oracle_flow, oracle_modularity
 
@@ -66,8 +66,7 @@ def _mean_vectors(vectors):
 
 
 def _graph(nodes, edges):
-    return FlowGraph([GraphNode(n, 1.0) for n in nodes],
-                     [GraphEdge(u, v, w) for u, v, w in edges])
+    return flow_graph(edges, dict.fromkeys(nodes, 1.0))
 
 
 def test_c01_mass_conservation():

@@ -175,7 +175,8 @@ def test_flow_csv_roundtrip(tmp_path, syn200):
     m = flow_matrix(set_a, set_b, "area", scheme)
     p = tmp_path / "flows.csv"
     write_flow_csv(m, str(p))
-    back = read_flow_csv(str(p))
+    codes, source, target, weight = read_flow_csv(str(p))
+    back = dict(zip([(codes[i], codes[j]) for i, j in zip(source.tolist(), target.tolist())], weight.tolist()))
     assert list(back) == list(m.flow)
     for k in m.flow:
         assert abs(back[k] - m.flow[k]) <= 1e-6

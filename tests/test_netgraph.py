@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -8,25 +9,30 @@ from hypothesis import given, settings, strategies as st
 from citeclass.corpus import ParseError, ValidationError
 from citeclass.flow import FlowMatrix
 from citeclass.netgraph import (
-    FORMATS, FlowGraph, GraphEdge, GraphNode, Layout, LayoutParams, Partition, _distances, _energy, _gradient,
-    _pairs, build_flow_graph, detect_communities, export_graph, linlog_layout, load_graph,
+    FORMATS, WRITE_RECORDS, Layout, LayoutParams, Partition, _distances, _energy, _gradient, _pairs,
+    build_flow_graph, detect_communities, export_graph, linlog_layout, load_graph,
 )
-from conftest import partitions
-from oracles import oracle_modularity
+from conftest import edge_triples, flow_graph, partitions
+from oracles import greedy_reference, oracle_modularity
 
 
-def graph_from_edges(edges, nodes=None):
+def graph_from_edges(edges):
     """Undirected weighted graph from (u, v, w) triples."""
-    if nodes is None:
-        nodes = sorted({u for u, _, _ in edges} | {v for _, v, _ in edges})
-    gnodes = [GraphNode(n, 1.0) for n in nodes]
-    gedges = [GraphEdge(u, v, w) for u, v, w in edges]
-    return FlowGraph(gnodes, gedges)
+    return flow_graph(edges)
+
+
+def flows_of(flow):
+    """A {(from, to): weight} dict as read_flow_csv returns flows:
+    (codes, source, target, weight), rows in dict order."""
+    codes = list(dict.fromkeys(c for pair in flow for c in pair))
+    at = {c: i for i, c in enumerate(codes)}
+    return (codes, np.array([at[i] for i, _ in flow], dtype=np.int32),
+            np.array([at[j] for _, j in flow], dtype=np.int32), np.array(list(flow.values()), dtype=float))
 
 
 def oracle_q(graph, community):
     """The oracle's Q of a partition of graph."""
-    return oracle_modularity([(e.source, e.target, e.weight) for e in graph.edges], community)
+    return oracle_modularity(edge_triples(graph), community)
 
 
 def two_triangles():
@@ -45,22 +51,29 @@ def test_build_flow_graph_from_matrix():
         {"X": 4.0, "Y": 6.0}, {"X": 5.0, "Y": 5.0}, {"X": 4.0, "Y": 5.0},
         {("Y", "X"): 1.0, ("X", "Y"): 1e-9},
     )
-    g = build_flow_graph(m.flow, m.size_b, epsilon=1e-6)
-    assert g.node_codes() == ["X", "Y"]
+    g = build_flow_graph(flows_of(m.flow), m.size_b, epsilon=1e-6)
+    assert g.nodes == ["X", "Y"]
     # node size comes from the destination system
-    assert {n.class_code: n.size for n in g.nodes} == {"X": 5.0, "Y": 5.0}
-    assert [(e.source, e.target, e.weight) for e in g.edges] == [("Y", "X", 1.0)]
+    assert dict(zip(g.nodes, g.size.tolist())) == {"X": 5.0, "Y": 5.0}
+    assert edge_triples(g) == [("Y", "X", 1.0)]
 
 
 def test_build_flow_graph_drops_self_loops_keeps_nodes():
-    g = build_flow_graph({("X", "X"): 0.5}, {"X": 1.0})
-    assert g.node_codes() == ["X"]
-    assert g.edges == []
+    g = build_flow_graph(flows_of({("X", "X"): 0.5}), {"X": 1.0})
+    assert g.nodes == ["X"]
+    assert edge_triples(g) == []
+
+
+def test_build_flow_graph_sorts_edges():
+    # read_flow_csv keeps the file's order; the graph's edges are in (source, target) order
+    flows = {("B", "A"): 1.0, ("A", "C"): 2.0, ("A", "B"): 3.0, ("C", "A"): 0.5}
+    g = build_flow_graph(flows_of(flows), {"A": 1.0, "B": 1.0, "C": 1.0})
+    assert edge_triples(g) == sorted((i, j, w) for (i, j), w in flows.items())
 
 
 def test_build_flow_graph_rejects_empty_matrix():
     with pytest.raises(ValidationError):
-        build_flow_graph({}, {})
+        build_flow_graph(flows_of({}), {})
 
 
 def test_modularity_two_triangles():
@@ -71,7 +84,7 @@ def test_modularity_two_triangles():
 
 def test_modularity_single_community_is_zero():
     g = two_triangles()
-    part = {c: 0 for c in g.node_codes()}
+    part = {c: 0 for c in g.nodes}
     assert oracle_q(g, part) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -108,7 +121,7 @@ def test_detect_deterministic_across_runs():
 
 def brute_force_best_q(graph):
     best = -1.0
-    for part in partitions(graph.node_codes()):
+    for part in partitions(graph.nodes):
         q = oracle_q(graph, {n: i for i, block in enumerate(part) for n in block})
         best = max(best, q)
     return best
@@ -131,77 +144,39 @@ def test_detect_never_beats_brute_force():
         assert part.q == pytest.approx(oracle_q(g, part.community), abs=1e-9)
 
 
-def greedy_reference(graph):
-    """Plain-loop greedy merging over a dict of dicts: the merge rule of
-    detect_communities, with the same adds in the same order."""
-    codes = graph.node_codes()
-    idx = {c: i for i, c in enumerate(codes)}
-    sym = {}
-    for edge in graph.edges:
-        i, j = idx[edge.source], idx[edge.target]
-        if i != j:
-            key = (min(i, j), max(i, j))
-            sym[key] = sym.get(key, 0.0) + edge.weight
-    two_m = 2.0 * math.fsum(sym.values())
-    if two_m <= 0.0:
-        return {c: i for i, c in enumerate(codes)}, 0.0
-    e = {i: {} for i in range(len(codes))}
-    a = [0.0] * len(codes)
-    for (i, j), w in sym.items():
-        e[i][j] = e[j][i] = w / two_m
-        a[i] += w / two_m
-        a[j] += w / two_m
-    members = {i: [i] for i in range(len(codes))}
-    q = -math.fsum(ai * ai for ai in a)
-    while True:
-        best_dq, best = 0.0, None
-        for i in sorted(members):
-            for j in sorted(k for k in e[i] if k > i):
-                dq = 2.0 * (e[i][j] - a[i] * a[j])
-                if dq > best_dq:
-                    best_dq, best = dq, (i, j)
-        if best is None:
-            break
-        i, j = best
-        q += best_dq
-        members[i].extend(members.pop(j))
-        a[i] += a[j]
-        for k, w in e.pop(j).items():
-            del e[k][j]
-            if k != i:
-                e[i][k] = e[i].get(k, 0.0) + w
-                e[k][i] = e[k].get(i, 0.0) + w
-    community = {}
-    for new_id, old_id in enumerate(sorted(members, key=lambda c: min(members[c]))):
-        for node in members[old_id]:
-            community[codes[node]] = new_id
-    return community, q
-
-
-def random_directed_graph(rng, weights):
-    n = int(rng.integers(2, 41))
-    density = rng.uniform(0.05, 0.6)
+def random_directed_graph(rng, weights, n_range=(2, 41), density_range=(0.05, 0.6)):
+    """n nodes and (u, v, w) edges, each ordered pair drawn at one density:
+    so some pairs have both directions and some only j -> i."""
+    n = int(rng.integers(*n_range))
+    density = rng.uniform(*density_range)
+    nodes = [f"n{i:03d}" for i in range(n)]
     edges = []
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
                 w = {"unit": 1.0, "small": float(rng.integers(1, 4)),
                      "real": float(rng.uniform(0.01, 5.0))}[weights]
-                edges.append(GraphEdge(f"n{i:02d}", f"n{j:02d}", w))
-    return FlowGraph([GraphNode(f"n{i:02d}", 1.0) for i in range(n)], edges)
+                edges.append((nodes[i], nodes[j], w))
+    return nodes, edges
 
 
 @pytest.mark.parametrize("weights", ["unit", "small", "real"])
 def test_detect_matches_greedy_reference(weights):
     # unit and small-integer weights make exact dQ ties common, so the tie
-    # rule and the order a is summed in both decide the partition
+    # rule and the order a is summed in both decide the partition; the
+    # 250-300-node graphs take hundreds of merges, each updating the gains
+    # of one community only
     rng = np.random.default_rng({"unit": 71, "small": 72, "real": 73}[weights])
-    for trial in range(150):
-        g = random_directed_graph(rng, weights)
-        part = detect_communities(g)
-        community, q = greedy_reference(g)
+    trials = [((2, 41), (0.05, 0.6))] * 150 + [((250, 301), (0.01, 0.04))] * 2
+    for trial, (n_range, density_range) in enumerate(trials):
+        nodes, edges = random_directed_graph(rng, weights, n_range, density_range)
+        part = detect_communities(flow_graph(edges, dict.fromkeys(nodes, 1.0)))
+        community, q = greedy_reference(nodes, edges)
         assert part.community == community, f"trial {trial}"
         assert part.q == q, f"trial {trial}"
+        if n_range[0] >= 250:  # some pairs are joined in one direction only
+            pairs = {(u, v) for u, v, _ in edges}
+            assert any((v, u) not in pairs for u, v in pairs)
 
 
 def test_layout_deterministic():
@@ -279,7 +254,7 @@ def test_export_import_json(tmp_path):
     p = tmp_path / "g.json"
     export_graph(g, part, layout, "json", str(p))
     g2, comm, pos = load_graph(str(p), "json")
-    assert set(g2.node_codes()) == set(g.node_codes())
+    assert set(g2.nodes) == set(g.nodes)
     assert comm == part.community
     for code, (x, y) in layout.positions.items():
         assert pos[code] == pytest.approx((x, y))
@@ -292,7 +267,7 @@ def test_export_import_graphml(tmp_path):
     p = tmp_path / "g.graphml"
     export_graph(g, part, layout, "graphml", str(p))
     g2, comm, pos = load_graph(str(p), "graphml")
-    assert set(g2.node_codes()) == set(g.node_codes())
+    assert set(g2.nodes) == set(g.nodes)
     assert len(g2.edges) == len(g.edges)
     assert comm == part.community
     for code, (x, y) in layout.positions.items():
@@ -323,19 +298,21 @@ def test_export_bytes_stable(tmp_path):
 CODES = st.text(st.one_of(st.sampled_from("\"<>&'\t\n\r"),
                           st.characters(blacklist_categories=("Cc", "Cs", "Cn"))), min_size=1, max_size=6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# and the floats whose repr is least like the others'
+NUMBERS = FINITE | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300])
 
 
 @st.composite
 def exported_graphs(draw):
     """A graph with its partition and layout, drawn with awkward codes and
-    finite numbers, and nodes and edges in any order."""
+    finite numbers, self-loops among its edges."""
     codes = draw(st.lists(CODES, min_size=1, max_size=6, unique=True))
-    nodes = [GraphNode(c, draw(FINITE)) for c in codes]
+    sizes = {c: draw(NUMBERS) for c in codes}
     pairs = draw(st.lists(st.tuples(st.sampled_from(codes), st.sampled_from(codes)), max_size=10, unique=True))
-    edges = [GraphEdge(i, j, draw(FINITE)) for i, j in pairs]
+    edges = [(i, j, draw(NUMBERS)) for i, j in pairs]
     community = {c: draw(st.integers(0, 5)) for c in codes}
-    positions = {c: (draw(FINITE), draw(FINITE)) for c in codes}
-    return FlowGraph(draw(st.permutations(nodes)), edges), Partition(community, 0.0), Layout(positions, 0.0, ())
+    positions = {c: (draw(NUMBERS), draw(NUMBERS)) for c in codes}
+    return flow_graph(edges, sizes), Partition(community, 0.0), Layout(positions, 0.0, ())
 
 
 @given(case=exported_graphs(), fmt=st.sampled_from(["json", "graphml"]))
@@ -348,10 +325,49 @@ def test_export_load_round_trip(tmp_path_factory, case, fmt):
     export_graph(g, part, layout, fmt, str(second))
     assert first.read_bytes() == second.read_bytes()
     g2, comm, pos = load_graph(str(first), fmt)
-    assert g2.nodes == sorted(g.nodes, key=lambda n: n.class_code)
-    assert g2.edges == sorted(g.edges, key=lambda e: (e.source, e.target))
+    assert g2.nodes == g.nodes == sorted(g.nodes)
+    assert g2.size.tolist() == g.size.tolist()
+    assert edge_triples(g2) == edge_triples(g) == sorted(edge_triples(g), key=lambda e: (e[0], e[1]))
     assert comm == part.community
     assert pos == layout.positions
+
+
+def json_records(graph, part, layout):
+    """Figure 3's records as plain dicts, for json.dumps."""
+    return {
+        "edges": [{"from": u, "to": v, "weight": w} for u, v, w in edge_triples(graph)],
+        "nodes": [{"id": c, "size": s, "community": part.community[c], "x": layout.positions[c][0],
+                   "y": layout.positions[c][1]} for c, s in zip(graph.nodes, graph.size.tolist())],
+    }
+
+
+@given(case=exported_graphs())
+@settings(max_examples=100, deadline=None)
+def test_export_json_is_json_dumps(tmp_path_factory, case):
+    # the block writer writes what json.dump(indent=2, sort_keys=True) writes
+    g, part, layout = case
+    p = tmp_path_factory.mktemp("graph") / "g.json"
+    export_graph(g, part, layout, "json", str(p))
+    assert p.read_text(encoding="utf-8") == json.dumps(json_records(g, part, layout), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_joins_blocks(tmp_path, fmt):
+    # more edges than one block holds: records join across blocks as within one
+    rng = np.random.default_rng(5)
+    codes = [f"c{i:03d}" for i in range(100)]
+    edges = [(u, v, float(rng.uniform(0.0, 3.0))) for u in codes for v in codes if u != v]
+    assert len(edges) > 2 * WRITE_RECORDS
+    g = flow_graph(edges)
+    part = Partition({c: i % 7 for i, c in enumerate(codes)}, 0.0)
+    layout = Layout({c: (float(i), -0.5 * i) for i, c in enumerate(codes)}, 0.0, ())
+    p = tmp_path / f"g.{fmt}"
+    export_graph(g, part, layout, fmt, str(p))
+    if fmt == "json":
+        assert p.read_text() == json.dumps(json_records(g, part, layout), indent=2, sort_keys=True) + "\n"
+    g2, comm, pos = load_graph(str(p), fmt)
+    assert edge_triples(g2) == edge_triples(g)
+    assert (comm, pos) == (part.community, layout.positions)
 
 
 # a spoiled export -> the format it is in
@@ -408,7 +424,7 @@ def test_export_refuses_control_characters(tmp_path, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_export_refuses_non_finite_numbers(tmp_path, fmt):
     # load_graph refuses a number that is not finite, so neither format writes one
-    g = FlowGraph([GraphNode("a", math.nan), GraphNode("b", 1.0)], [GraphEdge("a", "b", math.inf)])
+    g = flow_graph([("a", "b", math.inf)], {"a": math.nan, "b": 1.0})
     layout = Layout({"a": (0.0, 1.0), "b": (2.0, -math.inf)}, 0.0, ())
     with pytest.raises(ValidationError) as e:
         export_graph(g, Partition({"a": 0, "b": 0}, 0.0), layout, fmt, str(tmp_path / f"g.{fmt}"))
@@ -419,11 +435,11 @@ def test_export_refuses_non_finite_numbers(tmp_path, fmt):
 def test_flow_endpoint_outside_the_classes_is_refused():
     flow = {("A", "B"): 1.0, ("ZZ", "A"): 1.0, ("B", "YY"): 2.0}
     with pytest.raises(ValidationError, match="'YY'.*'ZZ'"):
-        build_flow_graph(flow, {"A": 1.0, "B": 2.0})
+        build_flow_graph(flows_of(flow), {"A": 1.0, "B": 2.0})
 
 
 def test_detect_edgeless_graph_all_singletons():
-    g = FlowGraph([GraphNode("X", 1.0), GraphNode("Y", 2.0)], [])
+    g = flow_graph([], {"X": 1.0, "Y": 2.0})
     part = detect_communities(g)
     assert part.community == {"X": 0, "Y": 1}
     assert part.q == 0.0
@@ -435,7 +451,7 @@ def test_modularity_singleton_partition_one_edge():
 
 
 def test_layout_single_node_keeps_initial_position():
-    g = FlowGraph([GraphNode("X", 1.0)], [])
+    g = flow_graph([], {"X": 1.0})
     layout = linlog_layout(g, LayoutParams(iterations=10, step=0.1, seed=4))
     assert layout.final_energy == 0.0
     assert set(layout.positions) == {"X"}

@@ -6,6 +6,9 @@ Each chain generates a corpus with ``syngen`` into OUT_DIR/<chain>/syn and
 runs ingest, both classify systems, compare, indicators, the area network,
 a short category network in GraphML, and report into OUT_DIR/<chain>/out,
 each stage as ``python -m citeclass`` on the sources next to this script.
+Chains named in JSON_NETWORK also write the short category network as JSON,
+into OUT_DIR/<chain>/net from a copy of the two flow files it reads, so the
+area network's JSON in out stays pinned beside it.
 OUT_DIR must be new or empty. The output is one ``sha256  path`` line per
 file, sorted by path relative to OUT_DIR, so the listings of two checkouts
 can be compared with ``diff``. A refactor that must not change any output
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -33,9 +37,12 @@ CHAINS = {
                {"classify": ["--theta", "0.9", "--citer-window", "2"], "compare": ["--min-references", "2"],
                 "indicators": ["--citation-window", "3", "--p10", "0.05"]}),
 }
+# chain3 has 266 categories: figure 3 in JSON at the width of a real scheme
+JSON_NETWORK = {"chain3"}
+CATEGORY_NETWORK = ["network", "--level", "category", "--iterations", "60"]
 
 
-def run_chain(root: str, syngen: list[str], extra: dict[str, list[str]]) -> None:
+def run_chain(root: str, syngen: list[str], extra: dict[str, list[str]], json_network: bool) -> None:
     syn, out = os.path.join(root, "syn"), os.path.join(root, "out")
     stages = [
         ["syngen", *syngen, "--out", syn],
@@ -46,7 +53,7 @@ def run_chain(root: str, syngen: list[str], extra: dict[str, list[str]]) -> None
         ["compare"],
         ["indicators"],
         ["network", "--level", "area"],
-        ["network", "--level", "category", "--format", "graphml", "--iterations", "60"],
+        [*CATEGORY_NETWORK, "--format", "graphml"],
         ["report"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -55,6 +62,13 @@ def run_chain(root: str, syngen: list[str], extra: dict[str, list[str]]) -> None
             argv = [*argv, *extra.get(argv[0], []), "--out", out]
         subprocess.run([sys.executable, "-m", "citeclass", *argv], env=env, check=True,
                        stdout=subprocess.DEVNULL)
+    if json_network:
+        net = os.path.join(root, "net")
+        os.makedirs(net)
+        for name in ("flows_category.csv", "class_stats_category.csv"):
+            shutil.copy(os.path.join(out, name), net)
+        subprocess.run([sys.executable, "-m", "citeclass", *CATEGORY_NETWORK, *extra.get("network", []),
+                        "--out", net], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main(argv: list[str]) -> int:
@@ -66,7 +80,7 @@ def main(argv: list[str]) -> int:
         print(f"error: {out_dir} is not empty", file=sys.stderr)
         return 2
     for name, (syngen, extra) in CHAINS.items():
-        run_chain(os.path.join(out_dir, name), syngen, extra)
+        run_chain(os.path.join(out_dir, name), syngen, extra, name in JSON_NETWORK)
     lines = []
     for dirpath, _, files in os.walk(out_dir):
         for f in files:
