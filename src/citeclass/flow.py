@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -290,11 +289,11 @@ def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
 def read_flow_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """A flow CSV's flows in file order: (codes by first use, int32 source and target indices into them, weights)."""
     codes: dict[str, int] = {}
-    ends, weight = array("i"), array("d")
+    ends, weight = [], []
     for line_no, row, pair in _csv_rows(path, FLOW_HEADER, 2, codes):
         ends.extend(pair)
         weight.append(_csv_number(path, line_no, row[2]))
-    return list(codes), *np.frombuffer(ends, dtype=np.int32).reshape(-1, 2).T, np.frombuffer(weight)
+    return list(codes), *np.array(ends, dtype=np.int32).reshape(-1, 2).T, np.array(weight, dtype=float)
 
 
 def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:

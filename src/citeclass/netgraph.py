@@ -47,7 +47,7 @@ VARIANTS = ("node", "edge")
 WRITE_RECORDS = 4096  # the records export_graph formats and writes at a time
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # == on arrays is not a bool
 class FlowGraph:
     """The class codes, sorted, and their sizes; per edge, in (source, target)
     order, the indices into nodes of its ends and its weight."""

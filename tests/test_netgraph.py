@@ -16,11 +16,6 @@ from conftest import edge_triples, flow_graph, partitions
 from oracles import greedy_reference, oracle_modularity
 
 
-def graph_from_edges(edges):
-    """Undirected weighted graph from (u, v, w) triples."""
-    return flow_graph(edges)
-
-
 def flows_of(flow):
     """A {(from, to): weight} dict as read_flow_csv returns flows:
     (codes, source, target, weight), rows in dict order."""
@@ -42,7 +37,7 @@ def two_triangles():
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
         ("a3", "b1", 1.0),
     ]
-    return graph_from_edges(e)
+    return flow_graph(e)
 
 
 def test_build_flow_graph_from_matrix():
@@ -138,7 +133,7 @@ def test_detect_never_beats_brute_force():
                     edges.append((f"n{i}", f"n{j}", float(rng.integers(1, 4))))
         if not edges:
             continue
-        g = graph_from_edges(edges)
+        g = flow_graph(edges)
         part = detect_communities(g)
         assert part.q <= brute_force_best_q(g) + 1e-9
         assert part.q == pytest.approx(oracle_q(g, part.community), abs=1e-9)
@@ -198,7 +193,7 @@ def test_layout_energy_monotone():
 
 
 def test_layout_two_nodes_unit_distance():
-    g = graph_from_edges([("u", "v", 1.0)])
+    g = flow_graph([("u", "v", 1.0)])
     layout = linlog_layout(g, LayoutParams(iterations=400, step=0.1, seed=1))
     (x1, y1), (x2, y2) = layout.positions["u"], layout.positions["v"]
     d = math.hypot(x1 - x2, y1 - y2)
@@ -414,7 +409,7 @@ def test_load_graph_refuses_bad_records(tmp_path, case):
 def test_export_refuses_control_characters(tmp_path, fmt):
     # XML 1.0 cannot hold a C0 control other than tab, newline and carriage
     # return, so neither format writes one
-    g = graph_from_edges([("a", "c\x01d", 1.0)])
+    g = flow_graph([("a", "c\x01d", 1.0)])
     layout = linlog_layout(g, LayoutParams(iterations=5, seed=1))
     with pytest.raises(ValidationError, match=re.escape("'c\\x01d'")):
         export_graph(g, detect_communities(g), layout, fmt, str(tmp_path / f"g.{fmt}"))
@@ -446,7 +441,7 @@ def test_detect_edgeless_graph_all_singletons():
 
 
 def test_modularity_singleton_partition_one_edge():
-    g = graph_from_edges([("u", "v", 1.0)])
+    g = flow_graph([("u", "v", 1.0)])
     assert oracle_q(g, {"u": 0, "v": 1}) == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -463,7 +458,7 @@ def test_layout_separates_cliques():
         ("b1", "b2", 1.0), ("b2", "b3", 1.0), ("b1", "b3", 1.0),
         ("a1", "b1", 0.05),
     ]
-    g = graph_from_edges(edges)
+    g = flow_graph(edges)
     for seed in range(10):
         layout = linlog_layout(g, LayoutParams(iterations=600, step=0.1, seed=seed))
         pos = layout.positions
