@@ -288,8 +288,7 @@ def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
 
 def read_flow_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
     """A flow CSV's flows in file order: (codes by first use, int32 source and target indices into them, weights)."""
-    codes: dict[str, int] = {}
-    ends, weight = [], []
+    codes, ends, weight = {}, [], []
     for line_no, row, pair in _csv_rows(path, FLOW_HEADER, 2, codes):
         ends.extend(pair)
         weight.append(_csv_number(path, line_no, row[2]))

@@ -327,8 +327,8 @@ def _field(value, kind: type):
 
 def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str, tuple[float, float]]]:
     """Read back an exported graph: (graph, community map, positions), the
-    graph's nodes and edges in file order. Bad text, a missing field, a value of
-    the wrong type (see _field) or an edge whose end is not a node raises ParseError."""
+    graph's nodes and edges sorted whatever the file's order. Bad text, a missing field, a
+    value of the wrong type (see _field) or an edge whose end is not a node raises ParseError."""
     import xml.etree.ElementTree as ET
 
     if fmt not in FORMATS:
@@ -346,8 +346,10 @@ def load_graph(path: str, fmt: str) -> tuple[FlowGraph, dict[str, int], dict[str
                 for item in root.iter(f"{{{GRAPHML_NS}}}{el}")
             ] for el, attrs in GRAPHML_ATTRS.items()}
         nodes, edges = records["nodes"], records["edges"]
-        codes = [_field(rec["id"], str) for rec in nodes]
+        codes = sorted(_field(rec["id"], str) for rec in nodes)
         at = {c: i for i, c in enumerate(codes)}
+        nodes = sorted(nodes, key=lambda rec: rec["id"])
+        edges = sorted(edges, key=lambda rec: (at[_field(rec["from"], str)], at[_field(rec["to"], str)]))
         graph = FlowGraph(codes, np.array([_field(rec["size"], float) for rec in nodes], dtype=float),
                           *(np.array([at[_field(rec[end], str)] for rec in edges], np.int32) for end in ("from", "to")),
                           np.array([_field(rec["weight"], float) for rec in edges], dtype=float))

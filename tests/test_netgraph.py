@@ -327,6 +327,20 @@ def test_export_load_round_trip(tmp_path_factory, case, fmt):
     assert pos == layout.positions
 
 
+def test_load_graph_sorts_records(tmp_path):
+    # a graph holds its nodes and edges sorted, whatever order a file lists them in
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({
+        "edges": [{"from": "b", "to": "a", "weight": 1.0}, {"from": "a", "to": "b", "weight": 2.0}],
+        "nodes": [{"id": "b", "size": 1.0, "community": 1, "x": 0.0, "y": 0.5},
+                  {"id": "a", "size": 2.0, "community": 0, "x": 1.0, "y": 1.5}],
+    }))
+    g, comm, pos = load_graph(str(p), "json")
+    assert g.nodes == ["a", "b"] and g.size.tolist() == [2.0, 1.0]
+    assert edge_triples(g) == [("a", "b", 2.0), ("b", "a", 1.0)]
+    assert comm == {"a": 0, "b": 1} and pos == {"a": (1.0, 1.5), "b": (0.0, 0.5)}
+
+
 def json_records(graph, part, layout):
     """Figure 3's records as plain dicts, for json.dumps."""
     return {
