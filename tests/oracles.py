@@ -418,12 +418,14 @@ def _single(vectors: dict[str, dict[str, float]]) -> tuple[dict[str, float], dic
 
 
 def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[str, dict[str, float]],
-                        bin_width: float) -> dict[str, list[list]]:
+                        bin_width: float, min_link: float) -> dict[str, list[list]]:
     """Compare's per-level datasets from the vectors of the same documents
-    under systems A and B at one level, as rows with None for NA: the common
-    and unique weight, the single-assignment shares, the size histogram, and
-    the flow and weight summaries; exchange_pct holds each class's incoming
-    and outgoing flow in percent of its A-size (figure 4 at area level)."""
+    under systems A and B at one level, as rows with None for NA: the flows,
+    each summed in document order, and the class stats; the common and
+    unique weight, the single-assignment shares, the size histogram, the
+    flow and weight summaries, and the flows of at least min_link, heaviest
+    first; exchange_pct holds each class's incoming and outgoing flow in
+    percent of its A-size (figure 4 at area level)."""
     if len(vectors_a) > ORACLE_MAX_DOCS:
         raise ValueError(f"the oracles are limited to {ORACLE_MAX_DOCS} documents")
     size_a: dict[str, list[float]] = {}
@@ -431,6 +433,7 @@ def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[
     common: dict[str, list[float]] = {}
     incoming: dict[str, list[float]] = {}
     outgoing: dict[str, list[float]] = {}
+    flows: dict[tuple[str, str], float] = {}
     for doc_id, w_a in vectors_a.items():
         w_b = vectors_b[doc_id]
         doc_common, moves = oracle_flow(w_a, w_b)
@@ -440,6 +443,7 @@ def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[
         for (i, j), w in moves.items():
             outgoing.setdefault(i, []).append(w)
             incoming.setdefault(j, []).append(w)
+            flows[(i, j)] = flows.get((i, j), 0.0) + w
     classes = sorted(set(size_a) | set(size_b))
     sa, sb, com, inc, out = ({c: math.fsum(d.get(c, [])) for c in classes}
                              for d in (size_a, size_b, common, incoming, outgoing))
@@ -449,6 +453,8 @@ def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[
     bins_a = [int(sa[c] // bin_width) for c in classes]
     bins_b = [int(sb[c] // bin_width) for c in classes]
     return {
+        "flows": [[i, j, w] for (i, j), w in sorted(flows.items())],
+        "class_stats": [[c, sa[c], sb[c], com[c], inc[c], out[c], pct_in[c], pct_out[c]] for c in classes],
         "common_unique": [[c, com[c], sa[c] - com[c], sb[c] - com[c]] for c in classes],
         "single_assignment": [[c, *(col.get(c) for col in single)] for c in classes],
         "size_histogram": [
@@ -467,5 +473,7 @@ def oracle_level_tables(vectors_a: dict[str, dict[str, float]], vectors_b: dict[
                 ("pct_single_asjc_frac", "mean_weight_asjc_frac", "pct_single_u1_f08", "mean_weight_u1_f08"),
                 single)
         ],
+        "top_links": sorted(([i, j, w] for (i, j), w in flows.items() if w >= min_link),
+                            key=lambda link: (-link[2], link[0], link[1])),
         "exchange_pct": [[c, pct_in[c], pct_out[c]] for c in classes],
     }

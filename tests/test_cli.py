@@ -992,13 +992,15 @@ def assert_csv_matches(path, expected):
 
 
 def test_compare_and_indicators_match_the_oracles(syn2000, tmp_path):
-    # compare's per-level tables and figures 1, 4 and 7, from the oracles'
-    # vectors of the same corpus
+    # compare's per-level datasets and figures 1, 4 and 7, from the oracles'
+    # vectors of the same corpus; the link cuts fall between flows of each level,
+    # so tables 1 and 3 list some flows and leave others out
     scheme, corpus = syn2000
     syn, out = tmp_path / "syn", tmp_path / "out"
     assert run(["syngen", "--n-docs", "2000", "--n-journals", "100", "--seed", "7", "--out", str(syn)]) == 0
+    compare = ["compare", "--bin-width", "20", "--min-link-category", "5", "--min-link-area", "40"]
     for argv in (ingest_argv(syn), ["classify", "--system", "asjc-frac"], ["classify", "--system", "u1f08"],
-                 ["compare", "--bin-width", "20"], ["indicators"]):
+                 compare, ["indicators"]):
         assert run([*argv, "--out", str(out)]) == 0
     policy = ThresholdPolicy()
     journal_vector = {jid: oracle_journal_vector(j.asjc_codes, scheme) for jid, j in corpus.journals.items()}
@@ -1006,10 +1008,11 @@ def test_compare_and_indicators_match_the_oracles(syn2000, tmp_path):
     u1 = oracle_classify(corpus, scheme, policy)
 
     # at category level, then at area level, as LEVEL_FILES lists the files
-    tables = [oracle_level_tables(asjc, u1, 20.0),
-              oracle_level_tables(oracle_to_areas(asjc, scheme), oracle_to_areas(u1, scheme), 20.0)]
-    for key in ("common_unique", "single_assignment", "size_histogram", "flow_summary", "weight_summary"):
-        for side in (0, 1):
+    tables = [oracle_level_tables(asjc, u1, 20.0, 5.0),
+              oracle_level_tables(oracle_to_areas(asjc, scheme), oracle_to_areas(u1, scheme), 20.0, 40.0)]
+    for side in (0, 1):
+        assert 0 < len(tables[side]["top_links"]) < len(tables[side]["flows"])
+        for key in LEVEL_FILES:
             assert_csv_matches(out / LEVEL_FILES[key][side], tables[side][key])
     assert_csv_matches(out / FIG4, tables[1]["exchange_pct"])
     assert_csv_matches(out / FIG1, list(map(list, oracle_low_reference_share(corpus, policy.min_references).items())))

@@ -26,9 +26,10 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 C20K = ["--n-docs", "20000", "--n-journals", "400", "--seed", "3"]
-# name -> (syngen flags, {stage: extra flags})
+# name -> (syngen flags, {stage: extra flags}); chain1's compare cuts give figure 6 many
+# bins and list flows in tables 1 and 3, which compare's defaults leave empty
 CHAINS = {
-    "chain1": (C20K, {}),
+    "chain1": (C20K, {"compare": ["--bin-width", "20", "--min-link-area", "5", "--min-link-category", "1"]}),
     "chain2": (C20K, {"classify": ["--citer-window", "2"], "indicators": ["--citation-window", "3"]}),
     "chain3": (["--n-docs", "6000", "--n-journals", "300", "--n-areas", "19", "--cats-per-area", "14",
                 "--seed", "5"], {}),
