@@ -118,8 +118,8 @@ def _load_pipeline_corpus(out_dir: str) -> tuple[Scheme, Corpus]:
 
 
 def _load_assignment_sets(out_dir: str, corpus: Corpus | None = None) -> list[AssignmentSet]:
-    """Both systems' sets from their sidecars, classified from one corpus: the
-    corpus.npz of corpus when given, whose doc id list they then share."""
+    """Both systems' sets from their sidecars, classified from one corpus (corpus's npz when
+    given); they share the doc id list of corpus when given, or else of the first set."""
     corpus_sha256, doc_ids = (None, None) if corpus is None else (
         sha256_of(os.path.join(out_dir, CORPUS_FILE)).tobytes(), corpus.doc_ids)
     sets = []
@@ -127,6 +127,7 @@ def _load_assignment_sets(out_dir: str, corpus: Corpus | None = None) -> list[As
         aset, corpus_sha256 = load_assignments_npz(os.path.join(out_dir, npz), system, os.path.join(out_dir, jsonl),
                                                    corpus_sha256, doc_ids)
         sets.append(aset)
+        doc_ids = doc_ids or aset.doc_ids
     return sets
 
 
@@ -188,18 +189,16 @@ def cmd_compare(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     out = cfg.out
     for side, (matrix, st_a, st_b) in enumerate(results):
-        rows = flow.class_flow_stats(matrix)
         path = {key: os.path.join(out, names[side]) for key, names in LEVEL_FILES.items()}
         flow.write_flow_csv(matrix, path["flows"])
-        flow.write_class_stats_csv(rows, path["class_stats"])
-        for key, (header, table) in flow.level_tables(rows, st_a, st_b, cfg.bin_width).items():
+        flow.write_class_stats_csv(matrix, path["class_stats"])
+        for key, (header, table) in flow.level_tables(matrix, st_a, st_b, cfg.bin_width).items():
             write_csv(path[key], header, table)
         min_link = cfg.min_link_category if matrix.level == "category" else cfg.min_link_area
-        write_csv(path["top_links"], flow.FLOW_HEADER,
-                  [[i, j, fmt(w)] for i, j, w in flow.top_links(matrix, min_link)])
+        write_csv(path["top_links"], flow.FLOW_HEADER, flow.flow_rows(matrix, flow.top_links(matrix, min_link)))
         if matrix.level == "area":
-            write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"],
-                      [[r.class_code, fmt(r.pct_incoming), fmt(r.pct_outgoing)] for r in rows])
+            write_csv(os.path.join(out, FIG4), ["area", "pct_incoming", "pct_outgoing"], zip(
+                matrix.classes, *(map(fmt, pct.tolist()) for pct in (matrix.pct_incoming, matrix.pct_outgoing))))
 
     write_csv(os.path.join(out, FIG1), ["year", "pct_below_min_refs"], fig1)
 
@@ -273,8 +272,9 @@ def cmd_network(args: argparse.Namespace, cfg: RunConfig) -> int:
     _require_artifacts(cfg.out, [flows_name, stats_name])
     manifest = _read_manifest(cfg.out)
     flows = flow.read_flow_csv(os.path.join(cfg.out, flows_name))
-    # node sizes are the U1-F-0.8 class sizes; the graph reads nothing else
-    sizes = {r.class_code: r.size_b for r in flow.read_class_stats_csv(os.path.join(cfg.out, stats_name))}
+    # node sizes are the U1-F-0.8 class sizes, column 1 (size_b); the graph reads nothing else
+    classes, stats = flow.read_class_stats_csv(os.path.join(cfg.out, stats_name))
+    sizes = dict(zip(classes, stats[:, 1].tolist()))
 
     graph = netgraph.build_flow_graph(flows, sizes, cfg.edge_epsilon)
     partition = netgraph.detect_communities(graph)

@@ -53,8 +53,8 @@ class RunConfig:
         errors = []
         if self.year_min is not None and self.year_max is not None and self.year_min > self.year_max:
             errors.append(f"year_min {self.year_min} exceeds year_max {self.year_max}")
-        if not (0.0 < self.bin_width < math.inf):
-            errors.append(f"bin_width must be finite and > 0, got {self.bin_width}")
+        if not (1.0 <= self.bin_width < math.inf):
+            errors.append(f"bin_width must be finite and >= 1, got {self.bin_width}")
         for key in ("min_link_area", "min_link_category", "edge_epsilon"):
             if not (0.0 <= (v := getattr(self, key)) < math.inf):
                 errors.append(f"{key} must be finite and >= 0, got {v}")

@@ -90,8 +90,8 @@ def _bad_text(kind: str, fields: dict[str, list[str]], scheme: bool = False) -> 
 
 def fmt(v: float | None) -> str:
     """The artifact number format: six decimals, with float noise just
-    below zero printed as zero and a missing value as NA."""
-    if v is None:
+    below zero printed as zero and a missing value (None or NaN) as NA."""
+    if v is None or v != v:
         return "NA"
     if -1e-9 < v < 0.0:
         v = 0.0

@@ -8,14 +8,15 @@ move[i -> j] = d_i * s_j / T where T is the total deficit. Summed over
 documents this yields a class-by-class flow matrix, at category level or
 with vectors collapsed to areas first, and the per-class comparison tables
 of that level. Both systems are AssignmentSets over the same rows, and every
-sum is a np.bincount that adds its terms in document order.
+sum is a np.bincount that adds its terms in document order. A FlowMatrix
+holds the result as arrays over its sorted classes and its flows in
+(source, target) order, and every writer reads those columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,32 +31,27 @@ LEVELS = ("category", "area")
 
 @dataclass(slots=True)
 class FlowMatrix:
+    """The flows of one level. Per class of classes, the sorted codes that either system
+    holds weight in: its size in each system, their common weight, its incoming and
+    outgoing flow, and those two in percent of size_a (NaN where size_a is 0). Per flow,
+    in (source, target) order: source and target as int32 indices into classes, flow."""
     level: str
-    size_a: dict[str, float]
-    size_b: dict[str, float]
-    common: dict[str, float]
-    flow: dict[tuple[str, str], float]
-
-    def classes(self) -> list[str]:
-        seen = set(self.size_a) | set(self.size_b)
-        return sorted(seen)
-
-
-@dataclass(slots=True)
-class ClassFlowStats:
-    class_code: str
-    size_a: float
-    size_b: float
-    common: float
-    incoming: float
-    outgoing: float
-    pct_incoming: float | None
-    pct_outgoing: float | None
+    classes: list[str]
+    size_a: np.ndarray
+    size_b: np.ndarray
+    common: np.ndarray
+    incoming: np.ndarray
+    outgoing: np.ndarray
+    pct_incoming: np.ndarray
+    pct_outgoing: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    flow: np.ndarray
 
 
 def _on_codes(aset: AssignmentSet, col: dict[str, int]) -> CSR:
-    """The set's weights with its codes in the columns col gives them, in the same order."""
-    cols = np.array([col[c] for c in aset.codes], dtype=np.int32)
+    """The set's weights with its codes in the columns col gives them; -1 for a code it holds no weight in."""
+    cols = np.array([col.get(c, -1) for c in aset.codes], dtype=np.int32)
     return aset.weights._replace(indices=cols[aset.weights.indices])
 
 
@@ -88,9 +84,11 @@ class FlowAccumulator:
 
     def add(self, set_a: AssignmentSet, set_b: AssignmentSet) -> FlowMatrix:
         """The flows from set_a to set_b, two sets of the same documents with
-        vectors already at this level. Each dict is in key order."""
+        vectors already at this level."""
         set_b.require_docs(set_a.doc_ids)
-        codes = sorted(set(set_a.codes) | set(set_b.codes))
+        # the codes either set holds weight in
+        codes = sorted({c for aset in (set_a, set_b) for c, k in zip(
+            aset.codes, np.bincount(aset.weights.indices, minlength=len(aset.codes)).tolist()) if k})
         col = {c: i for i, c in enumerate(codes)}
         n, m = len(set_a), len(codes)
         A, B = _on_codes(set_a, col), _on_codes(set_b, col)
@@ -107,25 +105,19 @@ class FlowAccumulator:
         cell = col_d[pair_d].astype(np.int64) * m + col_s[pair_s]
         used = np.flatnonzero(np.bincount(cell, minlength=m * m))
         moved = np.bincount(cell, weights=d[pair_d] * s[pair_s] / T[row_d[pair_d]], minlength=m * m)[used]
-
-        def by_code(cols: np.ndarray, data: np.ndarray) -> dict[str, float]:
-            """Each held code's column sum; codes are sorted, so held is in key order."""
-            held = np.flatnonzero(np.bincount(cols, minlength=m))
-            return dict(zip([codes[k] for k in held.tolist()],
-                            np.bincount(cols, weights=data, minlength=m)[held].tolist()))
-
-        # cell k is the class pair (k // m, k % m), so used is in key order too
-        flow = dict(zip([(codes[k // m], codes[k % m]) for k in used.tolist()], moved.tolist()))
-        return FlowMatrix(self.level, by_code(A.indices, A.data), by_code(B.indices, B.data),
-                          by_code(common_col, common), flow)
+        # cell k is the class pair (k // m, k % m), so used is in (source, target) order
+        source, target = (x.astype(np.int32) for x in np.divmod(used, m))
+        size_a, size_b, common = (np.bincount(cols, weights=data, minlength=m) for cols, data in (
+            (A.indices, A.data), (B.indices, B.data), (common_col, common)))
+        incoming, outgoing = (np.bincount(end, weights=moved, minlength=m) for end in (target, source))
+        pct_incoming, pct_outgoing = (np.divide(100.0 * x, size_a, out=np.full(m, np.nan), where=size_a > 0.0)
+                                      for x in (incoming, outgoing))
+        return FlowMatrix(self.level, codes, size_a, size_b, common, incoming, outgoing,
+                          pct_incoming, pct_outgoing, source, target, moved)
 
 
-def flow_matrix(
-    set_a: AssignmentSet,
-    set_b: AssignmentSet,
-    level: str = "category",
-    scheme: Scheme | None = None,
-) -> FlowMatrix:
+def flow_matrix(set_a: AssignmentSet, set_b: AssignmentSet, level: str = "category",
+                scheme: Scheme | None = None) -> FlowMatrix:
     """Flow matrix between two category-level assignment sets over the same
     documents, at category level or collapsed to the scheme's areas."""
     acc = FlowAccumulator(level)
@@ -136,31 +128,11 @@ def flow_matrix(
     return acc.add(set_a, set_b)
 
 
-def class_flow_stats(matrix: FlowMatrix) -> list[ClassFlowStats]:
-    """Per-class totals. Percentages are relative to the class size in the
-    origin system and undefined (None) when that size is zero."""
-    incoming: dict[str, float] = {}
-    outgoing: dict[str, float] = {}
-    for (i, j), w in matrix.flow.items():
-        outgoing[i] = outgoing.get(i, 0.0) + w
-        incoming[j] = incoming.get(j, 0.0) + w
-    rows = []
-    for code in matrix.classes():
-        sa = matrix.size_a.get(code, 0.0)
-        sb = matrix.size_b.get(code, 0.0)
-        inc = incoming.get(code, 0.0)
-        out = outgoing.get(code, 0.0)
-        pct_in = 100.0 * inc / sa if sa > 0.0 else None
-        pct_out = 100.0 * out / sa if sa > 0.0 else None
-        rows.append(ClassFlowStats(code, sa, sb, matrix.common.get(code, 0.0), inc, out, pct_in, pct_out))
-    return rows
-
-
-def top_links(matrix: FlowMatrix, min_weight: float) -> list[tuple[str, str, float]]:
-    """Flows of at least min_weight, heaviest first, ties by class pair."""
-    links = [(i, j, w) for (i, j), w in matrix.flow.items() if w >= min_weight]
-    links.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return links
+def top_links(matrix: FlowMatrix, min_weight: float) -> np.ndarray:
+    """The indices of the flows of at least min_weight, heaviest first, ties by class
+    pair: a stable sort of the flows, which are in class pair order."""
+    keep = np.flatnonzero(matrix.flow >= min_weight)
+    return keep[np.argsort(-matrix.flow[keep], kind="stable")]
 
 
 class SupportStats:
@@ -184,16 +156,17 @@ class SupportStats:
         self.mean_weight = {c: w / n for c, w, n in zip(classes, sum_w, n_pos)}
 
 
-def size_histogram_rows(stats: list[ClassFlowStats], bin_width: float) -> list[list]:
+def size_histogram_rows(matrix: FlowMatrix, bin_width: float) -> list[list]:
     """Class sizes of each system binned by bin_width, from zero up to the
     largest size's bin."""
-    n = len(stats)
-    counts_a = Counter(int(r.size_a // bin_width) for r in stats)
-    counts_b = Counter(int(r.size_b // bin_width) for r in stats)
+    n = len(matrix.classes)
+    bins = [(x // bin_width).astype(np.int64) for x in (matrix.size_a, matrix.size_b)]
+    n_bins = max(int(b.max()) for b in bins) + 1
+    counts_a, counts_b = (np.bincount(b, minlength=n_bins).tolist() for b in bins)
     return [
         [fmt(k * bin_width), fmt((k + 1) * bin_width),
          counts_a[k], fmt(100.0 * counts_a[k] / n), counts_b[k], fmt(100.0 * counts_b[k] / n)]
-        for k in range(max(counts_a | counts_b, default=0) + 1)
+        for k in range(n_bins)
     ]
 
 
@@ -213,33 +186,33 @@ def summary_rows(metrics: list[tuple[str, list[float]]]) -> list[list]:
 
 
 def level_tables(
-    stats: list[ClassFlowStats], st_a: SupportStats, st_b: SupportStats, bin_width: float
+    matrix: FlowMatrix, st_a: SupportStats, st_b: SupportStats, bin_width: float
 ) -> dict[str, tuple[list[str], list[list]]]:
-    """The comparison datasets of one level that derive from its class stats
-    and support counters, keyed by dataset: (CSV header, rows)."""
+    """The comparison datasets of one level that derive from its flow matrix's
+    class columns and support counters, keyed by dataset: (CSV header, rows)."""
     single = {
         "pct_single_asjc_frac": st_a.pct_single, "mean_weight_asjc_frac": st_a.mean_weight,
         "pct_single_u1_f08": st_b.pct_single, "mean_weight_u1_f08": st_b.mean_weight,
     }
     summary_header = ["metric", "n", "mean", "std", "cv_pct"]
+    classes = matrix.classes
     return {
         "common_unique": (["class", "common_weight", "only_asjc_frac", "only_u1_f08"], [
-            [r.class_code, fmt(r.common), fmt(r.size_a - r.common), fmt(r.size_b - r.common)]
-            for r in stats
+            [c, fmt(com), fmt(sa - com), fmt(sb - com)]
+            for c, sa, sb, com in zip(classes, matrix.size_a.tolist(), matrix.size_b.tolist(), matrix.common.tolist())
         ]),
         "single_assignment": (["class", *single], [
-            [r.class_code, *(fmt(col.get(r.class_code)) for col in single.values())] for r in stats
+            [c, *(fmt(col.get(c)) for col in single.values())] for c in classes
         ]),
         "size_histogram": ([
             "bin_low", "bin_high", "count_asjc_frac", "pct_asjc_frac", "count_u1_f08", "pct_u1_f08",
-        ], size_histogram_rows(stats, bin_width)),
+        ], size_histogram_rows(matrix, bin_width)),
         "flow_summary": (summary_header, summary_rows([
-            ("size_asjc_frac", [r.size_a for r in stats]),
-            ("size_u1_f08", [r.size_b for r in stats]),
-            ("incoming", [r.incoming for r in stats]),
-            ("outgoing", [r.outgoing for r in stats]),
-            ("pct_incoming", [r.pct_incoming for r in stats if r.pct_incoming is not None]),
-            ("pct_outgoing", [r.pct_outgoing for r in stats if r.pct_outgoing is not None]),
+            ("size_asjc_frac", matrix.size_a.tolist()), ("size_u1_f08", matrix.size_b.tolist()),
+            ("incoming", matrix.incoming.tolist()), ("outgoing", matrix.outgoing.tolist()),
+            # a percentage is undefined (NaN) where size_a is 0
+            *((name, pct[matrix.size_a > 0.0].tolist()) for name, pct in (
+                ("pct_incoming", matrix.pct_incoming), ("pct_outgoing", matrix.pct_outgoing))),
         ])),
         "weight_summary": (summary_header, summary_rows(
             [(name, list(col.values())) for name, col in single.items()]
@@ -282,8 +255,14 @@ def _csv_number(path: str, line_no: int, text: str) -> float:
     return value
 
 
+def flow_rows(matrix: FlowMatrix, keep: np.ndarray | slice = slice(None)) -> Iterator[list]:
+    """The FLOW_HEADER rows of the flows that keep selects, in its order."""
+    return ([matrix.classes[i], matrix.classes[j], fmt(w)] for i, j, w in zip(
+        matrix.source[keep].tolist(), matrix.target[keep].tolist(), matrix.flow[keep].tolist()))
+
+
 def write_flow_csv(matrix: FlowMatrix, path: str) -> None:
-    write_csv(path, FLOW_HEADER, ([i, j, fmt(w)] for (i, j), w in sorted(matrix.flow.items())))
+    write_csv(path, FLOW_HEADER, flow_rows(matrix))
 
 
 def read_flow_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -295,15 +274,17 @@ def read_flow_csv(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndar
     return list(codes), *np.array(ends, dtype=np.int32).reshape(-1, 2).T, np.array(weight, dtype=float)
 
 
-def write_class_stats_csv(rows: list[ClassFlowStats], path: str) -> None:
-    write_csv(path, CLASS_STATS_HEADER, [
-        [r.class_code, fmt(r.size_a), fmt(r.size_b), fmt(r.common),
-         fmt(r.incoming), fmt(r.outgoing), fmt(r.pct_incoming), fmt(r.pct_outgoing)]
-        for r in sorted(rows, key=lambda r: r.class_code)
-    ])
+def write_class_stats_csv(matrix: FlowMatrix, path: str) -> None:
+    """One row per class; the header names the matrix's columns, and NaN is NA."""
+    columns = [getattr(matrix, name).tolist() for name in CLASS_STATS_HEADER[1:]]
+    write_csv(path, CLASS_STATS_HEADER, ([c, *map(fmt, values)] for c, *values in zip(matrix.classes, *columns)))
 
 
-def read_class_stats_csv(path: str) -> list[ClassFlowStats]:
-    return [ClassFlowStats(row[0], *(
-        None if i >= 6 and row[i] == "NA" else _csv_number(path, line_no, row[i]) for i in range(1, 8)))
-        for line_no, row, _ in _csv_rows(path, CLASS_STATS_HEADER, 1, {})]
+def read_class_stats_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """A class stats CSV's classes in file order, and a float64 row per class of its seven
+    numbers in header order; NA, which only the two percentages may be, is NaN."""
+    classes, values = {}, []
+    for line_no, row, _ in _csv_rows(path, CLASS_STATS_HEADER, 1, classes):
+        values.extend(math.nan if i >= 6 and row[i] == "NA" else _csv_number(path, line_no, row[i])
+                      for i in range(1, 8))
+    return list(classes), np.array(values, dtype=float).reshape(-1, 7)

@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,10 +121,21 @@ def planted_journal_categories(params):
     return planted
 
 
+def matrix_dicts(matrix):
+    """A FlowMatrix as dicts: size_a, size_b and common as {code: weight}, each
+    without the 0.0 of a class its set holds none of, and flow as
+    {(from, to): weight}, in the matrix's order."""
+    c = matrix.classes
+    sizes = ({k: w for k, w in zip(c, col.tolist()) if w != 0.0}
+             for col in (matrix.size_a, matrix.size_b, matrix.common))
+    flow = {(c[i], c[j]): w for i, j, w in zip(matrix.source.tolist(), matrix.target.tolist(), matrix.flow.tolist())}
+    return SimpleNamespace(**dict(zip(("size_a", "size_b", "common"), sizes)), flow=flow)
+
+
 def one_doc_flow(a, b):
-    """The flow matrix of one document whose vectors are a and b."""
-    return flow_matrix(AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", a)]),
-                       AssignmentSet.from_rows(SYSTEM_U1, [("D1", b)]))
+    """The flow matrix of one document whose vectors are a and b, as matrix_dicts."""
+    return matrix_dicts(flow_matrix(AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", a)]),
+                                    AssignmentSet.from_rows(SYSTEM_U1, [("D1", b)])))
 
 
 def plain_collapse(vec, scheme):

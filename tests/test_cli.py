@@ -1073,13 +1073,15 @@ def test_bad_layout_knob_fails_before_layout(pipeline_dir, monkeypatch, flag, va
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--bin-width", "inf"), ("--bin-width", "nan"), ("--bin-width", "0"),
+    ("--bin-width", "inf"), ("--bin-width", "nan"), ("--bin-width", "0"), ("--bin-width", "1e-6"),
+    ("--bin-width", "0.5"),
     ("--min-link-area", "nan"), ("--min-link-area", "inf"), ("--min-link-area", "-1"),
     ("--min-link-category", "nan"), ("--min-link-category", "inf"), ("--min-link-category", "-5"),
 ])
 def test_bad_compare_knob_fails_before_writing(pipeline_dir, flag, value):
-    # a bin width of inf writes a nan bin, a link cut of nan keeps no link
-    # and a negative one keeps every flow
+    # a bin width of inf writes a nan bin, one below a document adds only empty
+    # bins (1e-6 would write about a billion rows), a link cut of nan keeps no
+    # link and a negative one keeps every flow
     before = snapshot(pipeline_dir)
     assert run(["compare", flag, value, "--out", str(pipeline_dir)]) == 1
     assert snapshot(pipeline_dir) == before
@@ -1100,7 +1102,7 @@ def test_readme_library_example_runs(capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     # one printed row per class of the area flow matrix, and arrays over every document
     rows = capsys.readouterr().out.splitlines()
-    assert [row.split()[0] for row in rows] == namespace["matrix"].classes()
+    assert [row.split()[0] for row in rows] == namespace["matrix"].classes
     assert len(namespace["ni"]) == len(namespace["flags"]) == len(namespace["corpus"])
 
     # the package root loads no module of the package

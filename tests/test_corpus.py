@@ -325,6 +325,7 @@ def test_fmt_is_the_artifact_number_format():
     assert fmt(0.5) == "0.500000"
     assert fmt(-1e-12) == "0.000000"
     assert fmt(None) == "NA"
+    assert fmt(float("nan")) == "NA"
 
 
 # the journals of make_corpus

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,10 @@ from citeclass.assignments import AssignmentSet, SYSTEM_ASJC, SYSTEM_U1
 from citeclass.citer import classify_u1f08_all
 from citeclass.corpus import ValidationError
 from citeclass.flow import (
-    class_flow_stats, flow_matrix, read_class_stats_csv, read_flow_csv, summary_rows, top_links,
+    CLASS_STATS_HEADER, flow_matrix, flow_rows, read_class_stats_csv, read_flow_csv, summary_rows, top_links,
     write_class_stats_csv, write_flow_csv,
 )
-from conftest import assert_vec_close, one_doc_flow, plain_collapse, vector
+from conftest import assert_vec_close, matrix_dicts, one_doc_flow, plain_collapse, vector
 from oracles import oracle_flow
 
 
@@ -75,7 +76,7 @@ def two_doc_sets():
 
 def test_flow_matrix_totals(scheme):
     set_a, set_b = two_doc_sets()
-    m = flow_matrix(set_a, set_b, "category")
+    m = matrix_dicts(flow_matrix(set_a, set_b, "category"))
     assert_vec_close(m.size_a, {"PH01": 1.5, "CH01": 0.5})
     assert_vec_close(m.size_b, {"PH01": 0.5, "CH01": 1.5})
     assert_vec_close(m.common, {"PH01": 0.5, "CH01": 0.5})
@@ -87,10 +88,10 @@ def test_flow_matrix_area_level_collapses_first(scheme):
     # PH01 -> PH02 moves vanish at area level because both sit in PH
     va = {"D1": {"PH01": 1.0}}
     vb = {"D1": {"PH02": 1.0}}
-    m = flow_matrix(
+    m = matrix_dicts(flow_matrix(
         AssignmentSet.from_rows(SYSTEM_ASJC, va.items()),
         AssignmentSet.from_rows(SYSTEM_U1, vb.items()), "area", scheme
-    )
+    ))
     assert m.flow == {}
     assert_vec_close(m.common, {"PH": 1.0})
 
@@ -110,7 +111,8 @@ def test_accumulator_matches_flow_matrix(syn200):
         ("category", lambda vec: vec),
         ("area", lambda vec: plain_collapse(vec, scheme)),
     ):
-        direct = flow_matrix(set_a, set_b, level, scheme)
+        matrix = flow_matrix(set_a, set_b, level, scheme)
+        direct = matrix_dicts(matrix)
         # the oracle's flows of each document, summed in document order
         size_a, size_b, common, flow = {}, {}, {}, {}
         for doc_id in set_a.doc_ids:
@@ -123,6 +125,15 @@ def test_accumulator_matches_flow_matrix(syn200):
         assert direct.size_b == dict(sorted(size_b.items()))
         assert direct.common == dict(sorted(common.items()))
         assert direct.flow == dict(sorted(flow.items()))
+        assert list(direct.flow) == sorted(flow)
+        # every class either set holds, in code order, and each class's flows added in pair order
+        assert matrix.classes == sorted(set(size_a) | set(size_b))
+        incoming, outgoing = dict.fromkeys(matrix.classes, 0.0), dict.fromkeys(matrix.classes, 0.0)
+        for (i, j), w in direct.flow.items():
+            outgoing[i] += w
+            incoming[j] += w
+        assert matrix.incoming.tolist() == list(incoming.values())
+        assert matrix.outgoing.tolist() == list(outgoing.values())
 
 
 def test_class_flow_stats_balance(syn200):
@@ -130,28 +141,50 @@ def test_class_flow_stats_balance(syn200):
     set_a = classify_asjc(corpus, scheme)
     set_b = classify_u1f08_all(corpus, scheme)
     m = flow_matrix(set_a, set_b, "category")
-    rows = class_flow_stats(m)
     # global: both sizes sum to the document count
-    assert abs(math.fsum(r.size_a for r in rows) - len(corpus)) <= 1e-6
-    assert abs(math.fsum(r.size_b for r in rows) - len(corpus)) <= 1e-6
-    for r in rows:
-        assert abs((r.size_a - r.size_b) - (r.outgoing - r.incoming)) <= 1e-9
-        assert r.common <= min(r.size_a, r.size_b) + 1e-9
-        if r.size_a > 0:
-            assert r.pct_incoming == pytest.approx(100.0 * r.incoming / r.size_a)
+    assert abs(math.fsum(m.size_a.tolist()) - len(corpus)) <= 1e-6
+    assert abs(math.fsum(m.size_b.tolist()) - len(corpus)) <= 1e-6
+    for size_a, size_b, common, incoming, outgoing, pct_incoming, pct_outgoing in zip(
+            *(getattr(m, name).tolist() for name in CLASS_STATS_HEADER[1:])):
+        assert abs((size_a - size_b) - (outgoing - incoming)) <= 1e-9
+        assert common <= min(size_a, size_b) + 1e-9
+        if size_a > 0:
+            assert pct_incoming == pytest.approx(100.0 * incoming / size_a)
+            assert pct_outgoing == pytest.approx(100.0 * outgoing / size_a)
         else:
-            assert r.pct_incoming is None
+            assert math.isnan(pct_incoming) and math.isnan(pct_outgoing)
+
+
+def test_class_held_only_by_b_has_na_percentages(tmp_path):
+    # Z has no ASJC-FRAC weight, so its percentages are undefined: NaN in the
+    # matrix, NA in the CSV, and NaN again when read back
+    set_a = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"X": 1.0})])
+    set_b = AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"X": 0.5, "Z": 0.5})])
+    m = flow_matrix(set_a, set_b, "category")
+    assert m.classes == ["X", "Z"]
+    assert m.pct_outgoing[0] == 50.0 and np.isnan(m.pct_outgoing[1]) and np.isnan(m.pct_incoming[1])
+    p = tmp_path / "stats.csv"
+    write_class_stats_csv(m, str(p))
+    assert p.read_text().splitlines()[1:] == [
+        "X,1.000000,0.500000,0.500000,0.000000,0.500000,0.000000,50.000000",
+        "Z,0.000000,0.500000,0.000000,0.500000,0.000000,NA,NA",
+    ]
+    classes, stats = read_class_stats_csv(str(p))
+    assert classes == m.classes
+    assert np.array_equal(stats, np.array([getattr(m, name) for name in CLASS_STATS_HEADER[1:]]).T, equal_nan=True)
 
 
 def test_top_links_sorted_and_filtered():
-    set_a = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"X": 1.0}), ("D2", {"Y": 1.0})])
-    set_b = AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"Z": 1.0}), ("D2", {"Z": 0.5, "Y": 0.5})])
+    set_a = AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"X": 1.0}), ("D2", {"Y": 1.0}), ("D3", {"W": 1.0}),
+                                                  ("D4", {"A": 1.0})])
+    set_b = AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"Z": 1.0}), ("D2", {"Z": 0.5, "Y": 0.5}),
+                                                ("D3", {"Z": 0.3, "W": 0.7}), ("D4", {"Z": 1.0})])
     m = flow_matrix(set_a, set_b, "category")
-    links = top_links(m, 0.4)
-    assert links[0] == ("X", "Z", 1.0)
-    assert all(w >= 0.4 for _, _, w in links)
-    weights = [w for _, _, w in links]
-    assert weights == sorted(weights, reverse=True)
+    links = [(m.classes[m.source[k]], m.classes[m.target[k]], m.flow[k]) for k in top_links(m, 0.4)]
+    # heaviest first, the tie at 1.0 by class pair; W -> Z (0.3) is below the cut
+    assert links == [("A", "Z", 1.0), ("X", "Z", 1.0), ("Y", "Z", 0.5)]
+    assert list(flow_rows(m, top_links(m, 0.4))) == [
+        ["A", "Z", "1.000000"], ["X", "Z", "1.000000"], ["Y", "Z", "0.500000"]]
 
 
 def test_summary_stats_population_std():
@@ -177,15 +210,14 @@ def test_flow_csv_roundtrip(tmp_path, syn200):
     write_flow_csv(m, str(p))
     codes, source, target, weight = read_flow_csv(str(p))
     back = dict(zip([(codes[i], codes[j]) for i, j in zip(source.tolist(), target.tolist())], weight.tolist()))
-    assert list(back) == list(m.flow)
-    for k in m.flow:
-        assert abs(back[k] - m.flow[k]) <= 1e-6
+    flows = matrix_dicts(m).flow
+    assert list(back) == list(flows)
+    for k in flows:
+        assert abs(back[k] - flows[k]) <= 1e-6
 
-    rows = class_flow_stats(m)
     p2 = tmp_path / "stats.csv"
-    write_class_stats_csv(rows, str(p2))
-    back_rows = read_class_stats_csv(str(p2))
-    assert [r.class_code for r in back_rows] == [r.class_code for r in rows]
-    for r1, r2 in zip(rows, back_rows):
-        assert abs(r1.size_a - r2.size_a) <= 1e-6
-        assert abs(r1.incoming - r2.incoming) <= 1e-6
+    write_class_stats_csv(m, str(p2))
+    classes, stats = read_class_stats_csv(str(p2))
+    assert classes == m.classes
+    for k, name in enumerate(CLASS_STATS_HEADER[1:]):
+        assert np.abs(stats[:, k] - getattr(m, name)).max() <= 1e-6

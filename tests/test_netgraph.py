@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citeclass.corpus import ParseError, ValidationError
-from citeclass.flow import FlowMatrix
+from citeclass.assignments import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet
+from citeclass.flow import flow_matrix
 from citeclass.netgraph import (
     FORMATS, WRITE_RECORDS, Layout, LayoutParams, Partition, _distances, _energy, _gradient, _pairs,
     build_flow_graph, detect_communities, export_graph, linlog_layout, load_graph,
@@ -41,15 +42,18 @@ def two_triangles():
 
 
 def test_build_flow_graph_from_matrix():
-    m = FlowMatrix(
-        "area",
-        {"X": 4.0, "Y": 6.0}, {"X": 5.0, "Y": 5.0}, {"X": 4.0, "Y": 5.0},
-        {("Y", "X"): 1.0, ("X", "Y"): 1e-9},
+    # Y -> X moves 1.0, and X -> Y about 1e-9, below epsilon
+    m = flow_matrix(
+        AssignmentSet.from_rows(SYSTEM_ASJC, [("D1", {"Y": 1.0}), ("D2", {"X": 1.0}), ("D3", {"Y": 1.0})]),
+        AssignmentSet.from_rows(SYSTEM_U1, [("D1", {"X": 1.0}), ("D2", {"X": 1.0 - 1e-9, "Y": 1e-9}),
+                                            ("D3", {"Y": 1.0})]),
     )
-    g = build_flow_graph(flows_of(m.flow), m.size_b, epsilon=1e-6)
+    assert m.flow.tolist() == [pytest.approx(1e-9), 1.0]
+    g = build_flow_graph((m.classes, m.source, m.target, m.flow), dict(zip(m.classes, m.size_b.tolist())),
+                         epsilon=1e-6)
     assert g.nodes == ["X", "Y"]
     # node size comes from the destination system
-    assert dict(zip(g.nodes, g.size.tolist())) == {"X": 5.0, "Y": 5.0}
+    assert g.size.tolist() == m.size_b.tolist() != m.size_a.tolist()
     assert edge_triples(g) == [("Y", "X", 1.0)]
 
 
