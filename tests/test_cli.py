@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from citeclass.assignments import write_assignments
 from citeclass.citer import ThresholdPolicy, classify_u1f08_all
-from citeclass.cli import FIG1, FIG4, FIG7, LEVEL_FILES, build_parser, main
+from citeclass.cli import (
+    FIG1, FIG4, FIG7, LEVEL_FILES, _load_assignment_sets, _load_pipeline_corpus, build_parser, main,
+)
 from citeclass.config import RunConfig, field_types, parse_config_file
 from citeclass.corpus import Corpus, ParseError, load_corpus, load_scheme
 from citeclass.syngen import SynParams
@@ -858,6 +860,15 @@ def test_stages_never_build_the_documents_view(pipeline_dir, monkeypatch):
     monkeypatch.setattr(Corpus, "documents", property(refuse))
     for argv, _ in CORPUS_READERS.values():
         assert run([*argv, "--out", str(pipeline_dir)]) == 0
+
+
+def test_stages_share_one_doc_id_list(pipeline_dir):
+    # compare's second set holds the first set's doc id list, indicators' sets
+    # the corpus's, instead of a decoded copy each
+    set_a, set_b = _load_assignment_sets(str(pipeline_dir))
+    assert set_b.doc_ids is set_a.doc_ids
+    _, corpus = _load_pipeline_corpus(str(pipeline_dir))
+    assert all(s.doc_ids is corpus.doc_ids for s in _load_assignment_sets(str(pipeline_dir), corpus))
 
 
 def test_ingest_writes_the_same_npz_twice(pipeline_dir, tmp_path):
