@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citeclass.corpus import ParseError, ValidationError
 from citeclass.assignments import SYSTEM_ASJC, SYSTEM_U1, AssignmentSet
+from citeclass.corpus import ParseError, ValidationError
 from citeclass.flow import flow_matrix
 from citeclass.netgraph import (
     FORMATS, WRITE_RECORDS, Layout, LayoutParams, Partition, _distances, _energy, _gradient, _pairs,
